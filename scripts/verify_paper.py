@@ -13,29 +13,34 @@ from dscodes.code import DefiningSet
 from dscodes.field import get_field
 
 
-def main() -> int:
-    t0 = time.perf_counter()
-    reports = []
-
-    for p, m in [(3, 2), (3, 3), (5, 2), (7, 2)]:
-        reports.append(theorems.verify_simplex(p, m))
-    reports += theorems.scan(theorems.ClaimId.COR2_ONEWEIGHT_L, p=3, m_values=(2, 3))
-    reports += theorems.scan(theorems.ClaimId.COR2_ONEWEIGHT_L, p=5, m_values=(2,))
-
-    prop = theorems.thm1_property_test(3, 2)
-    for m in (5, 7):
+def _splits(m_values):
+    """thm2 has no scan family: split GF(2^m)* into the cubic-trace set and the rest."""
+    for m in m_values:
         f = get_field(2, m)
         d1 = sets.tr_cubic_set(m, f)
-        d2_els = tuple(set(range(1, f.q)) - set(d1.elements))
-        reports.append(theorems.verify_split(d1, DefiningSet(f, d2_els, label="rest")))
+        d2 = DefiningSet(f, tuple(set(range(1, f.q)) - set(d1.elements)), label="rest")
+        yield theorems.verify("thm2", f, (d1, d2))
 
-    reports += theorems.scan(theorems.ClaimId.COR3_COMPLEMENT, p=2, m_values=(4, 5), trials=25)
-    reports += theorems.scan(theorems.ClaimId.COR4_QF_ODD, p=3, m_values=(3,))
-    reports += theorems.scan(theorems.ClaimId.COR4_QF_EVEN, p=3, m_values=(2, 4))
-    reports += theorems.scan(theorems.ClaimId.COR5_BOOLEAN, m_values=(4, 5, 6, 7))
-    reports += theorems.scan(theorems.ClaimId.THM3_HKM, h_values=(1, 3))
-    reports += theorems.scan(theorems.ClaimId.THM4_ODD_M, m_values=(5, 7, 9, 11, 13))
-    reports += theorems.scan(theorems.ClaimId.THM5_EVEN_M, m_values=(4, 6, 8, 10, 12))
+
+def main() -> int:
+    t0 = time.perf_counter()
+    scan = theorems.scan
+    reports = [
+        *scan("cor1", p=3, m_values=(2, 3)),
+        *scan("cor1", p=5, m_values=(2,)),
+        *scan("cor1", p=7, m_values=(2,)),
+        *scan("cor2", p=3, m_values=(2, 3)),
+        *scan("cor2", p=5, m_values=(2,)),
+        *_splits((5, 7)),
+        *scan("cor3", p=2, m_values=(4, 5), trials=25),
+        *scan("cor4odd", p=3, m_values=(3,)),
+        *scan("cor4even", p=3, m_values=(2, 4)),
+        *scan("cor5", m_values=(4, 5, 6, 7)),
+        *scan("thm3", h_values=(1, 3)),
+        *scan("thm4", m_values=(5, 7, 9, 11, 13)),
+        *scan("thm5", m_values=(4, 6, 8, 10, 12)),
+    ]
+    prop = theorems.verify("thm1prop", get_field(3, 2))
 
     width = max(len(str(r.params)) for r in reports)
     for r in reports:

@@ -143,14 +143,23 @@ def build_set(f: Field, selector: str) -> DefiningSet:
     raise UsageError(f"unknown set selector {selector!r}")
 
 
+def _checked_values(args, name: str, p: int, single=True, degree=lambda v: v):
+    """The values of --m (or --h), each field size p^degree checked
+    against --max-q before any table is built."""
+    text = getattr(args, name)
+    if not text:
+        raise UsageError(f"--{name} is required")
+    values = (_parse_single_int(text, f"--{name}"),) if single else _parse_int_list(text)
+    for value in values:
+        q = p ** degree(value)
+        if q > args.max_q:
+            raise UsageError(f"{name} = {value}: q = {q} exceeds --max-q = {args.max_q}")
+    return values
+
+
 def _field_for(args, p_default=2) -> Field:
     p = args.p if args.p is not None else p_default
-    m = _parse_single_int(args.m, "--m") if args.m else None
-    if m is None:
-        raise UsageError("--m is required")
-    q = p**m
-    if q > args.max_q:
-        raise UsageError(f"q = {q} exceeds --max-q = {args.max_q}")
+    (m,) = _checked_values(args, "m", p)
     modulus = _parse_modulus(args.field_poly) if args.field_poly else None
     try:
         return get_field(p, m, modulus)
@@ -192,158 +201,86 @@ def cmd_code(args):
     return payload, EXIT_OK if pless.ok else EXIT_MISMATCH
 
 
-def _claim_field(args, p_default=2) -> Field:
-    return _field_for(args, p_default=p_default)
+class _SetOption:
+    """The --set reader handed to theorems.ClaimSpec.parse_set: one method
+    per selector form a claim takes."""
+
+    def __init__(self, token: str, text: str | None):
+        self.token, self.text = token, text
+
+    def _body(self, prefix: str, usage: str) -> str:
+        if not self.text or not self.text.startswith(prefix):
+            raise UsageError(f"{self.token} takes --set {usage}")
+        return self.text[len(prefix):]
+
+    def digits(self, f: Field) -> tuple[int, ...]:
+        """E from product:<digits>, else all of GF(p)*."""
+        if not self.text:
+            return tuple(range(1, f.p))
+        return _parse_int_list(self._body("product:", "product:<digits> or no --set"))
+
+    def table(self, f: Field) -> np.ndarray:
+        """Truth table from bool:<file>, else that of Tr(x^3)."""
+        if not self.text:
+            return spectra.tr_cubic_table(f)
+        return _truth_table_for_field(f, self._body("bool:", "bool:<file> or no --set"))
+
+    def terms(self):
+        return _parse_qf_terms(self._body("qf:", "qf:<i,j,a[;...]>"))
+
+    def defining_set(self, f: Field) -> DefiningSet:
+        if not self.text:
+            raise UsageError(f"{self.token} needs --set")
+        return build_set(f, self.text)
+
+
+def _claim(args) -> tuple[theorems.ClaimSpec, int]:
+    """The --claim row and the p its field rule gives."""
+    if args.claim is None:
+        raise UsageError("--claim is required")
+    spec = theorems.CLAIMS.get(args.claim)
+    if spec is None:
+        raise UsageError(f"unknown claim {args.claim!r}")
+    try:
+        return spec, spec.field_p(args.p)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_verify(args):
-    token = args.claim
-    if token is None:
-        raise UsageError("--claim is required")
-    threads = args.threads
-
-    if token == "thm1prop":
-        f = _claim_field(args, p_default=3)
-        try:
-            rep = theorems.thm1_property_test(f.p, f.m, seed=args.seed, threads=threads)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        payload = {"command": "verify", "report": rep.to_json_dict()}
-        return payload, _VERDICT_EXIT[rep.verdict]
-
-    claim = theorems.CLAIM_BY_TOKEN.get(token)
-    if claim is None:
-        raise UsageError(f"unknown claim {token!r}")
-    C = theorems.ClaimId
-
-    if claim is C.COR1_SIMPLEX:
-        f = _claim_field(args, p_default=3)
-        report = theorems.verify_simplex(f.p, f.m, threads=threads)
-    elif claim is C.COR2_ONEWEIGHT_L:
-        f = _claim_field(args, p_default=3)
-        digits = _default_scale_digits(f, args.set)
-        report = theorems.verify_scaled_simplex(f.p, f.m, digits, threads=threads)
-    elif claim is C.THM1_EXPANSION:
-        f = _claim_field(args, p_default=3)
-        digits = _default_scale_digits(f, args.set)
-        report = theorems.verify_expansion(digits, sets.simplex_coset_reps(f), threads=threads)
-    elif claim is C.THM2_COMBINE:
-        f = _claim_field(args)
-        if not args.set:
-            raise UsageError("thm2 needs --set for the first half")
-        d1 = build_set(f, args.set)
-        rest = tuple(set(range(1, f.q)) - set(d1.elements))
-        if not rest:
-            raise UsageError("the first half covers every unit; nothing is left")
-        d2 = DefiningSet(f, rest, label="rest-of-units")
-        report = theorems.verify_split(d1, d2, threads=threads)
-    elif claim is C.COR3_COMPLEMENT:
-        f = _claim_field(args)
-        if not args.set:
-            raise UsageError("cor3 needs --set for the base set")
-        report = theorems.verify_complement(build_set(f, args.set), threads=threads)
-    elif claim in (C.COR4_QF_ODD, C.COR4_QF_EVEN):
-        f = _claim_field(args, p_default=3)
-        if not args.set or not args.set.startswith("qf:"):
-            raise UsageError("cor4 needs --set qf:<i,j,a[;...]>")
-        try:
-            report = theorems.verify_quadratic(
-                f, _parse_qf_terms(args.set[3:]), threads=threads
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    elif claim is C.COR5_BOOLEAN:
-        f = _claim_field(args)
-        if f.p != 2:
-            raise UsageError("cor5 is a binary claim")
-        if args.set:
-            if not args.set.startswith("bool:"):
-                raise UsageError("cor5 takes --set bool:<file> or no --set")
-            table = _truth_table_for_field(f, args.set[5:])
+    spec, p = _claim(args)
+    try:
+        if spec.param == "h":
+            field, (arg,) = None, _checked_values(args, spec.param, p, degree=spec.degree)
         else:
-            table = spectra.tr_cubic_table(f)
-        report = theorems.verify_boolean_complement(f, table, threads=threads)
-    elif claim is C.THM3_HKM:
-        if args.h is None:
-            raise UsageError("thm3 needs --h")
-        h = _parse_single_int(args.h, "--h")
-        q = 3 ** (3 * h)
-        if q > args.max_q:
-            raise UsageError(f"q = {q} exceeds --max-q = {args.max_q}")
-        report = theorems.verify_half_orbit(h, threads=threads)
-    elif claim is C.THM4_ODD_M:
-        f = _claim_field(args)
-        if f.p != 2:
-            raise UsageError("thm4 is a binary claim")
-        report = theorems.verify_cubic_trace_odd(f.m, threads=threads)
-    elif claim is C.THM5_EVEN_M:
-        f = _claim_field(args)
-        if f.p != 2:
-            raise UsageError("thm5 is a binary claim")
-        report = theorems.verify_cubic_trace_even(f.m, threads=threads)
-    else:  # pragma: no cover
-        raise UsageError(f"claim {token!r} not wired")
-
+            field = _field_for(args, p)
+            option = _SetOption(spec.token, args.set)
+            arg = spec.parse_set(field, option) if spec.parse_set else None
+        report = theorems.verify(spec.token, field, arg, seed=args.seed, threads=args.threads)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     payload = {"command": "verify", "report": report.to_json_dict()}
     return payload, _VERDICT_EXIT[report.verdict]
 
 
-def _default_scale_digits(f: Field, selector: str | None) -> tuple[int, ...]:
-    """E for the scaled-set claims: from a product selector, else all of GF(p)*."""
-    if selector:
-        if not selector.startswith("product:"):
-            raise UsageError("this claim takes --set product:<digits> or no --set")
-        return _parse_int_list(selector[len("product:"):])
-    return tuple(range(1, f.p))
-
-
 def cmd_scan(args):
-    token = args.claim
-    if token is None:
-        raise UsageError("--claim is required")
-    claim = theorems.CLAIM_BY_TOKEN.get(token)
-    if claim is None:
-        raise UsageError(f"unknown claim {token!r}")
-    C = theorems.ClaimId
-    m_values = _parse_int_list(args.m) if args.m else ()
-    h_values = _parse_int_list(args.h) if args.h else ()
-    p = args.p
-
-    if claim is C.THM3_HKM:
-        if not h_values:
-            raise UsageError("scan thm3 needs --h")
-        for h in h_values:
-            if h % 2 == 1 and 3 ** (3 * h) > args.max_q:
-                raise UsageError(f"h = {h} gives q over --max-q = {args.max_q}")
-    else:
-        if not m_values:
-            raise UsageError("scan needs --m")
-        p_for_cap = p if p is not None else (2 if claim in (
-            C.THM4_ODD_M, C.THM5_EVEN_M, C.COR5_BOOLEAN) else 3)
-        for m in m_values:
-            if p_for_cap**m > args.max_q:
-                raise UsageError(f"m = {m} gives q over --max-q = {args.max_q}")
-
-    kwargs = dict(m_values=m_values, h_values=h_values, seed=args.seed, threads=args.threads)
-    if claim in (C.COR1_SIMPLEX, C.COR2_ONEWEIGHT_L, C.COR3_COMPLEMENT,
-                 C.COR4_QF_ODD, C.COR4_QF_EVEN):
-        kwargs["p"] = p if p is not None else 3
+    spec, p = _claim(args)
+    values = _checked_values(args, spec.param, p, single=False, degree=spec.degree)
     try:
-        reports = theorems.scan(claim, **kwargs)
+        reports = theorems.scan(
+            spec.token, p=p, **{f"{spec.param}_values": values},
+            seed=args.seed, threads=args.threads,
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    summary = theorems.scan_summary(reports)
     payload = {
         "command": "scan",
-        "claim": token,
+        "claim": spec.token,
         "reports": [r.to_json_dict() for r in reports],
-        "summary": summary,
+        "summary": theorems.scan_summary(reports),
     }
-    if summary[theorems.VERDICT_MISMATCH]:
-        return payload, EXIT_MISMATCH
-    if summary[theorems.VERDICT_HYPOTHESIS]:
-        return payload, EXIT_HYPOTHESIS
-    return payload, EXIT_OK
+    # a mismatch (2) outranks an unmet hypothesis (1), which outranks a match
+    return payload, max((_VERDICT_EXIT[r.verdict] for r in reports), default=EXIT_OK)
 
 
 def cmd_expsum(args):
@@ -374,14 +311,8 @@ def cmd_walsh(args):
     f = _field_for(args)
     if f.p != 2:
         raise UsageError("walsh spectra need p = 2")
-    if args.set:
-        if not args.set.startswith("bool:"):
-            raise UsageError("walsh takes --set bool:<file> or no --set")
-        table = _truth_table_for_field(f, args.set[5:])
-        canned = False
-    else:
-        table = spectra.tr_cubic_table(f)
-        canned = True
+    table = _SetOption("walsh", args.set).table(f)
+    canned = not args.set
     spectrum = spectra.walsh_transform(f, table)
     values = [int(v) for v in spectrum.values]
     hist: dict[int, int] = {}

@@ -361,10 +361,13 @@ def make_field(p: int, m: int, modulus=None) -> Field:
     return Field(p, m, None if modulus is None else tuple(modulus))
 
 
-@functools.lru_cache(maxsize=None)
 def get_field(p: int, m: int, modulus=None) -> Field:
-    """Memoised make_field, for callers that share contexts."""
-    return make_field(p, m, modulus)
+    """Memoised make_field, for callers that share contexts.  The modulus
+    is normalised first, so an omitted one and None share one entry."""
+    return _cached_field(p, m, None if modulus is None else tuple(modulus))
+
+
+_cached_field = functools.lru_cache(maxsize=None)(make_field)
 
 
 def alternate_field(field: Field) -> Field:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,9 +43,6 @@ class ClaimId(Enum):
     THM3_HKM = "thm3"
     THM4_ODD_M = "thm4"
     THM5_EVEN_M = "thm5"
-
-
-CLAIM_BY_TOKEN = {c.value: c for c in ClaimId}
 
 
 @dataclass(frozen=True)
@@ -91,26 +89,6 @@ def _first_diff(predicted: WeightDistribution, computed: WeightDistribution) -> 
         if a != b:
             return {"field": "A_w", "w": w, "predicted": a, "computed": b}
     raise AssertionError("distributions differ but no differing entry found")
-
-
-def _report(claim, params, checks, predicted_fn, computed_fn, t0) -> TheoremReport:
-    checks = tuple(checks)
-    if not all(c.passed for c in checks):
-        return TheoremReport(
-            claim, params, VERDICT_HYPOTHESIS, checks, None, None, None,
-            time.perf_counter() - t0,
-        )
-    predicted = predicted_fn()
-    computed = computed_fn()
-    if predicted == computed:
-        return TheoremReport(
-            claim, params, VERDICT_MATCH, checks, predicted, computed, None,
-            time.perf_counter() - t0,
-        )
-    return TheoremReport(
-        claim, params, VERDICT_MISMATCH, checks, predicted, computed,
-        _first_diff(predicted, computed), time.perf_counter() - t0,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -264,46 +242,37 @@ def predict_cubic_trace_even(m: int) -> WeightDistribution:
     return WeightDistribution(p=2, m=m, n=n, k=m, counts=counts)
 
 
-def predict(claim: ClaimId, **kw) -> WeightDistribution:
-    """Dispatch to the per-claim prediction.
-
-    The structural claims (THM1/THM2/COR3) take a base distribution and
-    transform it; the rest are pure closed forms.
-    """
-    if claim is ClaimId.THM1_EXPANSION:
-        return stretch_distribution(kw["base"], kw["ell"])
-    if claim is ClaimId.COR1_SIMPLEX:
-        return predict_simplex(kw["p"], kw["m"])
-    if claim is ClaimId.COR2_ONEWEIGHT_L:
-        return predict_scaled_simplex(kw["p"], kw["m"], kw["ell"])
-    if claim is ClaimId.THM2_COMBINE:
-        return mirror_distribution(kw["base"], kw["pivot"], kw["new_n"])
-    if claim is ClaimId.COR3_COMPLEMENT:
-        base = kw["base"]
-        pivot = (base.p - 1) * base.p ** (base.m - 1)
-        return mirror_distribution(base, pivot, base.p**base.m - base.n)
-    if claim is ClaimId.COR4_QF_ODD:
-        return predict_quadratic_odd_rank(kw["p"], kw["m"], kw["e"])
-    if claim is ClaimId.COR4_QF_EVEN:
-        return predict_quadratic_even_rank(kw["p"], kw["m"], kw["e"], kw["r"])
-    if claim is ClaimId.COR5_BOOLEAN:
-        return predict_boolean_complement(kw["spectrum"])
-    if claim is ClaimId.THM3_HKM:
-        return predict_half_orbit_complement(kw["h"])
-    if claim is ClaimId.THM4_ODD_M:
-        return predict_cubic_trace_odd(kw["m"])
-    if claim is ClaimId.THM5_EVEN_M:
-        return predict_cubic_trace_even(kw["m"])
-    raise ValueError(f"no prediction for {claim}")
-
-
 # ----------------------------------------------------------------------
-# verifiers
+# claim instances: one `build` function per claim, driven by `verify`
 
 
-def verify_expansion(e_digits, base: DefiningSet, threads: int = 1) -> TheoremReport:
-    """Weight distribution of the scaled set against the stretched base."""
-    t0 = time.perf_counter()
+@dataclass
+class Instance:
+    """One claim instance for `verify`.  `predict` and `construct` run
+    only when every check passed; `construct` returns the set to
+    enumerate, or a distribution a check already enumerated."""
+
+    claim: ClaimId
+    params: dict
+    checks: list[HypothesisCheck]
+    predict: Callable[[], WeightDistribution] | None = None
+    construct: Callable[[], DefiningSet | WeightDistribution] | None = None
+
+    @property
+    def holds(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+
+def _product_check(ell: int, base: DefiningSet, product: DefiningSet, complete: bool):
+    return HypothesisCheck(
+        "product-size-complete", complete, f"|E||D| = {ell * base.n}, |ED| = {product.n}"
+    )
+
+
+def _expansion(field, arg) -> Instance:
+    """Thm 1: E*D is the base code with every weight stretched by |E|.
+    arg = (E digits, base set)."""
+    e_digits, base = arg
     f = base.field
     product, complete = sets.product_set(e_digits, base)
     ell = len(set(int(e) for e in e_digits))
@@ -311,57 +280,37 @@ def verify_expansion(e_digits, base: DefiningSet, threads: int = 1) -> TheoremRe
         "p": f.p, "m": f.m, "ell": ell, "base": base.label or f"n={base.n}",
         "product_n": product.n,
     }
-    checks = [
-        HypothesisCheck(
-            "product-size-complete", complete,
-            f"|E||D| = {ell * base.n}, |ED| = {product.n}",
-        )
-    ]
-    base_wd = build_code_weights(base, threads=threads)
-    return _report(
-        ClaimId.THM1_EXPANSION, params, checks,
-        lambda: stretch_distribution(base_wd, ell),
-        lambda: build_code_weights(product, threads=threads),
-        t0,
+    return Instance(
+        ClaimId.THM1_EXPANSION, params, [_product_check(ell, base, product, complete)],
+        lambda: stretch_distribution(build_code_weights(base), ell), lambda: product,
     )
 
 
-def verify_simplex(p: int, m: int, threads: int = 1) -> TheoremReport:
-    t0 = time.perf_counter()
-    f = get_field(p, m)
-    ds = sets.simplex_coset_reps(f)
-    return _report(
-        ClaimId.COR1_SIMPLEX, {"p": p, "m": m}, [],
-        lambda: predict_simplex(p, m),
-        lambda: build_code_weights(ds, threads=threads),
-        t0,
+def _simplex(f: Field, _arg) -> Instance:
+    """Cor 1: the simplex set gives a one-weight code."""
+    return Instance(
+        ClaimId.COR1_SIMPLEX, {"p": f.p, "m": f.m}, [],
+        lambda: predict_simplex(f.p, f.m), lambda: sets.simplex_coset_reps(f),
     )
 
 
-def verify_scaled_simplex(p: int, m: int, e_digits, threads: int = 1) -> TheoremReport:
-    t0 = time.perf_counter()
-    f = get_field(p, m)
+def _scaled_simplex(f: Field, e_digits) -> Instance:
+    """Cor 2: E times the simplex set is one-weight at |E| p^(m-1)."""
     base = sets.simplex_coset_reps(f)
     product, complete = sets.product_set(e_digits, base)
-    ell = len(set(int(e) for e in e_digits))
-    params = {"p": p, "m": m, "ell": ell, "E": sorted(set(int(e) for e in e_digits))}
-    checks = [
-        HypothesisCheck(
-            "product-size-complete", complete,
-            f"|E||D| = {ell * base.n}, |ED| = {product.n}",
-        )
-    ]
-    return _report(
-        ClaimId.COR2_ONEWEIGHT_L, params, checks,
-        lambda: predict_scaled_simplex(p, m, ell),
-        lambda: build_code_weights(product, threads=threads),
-        t0,
+    digits = sorted(set(int(e) for e in e_digits))
+    ell = len(digits)
+    return Instance(
+        ClaimId.COR2_ONEWEIGHT_L, {"p": f.p, "m": f.m, "ell": ell, "E": digits},
+        [_product_check(ell, base, product, complete)],
+        lambda: predict_scaled_simplex(f.p, f.m, ell), lambda: product,
     )
 
 
-def verify_split(d1: DefiningSet, d2: DefiningSet, threads: int = 1) -> TheoremReport:
-    """Mirror relation between the two halves of a one-weight union."""
-    t0 = time.perf_counter()
+def _split(field, arg) -> Instance:
+    """Thm 2: the halves of a one-weight union mirror each other.
+    arg = (first half, second half)."""
+    d1, d2 = arg
     f = d1.field
     params = {
         "p": f.p, "m": f.m,
@@ -369,46 +318,47 @@ def verify_split(d1: DefiningSet, d2: DefiningSet, threads: int = 1) -> TheoremR
         "n1": d1.n, "n2": d2.n,
     }
     overlap = set(d1.elements) & set(d2.elements)
-    checks = [HypothesisCheck("parts-disjoint", not overlap, f"overlap size {len(overlap)}")]
-    if overlap:
-        return _report(ClaimId.THM2_COMBINE, params, checks, None, None, t0)
-
-    union = sets.union_disjoint(d1, d2)
-    union_wd = build_code_weights(union, threads=threads)
-    one_weight = len(union_wd.nonzero_items()) == 1
-    checks.append(
-        HypothesisCheck(
-            "union-one-weight", one_weight,
-            f"union weights {[w for w, _ in union_wd.nonzero_items()]}",
-        )
+    inst = Instance(
+        ClaimId.THM2_COMBINE, params,
+        [HypothesisCheck("parts-disjoint", not overlap, f"overlap size {len(overlap)}")],
     )
-    wd1 = build_code_weights(d1, threads=threads)
-    wd2 = build_code_weights(d2, threads=threads)
-    same_dim = wd1.k == union_wd.k and wd2.k == union_wd.k
-    checks.append(
+    if overlap:
+        return inst
+    union_wd = build_code_weights(sets.union_disjoint(d1, d2))
+    weights = [w for w, _ in union_wd.nonzero_items()]
+    inst.checks.append(
+        HypothesisCheck("union-one-weight", len(weights) == 1, f"union weights {weights}")
+    )
+    wd1 = build_code_weights(d1)
+    wd2 = build_code_weights(d2)
+    inst.checks.append(
         HypothesisCheck(
-            "equal-dimensions", same_dim,
+            "equal-dimensions", wd1.k == union_wd.k and wd2.k == union_wd.k,
             f"k_union = {union_wd.k}, k1 = {wd1.k}, k2 = {wd2.k}",
         )
     )
-    if not (one_weight and same_dim):
-        return _report(ClaimId.THM2_COMBINE, params, checks, None, None, t0)
-    pivot = union_wd.nonzero_items()[0][0]
-    params["w"] = pivot
-    return _report(
-        ClaimId.THM2_COMBINE, params, checks,
-        lambda: mirror_distribution(wd1, pivot, d2.n),
-        lambda: wd2,
-        t0,
-    )
+    if inst.holds:
+        pivot = weights[0]
+        params["w"] = pivot
+        inst.predict = lambda: mirror_distribution(wd1, pivot, d2.n)
+        inst.construct = lambda: wd2
+    return inst
 
 
-def verify_complement(base: DefiningSet, threads: int = 1) -> TheoremReport:
-    t0 = time.perf_counter()
+def _split_off_rest(first: DefiningSet) -> tuple[DefiningSet, DefiningSet]:
+    """The two halves of thm2 from its first: the rest of the units."""
+    f = first.field
+    rest = tuple(set(range(1, f.q)) - set(first.elements))
+    if not rest:
+        raise ValueError("the first half covers every unit; nothing is left")
+    return first, DefiningSet(f, rest, label="rest-of-units")
+
+
+def _complement(field, base: DefiningSet) -> Instance:
+    """Cor 3: the complement's weights are the base's reflected."""
     f = base.field
     full_weight = (f.p - 1) * f.p ** (f.m - 1)
-    params = {"p": f.p, "m": f.m, "base": base.label or f"n={base.n}", "n": base.n}
-    base_wd = build_code_weights(base, threads=threads)
+    base_wd = build_code_weights(base)
     checks = [
         HypothesisCheck("full-dimension", base_wd.k == f.m, f"k = {base_wd.k}, m = {f.m}"),
         HypothesisCheck(
@@ -417,161 +367,120 @@ def verify_complement(base: DefiningSet, threads: int = 1) -> TheoremReport:
             f"max weight {base_wd.w_max}, bound {full_weight}",
         ),
     ]
-    comp = sets.complement(base)
-    return _report(
-        ClaimId.COR3_COMPLEMENT, params, checks,
+    return Instance(
+        ClaimId.COR3_COMPLEMENT,
+        {"p": f.p, "m": f.m, "base": base.label or f"n={base.n}", "n": base.n}, checks,
         lambda: mirror_distribution(base_wd, full_weight, f.q - base.n),
-        lambda: build_code_weights(comp, threads=threads),
-        t0,
+        lambda: sets.complement(base),
     )
 
 
-def verify_quadratic(field: Field, terms, threads: int = 1) -> TheoremReport:
-    """Route a quadratic form instance to the odd- or even-rank claim."""
-    t0 = time.perf_counter()
+def _quadratic(field: Field, terms) -> Instance:
+    """Cor 4: the complement of a quadratic form's image, routed to the
+    odd- or even-rank claim by the form's rank."""
     p, m = field.p, field.m
     terms = tuple((int(i), int(j), int(a)) for i, j, a in terms)
     e = sets.is_e_to_1(field, terms)
     r = sets.quadratic_form_rank(field, terms)
-    claim = ClaimId.COR4_QF_EVEN if r % 2 == 0 else ClaimId.COR4_QF_ODD
-    params = {"p": p, "m": m, "terms": [list(t) for t in terms], "e": e, "r": r}
-    checks = [
-        # the closed forms come from an odd-characteristic evaluation;
-        # at p = 2 they can predict non-integral weights even when the
-        # printed preconditions hold (x^3 over GF(16) is such a case)
-        HypothesisCheck("p-odd", p % 2 == 1, f"p = {p}"),
-        HypothesisCheck(
-            "form-e-to-1-nonvanishing", e is not None,
-            "f(0) = 0, no zero on units, all unit fibers equal" if e else "fiber profile uneven or form vanishes off the origin",
-        ),
-        HypothesisCheck("e-at-least-2", e is not None and e > 1, f"e = {e}"),
-    ]
-    if claim is ClaimId.COR4_QF_EVEN:
-        checks.append(HypothesisCheck("rank-even-at-least-2", r >= 2, f"r = {r}"))
-    else:
-        checks.append(HypothesisCheck("rank-odd", r % 2 == 1, f"r = {r}"))
-    if not all(c.passed for c in checks):
-        return _report(claim, params, checks, None, None, t0)
-
+    even = r % 2 == 0
+    inst = Instance(
+        ClaimId.COR4_QF_EVEN if even else ClaimId.COR4_QF_ODD,
+        {"p": p, "m": m, "terms": [list(t) for t in terms], "e": e, "r": r},
+        [
+            # the closed forms come from an odd-characteristic evaluation;
+            # at p = 2 they can predict non-integral weights even when the
+            # printed preconditions hold (x^3 over GF(16) is such a case)
+            HypothesisCheck("p-odd", p % 2 == 1, f"p = {p}"),
+            HypothesisCheck(
+                "form-e-to-1-nonvanishing", e is not None,
+                "f(0) = 0, no zero on units, all unit fibers equal" if e else "fiber profile uneven or form vanishes off the origin",
+            ),
+            HypothesisCheck("e-at-least-2", e is not None and e > 1, f"e = {e}"),
+            HypothesisCheck("rank-even-at-least-2", r >= 2, f"r = {r}") if even
+            else HypothesisCheck("rank-odd", r % 2 == 1, f"r = {r}"),
+        ],
+    )
+    if not inst.holds:
+        return inst
     try:
         predicted = (
-            predict_quadratic_even_rank(p, m, e, r)
-            if claim is ClaimId.COR4_QF_EVEN
+            predict_quadratic_even_rank(p, m, e, r) if even
             else predict_quadratic_odd_rank(p, m, e)
         )
     except ArithmeticError as exc:
-        checks.append(HypothesisCheck("weights-integral", False, str(exc)))
-        return _report(claim, params, checks, None, None, t0)
-    checks.append(HypothesisCheck("weights-integral", True, ""))
-
-    image, _ = sets.quadratic_form_image(field, terms)
-    comp = sets.complement(image)
-    return _report(
-        claim, params, checks,
-        lambda: predicted,
-        lambda: build_code_weights(comp, threads=threads),
-        t0,
-    )
+        inst.checks.append(HypothesisCheck("weights-integral", False, str(exc)))
+        return inst
+    inst.checks.append(HypothesisCheck("weights-integral", True, ""))
+    inst.predict = lambda: predicted
+    inst.construct = lambda: sets.complement(sets.quadratic_form_image(field, terms)[0])
+    return inst
 
 
-def verify_boolean_complement(field: Field, table, threads: int = 1) -> TheoremReport:
-    """Code on the nonzero zeros of a Boolean function vs its spectrum."""
-    t0 = time.perf_counter()
+def _boolean_complement(field: Field, table) -> Instance:
+    """Cor 5: the code on the nonzero zeros of a Boolean function, from
+    the function's Walsh spectrum."""
     if field.p != 2:
         raise ValueError("Boolean claims need p = 2")
     table = np.asarray(table, dtype=np.int64)
     q = field.q
     n_f = int(table.sum())
-    params = {"p": 2, "m": field.m, "n_f": n_f}
-    checks = [
-        HypothesisCheck("vanishes-at-origin", int(table[0]) == 0, f"f(0) = {int(table[0])}"),
-        HypothesisCheck("not-identically-zero", n_f > 0, f"n_f = {n_f}"),
-        HypothesisCheck("zeros-exist-off-origin", n_f <= q - 2, f"n_f = {n_f}, q = {q}"),
-    ]
-    if not all(c.passed for c in checks):
-        return _report(ClaimId.COR5_BOOLEAN, params, checks, None, None, t0)
-
+    inst = Instance(
+        ClaimId.COR5_BOOLEAN, {"p": 2, "m": field.m, "n_f": n_f},
+        [
+            HypothesisCheck("vanishes-at-origin", int(table[0]) == 0, f"f(0) = {int(table[0])}"),
+            HypothesisCheck("not-identically-zero", n_f > 0, f"n_f = {n_f}"),
+            HypothesisCheck("zeros-exist-off-origin", n_f <= q - 2, f"n_f = {n_f}, q = {q}"),
+        ],
+    )
+    if not inst.holds:
+        return inst
     spectrum = spectra.walsh_transform(field, table)
     nonzero_vals = [spectrum.value(w) for w in range(1, q)]
     avoid = all(v != 2 * n_f for v in nonzero_vals)
-    below = max(nonzero_vals) < 2 * (q - n_f)
-    checks.append(
+    inst.checks.append(
         HypothesisCheck(
             "spectrum-avoids-2nf", avoid,
             f"2 n_f = {2 * n_f}" + ("" if avoid else " is attained"),
         )
     )
-    checks.append(
+    inst.checks.append(
         HypothesisCheck(
-            "spectrum-below-twice-zero-count", below,
+            "spectrum-below-twice-zero-count", max(nonzero_vals) < 2 * (q - n_f),
             f"max transform {max(nonzero_vals)}, bound {2 * (q - n_f)}",
         )
     )
-    if not (avoid and below):
-        return _report(ClaimId.COR5_BOOLEAN, params, checks, None, None, t0)
-
     els = tuple(int(x) for x in np.flatnonzero(table == 0) if x != 0)
-    ds = DefiningSet(field, els, label=f"bool-zeros n_f={n_f}")
-    return _report(
-        ClaimId.COR5_BOOLEAN, params, checks,
-        lambda: predict_boolean_complement(spectrum),
-        lambda: build_code_weights(ds, threads=threads),
-        t0,
-    )
+    inst.predict = lambda: predict_boolean_complement(spectrum)
+    inst.construct = lambda: DefiningSet(field, els, label=f"bool-zeros n_f={n_f}")
+    return inst
 
 
-def verify_half_orbit(h: int, threads: int = 1) -> TheoremReport:
-    t0 = time.perf_counter()
-    params = {"p": 3, "h": h, "m": 3 * h}
-    checks = [
-        HypothesisCheck("h-positive", h >= 1, f"h = {h}"),
-        HypothesisCheck("h-odd", h % 2 == 1, f"h = {h}"),
-    ]
-    if not all(c.passed for c in checks):
-        return _report(ClaimId.THM3_HKM, params, checks, None, None, t0)
-    ds = sets.complement(sets.hkm_set(h))
-    return _report(
-        ClaimId.THM3_HKM, params, checks,
+def _half_orbit(field, h: int) -> Instance:
+    """Thm 3: the complement of the half-orbit set over GF(3^(3h))."""
+    return Instance(
+        ClaimId.THM3_HKM, {"p": 3, "h": h, "m": 3 * h},
+        [
+            HypothesisCheck("h-positive", h >= 1, f"h = {h}"),
+            HypothesisCheck("h-odd", h % 2 == 1, f"h = {h}"),
+        ],
         lambda: predict_half_orbit_complement(h),
-        lambda: build_code_weights(ds, threads=threads),
-        t0,
+        lambda: sets.complement(sets.hkm_set(h, field)),
     )
 
 
-def verify_cubic_trace_odd(m: int, threads: int = 1) -> TheoremReport:
-    t0 = time.perf_counter()
-    params = {"p": 2, "m": m}
-    checks = [
-        HypothesisCheck("m-odd", m % 2 == 1, f"m = {m}"),
-        HypothesisCheck("m-at-least-5", m >= 5, f"m = {m}"),
-    ]
-    if not all(c.passed for c in checks):
-        return _report(ClaimId.THM4_ODD_M, params, checks, None, None, t0)
-    ds = sets.tr_cubic_set(m)
-    return _report(
-        ClaimId.THM4_ODD_M, params, checks,
-        lambda: predict_cubic_trace_odd(m),
-        lambda: build_code_weights(ds, threads=threads),
-        t0,
-    )
-
-
-def verify_cubic_trace_even(m: int, threads: int = 1) -> TheoremReport:
-    t0 = time.perf_counter()
-    params = {"p": 2, "m": m}
-    checks = [
-        HypothesisCheck("m-even", m % 2 == 0, f"m = {m}"),
-        HypothesisCheck("m-at-least-4", m >= 4, f"m = {m}"),
-    ]
-    if not all(c.passed for c in checks):
-        return _report(ClaimId.THM5_EVEN_M, params, checks, None, None, t0)
-    ds = sets.tr_cubic_set(m)
-    return _report(
-        ClaimId.THM5_EVEN_M, params, checks,
-        lambda: predict_cubic_trace_even(m),
-        lambda: build_code_weights(ds, threads=threads),
-        t0,
-    )
+def _cubic_trace(claim: ClaimId, odd: bool, floor: int, predict):
+    """Thm 4 / Thm 5: the set Tr(x^3 + x) = 0 for odd / even m."""
+    def build(f: Field, _arg) -> Instance:
+        m = f.m
+        return Instance(
+            claim, {"p": 2, "m": m},
+            [
+                HypothesisCheck("m-odd" if odd else "m-even", (m % 2 == 1) == odd, f"m = {m}"),
+                HypothesisCheck(f"m-at-least-{floor}", m >= floor, f"m = {m}"),
+            ],
+            lambda: predict(m), lambda: sets.tr_cubic_set(m, f),
+        )
+    return build
 
 
 # ----------------------------------------------------------------------
@@ -612,27 +521,23 @@ def thm1_property_test(
     must match; a deterministic incomplete pair shows the hypothesis is
     not removable.
     """
+    return _expansion_sweep(get_field(p, m), trials, seed, threads)
+
+
+def _expansion_sweep(
+    f: Field, trials: int = 40, seed: int = DEFAULT_SEED, threads: int = 1
+) -> ExpansionPropertyReport:
+    p = f.p
     if p < 3:
         raise ValueError("needs p >= 3 so GF(p)* has nontrivial subsets")
-    f = get_field(p, m)
     rng = random.Random(seed)
-    complete_trials = 0
-    incomplete_trials = 0
-    all_matched = True
+    verdicts = []
     for _ in range(trials):
         d_size = rng.randint(1, min(8, f.q - 1))
         d = DefiningSet(f, tuple(rng.sample(range(1, f.q), d_size)), label="random")
-        e_size = rng.randint(1, p - 1)
-        e_digits = tuple(rng.sample(range(1, p), e_size))
-        product, complete = sets.product_set(e_digits, d)
-        if not complete:
-            incomplete_trials += 1
-            continue
-        complete_trials += 1
-        base_wd = build_code_weights(d, threads=threads)
-        prod_wd = build_code_weights(product, threads=threads)
-        if stretch_distribution(base_wd, len(e_digits)) != prod_wd:
-            all_matched = False
+        e_digits = tuple(rng.sample(range(1, p), rng.randint(1, p - 1)))
+        verdicts.append(verify(ClaimId.THM1_EXPANSION, f, (e_digits, d), threads=threads).verdict)
+    all_matched = VERDICT_MISMATCH not in verdicts
 
     # deterministic incomplete pair: D = {1, 2} is closed under the
     # scalar 2, so E = {1, 2} collapses products and the stretch fails
@@ -654,14 +559,15 @@ def thm1_property_test(
     if complete or stretched == prod_wd:
         all_matched = False
     return ExpansionPropertyReport(
-        p=p, m=m, seed=seed, trials=trials,
-        complete_trials=complete_trials, incomplete_trials=incomplete_trials,
+        p=p, m=f.m, seed=seed, trials=trials,
+        complete_trials=trials - verdicts.count(VERDICT_HYPOTHESIS),
+        incomplete_trials=verdicts.count(VERDICT_HYPOTHESIS),
         all_matched=all_matched, counterexample=counterexample,
     )
 
 
 # ----------------------------------------------------------------------
-# scanning
+# scan families: (p, value, rng, trials) -> the (field, arg) pairs to check
 
 
 def _all_nonempty_subsets(universe):
@@ -683,11 +589,132 @@ def _random_reflectable_set(f: Field, rng: random.Random, max_tries: int = 400):
         wd = build_code_weights(ds)
         if wd.k == f.m and wd.w_max is not None and wd.w_max < full_weight:
             return ds
-    raise RuntimeError("could not sample a set meeting the reflection hypotheses")
+    # a range too small to hold such a set is a usage error, not a falsification
+    raise ValueError("could not sample a set meeting the reflection hypotheses")
+
+
+def _one_per_m(parity: int | None = None, arg=lambda f: None):
+    """One instance per m (of one parity, if given), its arg made from the field."""
+    def family(p, m, rng, trials):
+        if parity not in (None, m % 2):
+            return []
+        f = get_field(p, m)
+        return [(f, arg(f))]
+    return family
+
+
+def _scalar_subsets(p, m, rng, trials):
+    if p > 13:
+        raise ValueError("subset scan is limited to p <= 13")
+    f = get_field(p, m)
+    return [(f, e_digits) for e_digits in _all_nonempty_subsets(range(1, p))]
+
+
+def _reflectable_sets(p, m, rng, trials):
+    f = get_field(p, m)
+    for _ in range(trials):
+        yield f, _random_reflectable_set(f, rng)
+
+
+def _diagonal_forms(even: bool):
+    """x^(p^s + 1) for the s where the form is e-to-1, e > 1, of one rank parity."""
+    def family(p, m, rng, trials):
+        f = get_field(p, m)
+        for s in range(m):
+            terms = ((s, 0, 1),)
+            e = sets.is_e_to_1(f, terms)
+            if e not in (None, 1) and (sets.quadratic_form_rank(f, terms) % 2 == 0) == even:
+                yield f, terms
+    return family
+
+
+# ----------------------------------------------------------------------
+# the claim registry
+
+
+@dataclass(frozen=True)
+class ClaimSpec:
+    """Everything `verify`, `scan` and the CLI know about one claim."""
+
+    token: str  # the CLI token, also the key in CLAIMS
+    default_p: int  # p when none is given
+    build: Callable[..., Instance] | None = None  # (field, arg) -> one instance
+    fixed_p: bool = False  # refuse any p but default_p
+    # (p, value of the parameter, rng, trials) -> the (field, arg) pairs a scan checks
+    family: Callable | None = None
+    # (field, the CLI's --set reader) -> arg; None: --set is ignored
+    parse_set: Callable | None = None
+    param: str = "m"  # "h": instances take h and build their own GF(3^(3h))
+    sweep: Callable | None = None  # (field, seed, threads) -> a seeded randomized report
+
+    def field_p(self, p: int | None) -> int:
+        if p is None:
+            return self.default_p
+        if self.fixed_p and p != self.default_p:
+            kind = {2: "binary", 3: "ternary"}[self.default_p]
+            raise ValueError(f"{self.token} is a {kind} claim")
+        return p
+
+    def degree(self, value: int) -> int:
+        """m of the field GF(p^m) that a parameter value lives in."""
+        return 3 * value if self.param == "h" else value
+
+
+CLAIMS = {spec.token: spec for spec in (
+    ClaimSpec("thm1", 3, _expansion,
+              parse_set=lambda f, s: (s.digits(f), sets.simplex_coset_reps(f))),
+    ClaimSpec("thm1prop", 3, sweep=lambda f, seed, threads: _expansion_sweep(f, seed=seed, threads=threads)),
+    ClaimSpec("cor1", 3, _simplex, family=_one_per_m()),
+    ClaimSpec("cor2", 3, _scaled_simplex, family=_scalar_subsets,
+              parse_set=lambda f, s: s.digits(f)),
+    ClaimSpec("thm2", 2, _split, parse_set=lambda f, s: _split_off_rest(s.defining_set(f))),
+    ClaimSpec("cor3", 2, _complement, family=_reflectable_sets,
+              parse_set=lambda f, s: s.defining_set(f)),
+    ClaimSpec("cor4odd", 3, _quadratic, family=_diagonal_forms(even=False),
+              parse_set=lambda f, s: s.terms()),
+    ClaimSpec("cor4even", 3, _quadratic, family=_diagonal_forms(even=True),
+              parse_set=lambda f, s: s.terms()),
+    ClaimSpec("cor5", 2, _boolean_complement, fixed_p=True,
+              family=_one_per_m(arg=spectra.tr_cubic_table), parse_set=lambda f, s: s.table(f)),
+    ClaimSpec("thm3", 3, _half_orbit, fixed_p=True, param="h",
+              family=lambda p, h, rng, trials: [(None, h)] if h % 2 == 1 else []),
+    ClaimSpec("thm4", 2, _cubic_trace(ClaimId.THM4_ODD_M, True, 5, predict_cubic_trace_odd),
+              fixed_p=True, family=_one_per_m(parity=1)),
+    ClaimSpec("thm5", 2, _cubic_trace(ClaimId.THM5_EVEN_M, False, 4, predict_cubic_trace_even),
+              fixed_p=True, family=_one_per_m(parity=0)),
+)}
+
+
+def _spec(claim: ClaimId | str) -> ClaimSpec:
+    return CLAIMS[claim.value if isinstance(claim, ClaimId) else claim]
+
+
+def verify(claim, field=None, arg=None, *, seed: int = DEFAULT_SEED, threads: int = 1):
+    """One instance of a claim, with `field` and `arg` as its row takes
+    them: hypotheses first, then the prediction against enumeration.
+    Rows with a sweep (thm1prop) return an ExpansionPropertyReport."""
+    spec = _spec(claim)
+    if spec.sweep is not None:
+        return spec.sweep(field, seed, threads)
+    t0 = time.perf_counter()
+    inst = spec.build(field, arg)
+    predicted = computed = diff = None
+    verdict = VERDICT_HYPOTHESIS
+    if inst.holds:
+        predicted, computed = inst.predict(), inst.construct()
+        if isinstance(computed, DefiningSet):
+            computed = build_code_weights(computed, threads=threads)
+        verdict = VERDICT_MATCH if predicted == computed else VERDICT_MISMATCH
+        if verdict == VERDICT_MISMATCH:
+            diff = _first_diff(predicted, computed)
+    return TheoremReport(
+        inst.claim, inst.params, verdict, tuple(inst.checks), predicted, computed, diff,
+        time.perf_counter() - t0,
+    )
 
 
 def scan(
-    claim: ClaimId,
+    claim: ClaimId | str,
     *,
     p: int | None = None,
     m_values: tuple[int, ...] = (),
@@ -696,66 +723,17 @@ def scan(
     seed: int = DEFAULT_SEED,
     threads: int = 1,
 ) -> list[TheoremReport]:
-    """One report per valid instantiation inside the given ranges."""
-    reports: list[TheoremReport] = []
-    if claim is ClaimId.THM4_ODD_M:
-        for m in m_values:
-            if m % 2 == 1:
-                reports.append(verify_cubic_trace_odd(m, threads=threads))
-    elif claim is ClaimId.THM5_EVEN_M:
-        for m in m_values:
-            if m % 2 == 0:
-                reports.append(verify_cubic_trace_even(m, threads=threads))
-    elif claim is ClaimId.THM3_HKM:
-        for h in h_values:
-            if h % 2 == 1:
-                reports.append(verify_half_orbit(h, threads=threads))
-    elif claim is ClaimId.COR1_SIMPLEX:
-        if p is None:
-            raise ValueError("scan over the simplex family needs p")
-        for m in m_values:
-            reports.append(verify_simplex(p, m, threads=threads))
-    elif claim is ClaimId.COR2_ONEWEIGHT_L:
-        if p is None:
-            raise ValueError("scan over the scaled simplex family needs p")
-        if p > 13:
-            raise ValueError("subset scan is limited to p <= 13")
-        for m in m_values:
-            for e_digits in _all_nonempty_subsets(range(1, p)):
-                reports.append(verify_scaled_simplex(p, m, e_digits, threads=threads))
-    elif claim is ClaimId.COR3_COMPLEMENT:
-        if p is None:
-            raise ValueError("scan over reflections needs p")
-        rng = random.Random(seed)
-        for m in m_values:
-            f = get_field(p, m)
-            for _ in range(trials):
-                ds = _random_reflectable_set(f, rng)
-                reports.append(verify_complement(ds, threads=threads))
-    elif claim in (ClaimId.COR4_QF_ODD, ClaimId.COR4_QF_EVEN):
-        if p is None:
-            raise ValueError("scan over diagonal quadratic forms needs p")
-        want_even = claim is ClaimId.COR4_QF_EVEN
-        for m in m_values:
-            f = get_field(p, m)
-            for s in range(m):
-                terms = ((s, 0, 1),)
-                e = sets.is_e_to_1(f, terms)
-                if e is None or e == 1:
-                    continue
-                r = sets.quadratic_form_rank(f, terms)
-                if (r % 2 == 0) != want_even:
-                    continue
-                reports.append(verify_quadratic(f, terms, threads=threads))
-    elif claim is ClaimId.COR5_BOOLEAN:
-        for m in m_values:
-            f = get_field(2, m)
-            reports.append(
-                verify_boolean_complement(f, spectra.tr_cubic_table(f), threads=threads)
-            )
-    else:
-        raise ValueError(f"no scan family for {claim}")
-    return reports
+    """One report per instance of the claim's family inside the given ranges."""
+    spec = _spec(claim)
+    if spec.family is None:
+        raise ValueError(f"no scan family for {spec.token}")
+    p = spec.field_p(p)
+    rng = random.Random(seed)
+    return [
+        verify(spec.token, f, arg, threads=threads)
+        for value in (h_values if spec.param == "h" else m_values)
+        for f, arg in spec.family(p, value, rng, trials)
+    ]
 
 
 def scan_summary(reports) -> dict:

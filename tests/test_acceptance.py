@@ -49,10 +49,10 @@ def test_criterion_01_worked_examples_exact_and_fast():
 def test_criterion_02_cubic_trace_families_across_m():
     t0 = time.perf_counter()
     for m in (5, 7, 9, 11, 13):
-        rep = theorems.verify_cubic_trace_odd(m)
+        rep = theorems.verify("thm4", get_field(2, m))
         assert rep.verdict == "match", (m, rep.first_diff)
     for m in (4, 6, 8, 10, 12):
-        rep = theorems.verify_cubic_trace_even(m)
+        rep = theorems.verify("thm5", get_field(2, m))
         assert rep.verdict == "match", (m, rep.first_diff)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, elapsed
@@ -61,7 +61,7 @@ def test_criterion_02_cubic_trace_families_across_m():
 
 def test_criterion_03_half_orbit_family():
     t0 = time.perf_counter()
-    rep1 = theorems.verify_half_orbit(1)
+    rep1 = theorems.verify("thm3", arg=1)
     t1 = time.perf_counter() - t0
     assert rep1.verdict == "match"
     assert (rep1.computed.n, rep1.computed.k, rep1.computed.d_min) == (23, 3, 14)
@@ -69,7 +69,7 @@ def test_criterion_03_half_orbit_family():
     assert t1 < 1.0, t1
 
     t0 = time.perf_counter()
-    rep3 = theorems.verify_half_orbit(3)
+    rep3 = theorems.verify("thm3", arg=3)
     t3 = time.perf_counter() - t0
     assert rep3.verdict == "match", rep3.first_diff
     assert rep3.computed.n == 16403
@@ -128,11 +128,11 @@ def test_criterion_05_semibent_spectra_all_odd_m():
 
 def test_criterion_06_one_weight_codes_for_every_scalar_subset():
     for p, m in [(3, 2), (3, 3), (5, 2), (7, 2)]:
-        rep = theorems.verify_simplex(p, m)
+        rep = theorems.verify("cor1", get_field(p, m))
         assert rep.verdict == "match", (p, m)
         for mask in range(1, 1 << (p - 1)):
             e_digits = tuple(d for d in range(1, p) if mask >> (d - 1) & 1)
-            rep = theorems.verify_scaled_simplex(p, m, e_digits)
+            rep = theorems.verify("cor2", get_field(p, m), e_digits)
             assert rep.verdict == "match", (p, m, e_digits)
             ell = len(e_digits)
             assert rep.computed.nonzero_items() == [
@@ -148,7 +148,7 @@ def test_criterion_07_complement_reflection_sweep():
         rng = random.Random(1000 + f.q)
         for _ in range(count):
             ds = theorems._random_reflectable_set(f, rng)
-            rep = theorems.verify_complement(ds)
+            rep = theorems.verify("cor3", f, ds)
             assert rep.verdict == "match", (p, m, ds.elements, rep.first_diff)
             total += 1
     assert total == 100
@@ -158,7 +158,7 @@ def test_criterion_07_complement_reflection_sweep():
 def test_criterion_08_boolean_complement_family():
     for m in (5, 7):
         f = get_field(2, m)
-        rep = theorems.verify_boolean_complement(f, spectra.tr_cubic_table(f))
+        rep = theorems.verify("cor5", f, spectra.tr_cubic_table(f))
         assert rep.verdict == "match", m
 
     for m in (4, 5, 6):
@@ -169,7 +169,7 @@ def test_criterion_08_boolean_complement_family():
             table = np.array(
                 [0] + [rng.randint(0, 1) for _ in range(f.q - 1)], dtype=np.int64
             )
-            rep = theorems.verify_boolean_complement(f, table)
+            rep = theorems.verify("cor5", f, table)
             if rep.verdict == "hypothesis-not-met":
                 continue
             assert rep.verdict == "match", (m, rep.first_diff)

@@ -1,15 +1,18 @@
+import contextlib
+import functools
+import io
 import json
+import re
+import runpy
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from dscodes import cli
+from dscodes import cli, field
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parents[1] / "src/dscodes/schemas/output.schema.json")
-    .read_text()
-)
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA = json.loads((ROOT / "src/dscodes/schemas/output.schema.json").read_text())
 
 
 def run(capsys, *argv):
@@ -234,3 +237,87 @@ def test_max_q_is_checked_before_field_build(capsys):
     )
     assert code == 3
     assert "exceeds" in err
+
+
+# one instance of every claim token: (token, extra argv, exit code, verdict)
+CLAIM_CASES = [
+    ("thm1", ["--m", "2"], 0, "match"),
+    ("thm1prop", ["--m", "2"], 0, "match"),
+    ("cor1", ["--m", "3"], 0, "match"),
+    ("cor2", ["--p", "5", "--m", "2", "--set", "product:1,4"], 0, "match"),
+    ("thm2", ["--m", "5", "--set", "trcubic"], 0, "match"),
+    ("cor3", ["--m", "5", "--set", "trcubic"], 0, "match"),
+    ("cor4odd", ["--m", "3", "--set", "qf:1,0,1"], 0, "match"),
+    ("cor4even", ["--m", "2", "--set", "qf:1,0,1"], 2, "mismatch"),
+    ("cor5", ["--m", "4"], 1, "hypothesis-not-met"),
+    ("thm3", ["--h", "1"], 0, "match"),
+    ("thm4", ["--m", "7"], 0, "match"),
+    ("thm5", ["--m", "6"], 0, "match"),
+]
+
+
+def test_claim_cases_cover_every_token():
+    from dscodes import theorems
+
+    assert {case[0] for case in CLAIM_CASES} == set(theorems.CLAIMS)
+    assert len(CLAIM_CASES) == 12
+
+
+@pytest.mark.parametrize("token,argv,exit_code,verdict", CLAIM_CASES)
+def test_verify_every_claim_token(capsys, token, argv, exit_code, verdict):
+    code, payload, _ = run_json(capsys, "verify", "--claim", token, *argv)
+    assert code == exit_code
+    assert payload["report"]["claim"] == token
+    assert payload["report"]["verdict"] == verdict
+
+
+def test_verify_builds_its_field_once(capsys, monkeypatch):
+    # a fresh cache, so fields built by earlier tests do not hide a build
+    monkeypatch.setattr(
+        field, "_cached_field", functools.lru_cache(maxsize=None)(field._cached_field.__wrapped__)
+    )
+    built = []
+    init = field.Field.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(field.Field, "__init__", counting_init)
+    code, payload, _ = run_json(capsys, "verify", "--claim", "thm4", "--m", "7")
+    assert code == 0 and payload["report"]["verdict"] == "match"
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["scan", "--claim", "thm4", "--p", "3", "--m", "5"], "thm4 is a binary claim"),
+    (["scan", "--claim", "thm5", "--p", "3", "--m", "4"], "thm5 is a binary claim"),
+    (["scan", "--claim", "cor5", "--p", "3", "--m", "4"], "cor5 is a binary claim"),
+    (["scan", "--claim", "thm3", "--p", "5", "--h", "1"], "thm3 is a ternary claim"),
+    (["verify", "--claim", "thm4", "--p", "3", "--m", "5"], "thm4 is a binary claim"),
+    (["verify", "--claim", "cor5", "--p", "3", "--m", "2"], "cor5 is a binary claim"),
+    (["verify", "--claim", "thm3", "--p", "5", "--h", "1"], "thm3 is a ternary claim"),
+])
+def test_fixed_p_claims_refuse_another_p(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert message in err
+
+
+def test_unsamplable_reflection_range_is_a_usage_error(capsys):
+    # GF(4) holds no set meeting the reflection hypotheses
+    code, out, err = run(capsys, "scan", "--claim", "cor3", "--p", "2", "--m", "2")
+    assert code == 3
+    assert out == ""
+    assert "could not sample" in err
+
+
+def test_verify_paper_script_tally():
+    script = runpy.run_path(str(ROOT / "scripts/verify_paper.py"), run_name="verify_paper")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = script["main"]()
+    assert code == 2  # the cor4even 4-to-1 standing example
+    tally = re.sub(r" in [0-9.]+ s:", ":", out.getvalue().splitlines()[-1])
+    assert tally == "103 instances: 98 match, 3 mismatch, 2 hypothesis-not-met"

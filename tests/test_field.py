@@ -117,6 +117,11 @@ def test_get_field_caches():
     assert get_field(3, 3) is get_field(3, 3)
 
 
+def test_get_field_omitted_and_none_modulus_share_one_entry():
+    assert get_field(2, 5) is get_field(2, 5, None)
+    assert get_field(2, 3, [1, 1, 0, 1]) is get_field(2, 3, (1, 1, 0, 1))
+
+
 def test_alternate_field_uses_different_modulus():
     f = get_field(2, 4)
     g = alternate_field(f)

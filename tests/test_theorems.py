@@ -53,14 +53,14 @@ def test_first_diff_reports_smallest_weight():
 
 @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 2), (7, 2)])
 def test_simplex_family(p, m):
-    rep = theorems.verify_simplex(p, m)
+    rep = theorems.verify("cor1", get_field(p, m))
     assert rep.verdict == "match"
     assert rep.computed.nonzero_items() == [(p ** (m - 1), p**m - 1)]
 
 
 def test_scaled_simplex_all_subsets_gf9():
     for e_digits in [(1,), (2,), (1, 2)]:
-        rep = theorems.verify_scaled_simplex(3, 2, e_digits)
+        rep = theorems.verify("cor2", get_field(3, 2), e_digits)
         assert rep.verdict == "match"
         ell = len(e_digits)
         assert rep.computed.nonzero_items() == [(ell * 3, 8)]
@@ -69,7 +69,7 @@ def test_scaled_simplex_all_subsets_gf9():
 def test_expansion_with_complete_product():
     f = get_field(5, 2)
     base = sets.simplex_coset_reps(f)
-    rep = theorems.verify_expansion((2, 3), base)
+    rep = theorems.verify("thm1", f, ((2, 3), base))
     assert rep.verdict == "match"
     assert rep.params["ell"] == 2
 
@@ -77,7 +77,7 @@ def test_expansion_with_complete_product():
 def test_expansion_detects_incomplete_product():
     f = get_field(3, 2)
     # {1, 2} is closed under multiplication by 2, so E = {1, 2} collapses
-    rep = theorems.verify_expansion((1, 2), DefiningSet(f, (1, 2)))
+    rep = theorems.verify("thm1", f, ((1, 2), DefiningSet(f, (1, 2))))
     assert rep.verdict == "hypothesis-not-met"
     names = {c.name: c.passed for c in rep.hypothesis_checks}
     assert names["product-size-complete"] is False
@@ -106,7 +106,7 @@ def test_split_of_cubic_set_and_rest():
     f = get_field(2, 5)
     d1 = sets.tr_cubic_set(5, f)
     d2 = DefiningSet(f, tuple(set(range(1, f.q)) - set(d1.elements)))
-    rep = theorems.verify_split(d1, d2)
+    rep = theorems.verify("thm2", f, (d1, d2))
     assert rep.verdict == "match"
     assert dict(rep.computed.nonzero_items()) == {8: 5, 10: 16, 12: 10}
     # weights of the two halves add up to the one-weight level pointwise
@@ -118,7 +118,7 @@ def test_split_of_cubic_set_and_rest():
 
 def test_split_rejects_overlapping_parts():
     f = get_field(2, 4)
-    rep = theorems.verify_split(DefiningSet(f, (1, 2)), DefiningSet(f, (2, 3)))
+    rep = theorems.verify("thm2", f, (DefiningSet(f, (1, 2)), DefiningSet(f, (2, 3))))
     assert rep.verdict == "hypothesis-not-met"
 
 
@@ -128,7 +128,7 @@ def test_split_rejects_unequal_dimensions():
     sub_units = tuple(f.antilog(t) for t in range(0, f.q - 1, step))
     d1 = DefiningSet(f, sub_units)  # spans only 2 of 4 dimensions
     d2 = DefiningSet(f, tuple(set(range(1, f.q)) - set(sub_units)))
-    rep = theorems.verify_split(d1, d2)
+    rep = theorems.verify("thm2", f, (d1, d2))
     assert rep.verdict == "hypothesis-not-met"
     names = {c.name: c.passed for c in rep.hypothesis_checks}
     assert names["union-one-weight"] is True
@@ -137,7 +137,7 @@ def test_split_rejects_unequal_dimensions():
 
 def test_split_rejects_two_weight_union():
     f = get_field(3, 2)
-    rep = theorems.verify_split(DefiningSet(f, (1, 2)), DefiningSet(f, (3,)))
+    rep = theorems.verify("thm2", f, (DefiningSet(f, (1, 2)), DefiningSet(f, (3,))))
     assert rep.verdict == "hypothesis-not-met"
 
 
@@ -146,7 +146,7 @@ def test_split_rejects_two_weight_union():
 
 
 def test_complement_of_cubic_set():
-    rep = theorems.verify_complement(sets.tr_cubic_set(5))
+    rep = theorems.verify("cor3", get_field(2, 5), sets.tr_cubic_set(5))
     assert rep.verdict == "match"
     assert rep.computed.n == 21
     assert dict(rep.computed.nonzero_items()) == {8: 5, 10: 16, 12: 10}
@@ -159,7 +159,7 @@ def test_complement_applied_twice_restores_distribution():
     twice = sets.complement(once)
     assert build_code_weights(twice) == build_code_weights(base)
     # and the reflection engine agrees both ways when both codes qualify
-    rep = theorems.verify_complement(base)
+    rep = theorems.verify("cor3", f, base)
     assert rep.verdict == "match"
 
 
@@ -167,13 +167,13 @@ def test_complement_rejects_low_dimension():
     f = get_field(2, 4)
     step = (f.q - 1) // 3
     sub_units = tuple(f.antilog(t) for t in range(0, f.q - 1, step))
-    rep = theorems.verify_complement(DefiningSet(f, sub_units))
+    rep = theorems.verify("cor3", f, DefiningSet(f, sub_units))
     assert rep.verdict == "hypothesis-not-met"
 
 
 def test_complement_rejects_full_weight():
     f = get_field(2, 4)
-    rep = theorems.verify_complement(sets.simplex_coset_reps(f))
+    rep = theorems.verify("cor3", f, sets.simplex_coset_reps(f))
     assert rep.verdict == "hypothesis-not-met"
     names = {c.name: c.passed for c in rep.hypothesis_checks}
     assert names["max-weight-below-full"] is False
@@ -185,7 +185,7 @@ def test_complement_random_sweep():
         f = get_field(p, m)
         for _ in range(10):
             ds = theorems._random_reflectable_set(f, rng)
-            assert theorems.verify_complement(ds).verdict == "match"
+            assert theorems.verify("cor3", f, ds).verdict == "match"
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +194,7 @@ def test_complement_random_sweep():
 
 def test_quadratic_odd_rank_gold_form():
     f = get_field(3, 3)
-    rep = theorems.verify_quadratic(f, ((1, 0, 1),))  # x^{3+1}
+    rep = theorems.verify("cor4odd", f, ((1, 0, 1),))  # x^{3+1}
     assert rep.claim is ClaimId.COR4_QF_ODD
     assert rep.verdict == "match"
     assert rep.computed.n == 14 and rep.computed.k == 3
@@ -203,7 +203,7 @@ def test_quadratic_odd_rank_gold_form():
 
 def test_quadratic_even_rank_square_form():
     f = get_field(3, 2)
-    rep = theorems.verify_quadratic(f, ((0, 0, 1),))  # x^2, 2-to-1
+    rep = theorems.verify("cor4even", f, ((0, 0, 1),))  # x^2, 2-to-1
     assert rep.claim is ClaimId.COR4_QF_EVEN
     assert rep.verdict == "match"
 
@@ -212,14 +212,14 @@ def test_quadratic_even_rank_4_to_1_surfaces_mismatch():
     # taken as written, the even-rank enumerator fails at e = 4; the
     # engine must surface that rather than repair it
     f = get_field(3, 2)
-    rep = theorems.verify_quadratic(f, ((1, 0, 1),))  # x^4 over GF(9)
+    rep = theorems.verify("cor4even", f, ((1, 0, 1),))  # x^4 over GF(9)
     assert rep.claim is ClaimId.COR4_QF_EVEN
     assert rep.verdict == "mismatch"
     assert dict(rep.computed.nonzero_items()) == {4: 6, 6: 2}
     assert dict(rep.predicted.nonzero_items()) == {4: 4, 5: 4}
 
     f81 = get_field(3, 4)
-    rep81 = theorems.verify_quadratic(f81, ((1, 0, 1),))
+    rep81 = theorems.verify("cor4even", f81, ((1, 0, 1),))
     assert rep81.verdict == "mismatch"
     assert dict(rep81.computed.nonzero_items()) == {36: 20, 42: 60}
     assert dict(rep81.predicted.nonzero_items()) == {39: 40, 42: 40}
@@ -227,7 +227,7 @@ def test_quadratic_even_rank_4_to_1_surfaces_mismatch():
 
 def test_quadratic_rejects_characteristic_two():
     f = get_field(2, 4)
-    rep = theorems.verify_quadratic(f, ((1, 0, 1),))  # x^3
+    rep = theorems.verify("cor4odd", f, ((1, 0, 1),))  # x^3
     assert rep.verdict == "hypothesis-not-met"
     names = {c.name: c.passed for c in rep.hypothesis_checks}
     assert names["p-odd"] is False
@@ -241,7 +241,7 @@ def test_quadratic_rejects_permutation_form():
     terms = ((0, 0, 1), (1, 0, 2))
     e = sets.is_e_to_1(f, terms)
     if e is None:
-        rep = theorems.verify_quadratic(f, terms)
+        rep = theorems.verify("cor4odd", f, terms)
         assert rep.verdict == "hypothesis-not-met"
 
 
@@ -254,7 +254,7 @@ def test_boolean_complement_of_cubic_trace(m):
     f = get_field(2, m)
     from dscodes import spectra
 
-    rep = theorems.verify_boolean_complement(f, spectra.tr_cubic_table(f))
+    rep = theorems.verify("cor5", f, spectra.tr_cubic_table(f))
     assert rep.verdict == "match"
 
 
@@ -264,7 +264,7 @@ def test_boolean_complement_side_condition_fails_at_m4():
     f = get_field(2, 4)
     from dscodes import spectra
 
-    rep = theorems.verify_boolean_complement(f, spectra.tr_cubic_table(f))
+    rep = theorems.verify("cor5", f, spectra.tr_cubic_table(f))
     assert rep.verdict == "hypothesis-not-met"
 
 
@@ -278,7 +278,7 @@ def test_boolean_complement_random_tables():
         table = np.array(
             [0] + [rng.randint(0, 1) for _ in range(f.q - 1)], dtype=np.int64
         )
-        rep = theorems.verify_boolean_complement(f, table)
+        rep = theorems.verify("cor5", f, table)
         if rep.verdict == "hypothesis-not-met":
             continue
         assert rep.verdict == "match"
@@ -290,14 +290,14 @@ def test_boolean_complement_random_tables():
 
 
 def test_half_orbit_h1():
-    rep = theorems.verify_half_orbit(1)
+    rep = theorems.verify("thm3", arg=1)
     assert rep.verdict == "match"
     assert (rep.computed.n, rep.computed.k) == (23, 3)
     assert dict(rep.computed.nonzero_items()) == {14: 6, 15: 8, 16: 12}
 
 
 def test_half_orbit_rejects_even_h():
-    rep = theorems.verify_half_orbit(2)
+    rep = theorems.verify("thm3", arg=2)
     assert rep.verdict == "hypothesis-not-met"
 
 
@@ -309,14 +309,14 @@ def test_half_orbit_rejects_even_h():
     ],
 )
 def test_cubic_trace_odd(m, expected):
-    rep = theorems.verify_cubic_trace_odd(m)
+    rep = theorems.verify("thm4", get_field(2, m))
     assert rep.verdict == "match"
     assert dict(rep.computed.nonzero_items()) == expected
 
 
 def test_cubic_trace_odd_rejects_small_or_even_m():
-    assert theorems.verify_cubic_trace_odd(3).verdict == "hypothesis-not-met"
-    assert theorems.verify_cubic_trace_odd(6).verdict == "hypothesis-not-met"
+    assert theorems.verify("thm4", get_field(2, 3)).verdict == "hypothesis-not-met"
+    assert theorems.verify("thm4", get_field(2, 6)).verdict == "hypothesis-not-met"
 
 
 @pytest.mark.parametrize(
@@ -328,13 +328,13 @@ def test_cubic_trace_odd_rejects_small_or_even_m():
     ],
 )
 def test_cubic_trace_even(m, expected):
-    rep = theorems.verify_cubic_trace_even(m)
+    rep = theorems.verify("thm5", get_field(2, m))
     assert rep.verdict == "match"
     assert dict(rep.computed.nonzero_items()) == expected
 
 
 def test_cubic_trace_even_rejects_odd_m():
-    assert theorems.verify_cubic_trace_even(5).verdict == "hypothesis-not-met"
+    assert theorems.verify("thm5", get_field(2, 5)).verdict == "hypothesis-not-met"
 
 
 # ----------------------------------------------------------------------
@@ -385,7 +385,7 @@ def test_scan_half_orbit_skips_even_h():
 
 
 def test_report_json_shape():
-    rep = theorems.verify_cubic_trace_odd(5)
+    rep = theorems.verify("thm4", get_field(2, 5))
     d = rep.to_json_dict()
     assert d["claim"] == "thm4"
     assert d["verdict"] == "match"
