@@ -5,14 +5,16 @@ whose codeword for x in GF(q) is (Tr(x d_1), ..., Tr(x d_n)) with entries
 in GF(p).  The weight of the codeword for x is n minus the number of
 indices with Tr(x d_i) = 0, which is how the enumeration kernel counts.
 
-Everything here is exact integer arithmetic.  The MacWilliams transform
-runs on Python big integers; the enumeration kernel runs on int64 numpy
-gathers, which cannot overflow at the supported field sizes.
+Everything here is exact integer arithmetic.  One dual layer, a
+Krawtchouk recurrence on Python big integers, yields the MacWilliams
+transform that the full dual, the dual distance and the power-moment
+checks all read; the enumeration kernel runs on int64 numpy gathers,
+which cannot overflow at the supported field sizes.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -233,69 +235,58 @@ def distribution_from_raw_histogram(f: Field, n: int, hist) -> WeightDistributio
 # MacWilliams transform, dual distance, moments
 
 
-def krawtchouk(n: int, p: int, j: int, w: int) -> int:
-    """K_j(w) = sum_s (-1)^s (p-1)^(j-s) C(w, s) C(n-w, j-s)."""
-    total = 0
-    for s in range(min(j, w) + 1):
-        total += (-1) ** s * (p - 1) ** (j - s) * math.comb(w, s) * math.comb(n - w, j - s)
-    return total
+DUAL_MAX_N = 1 << 15  # n + 1 entries of up to n*log2(p) bits: about 128 MB at p = 2
 
 
-def _poly_mul1(coeffs: list[int], c0: int, c1: int) -> list[int]:
-    # multiply by (c0 + c1 z)
-    out = [0] * (len(coeffs) + 1)
-    for i, a in enumerate(coeffs):
-        if a:
-            out[i] += a * c0
-            out[i + 1] += a * c1
-    return out
+def _dual_counts(wd: WeightDistribution):
+    """Yield (j, A'_j) for j = 0..n, the MacWilliams transform of wd.
+
+    A'_j = sum_w A_w K_j(w) / |C|.  The Krawtchouk values K_j(w) are kept
+    only at the weights that occur and advance by the three-term
+    recurrence in j (MacWilliams & Sloane, Ch. 5):
+    (j+1) K_{j+1}(w) = [(n-j)(p-1) + j - p w] K_j(w) - (p-1)(n-j+1) K_{j-1}(w).
+    Every division must be exact or the run aborts.
+    """
+    p, n = wd.p, wd.n
+    size = p**wd.k
+    weights = list(wd.counts)
+    mults = [wd.counts[w] for w in weights]
+    prev = [0] * len(weights)
+    cur = [1] * len(weights)
+    for j in range(n + 1):
+        val, rem = divmod(sum(a * kw for a, kw in zip(mults, cur)), size)
+        if rem or val < 0:
+            raise ArithmeticError(f"dual multiplicity at weight {j} is not a nonnegative integer")
+        yield j, val
+        if j == n:
+            return
+        step = (n - j) * (p - 1) + j
+        back = (p - 1) * (n - j + 1)
+        nxt = []
+        for w, kw, kb in zip(weights, cur, prev):
+            kn, rem = divmod((step - p * w) * kw - back * kb, j + 1)
+            if rem:
+                raise ArithmeticError(f"Krawtchouk value K_{j + 1}({w}) is not an integer")
+            nxt.append(kn)
+        prev, cur = cur, nxt
 
 
 def macwilliams_dual(wd: WeightDistribution) -> WeightDistribution:
     """Exact dual weight distribution.
 
-    Evaluates sum_w A_w (1-z)^w (1+(p-1)z)^(n-w) by a Horner scheme over
-    descending w, then divides by |C|.  Cost is O(n^2) big-integer ops,
-    independent of how many weights occur.
+    Cost is O(n*s) big-integer recurrence steps, s the number of weights
+    that occur.  The result holds n + 1 integers of up to n*log2(p) bits,
+    so n above DUAL_MAX_N is refused with ValueError before any work.
     """
-    p, n, k = wd.p, wd.n, wd.k
-    size = p**k
-    by_w = [wd.counts.get(w, 0) for w in range(n + 1)]
-    acc = [by_w[n]]
-    vpow = [1]
-    for w in range(n - 1, -1, -1):
-        acc = _poly_mul1(acc, 1, -1)          # times (1 - z)
-        vpow = _poly_mul1(vpow, 1, p - 1)     # (1 + (p-1) z)^(n-w)
-        if by_w[w]:
-            a = by_w[w]
-            for i, c in enumerate(vpow):
-                acc[i] += a * c
-    dual_counts = {}
-    for j, c in enumerate(acc):
-        val, rem = divmod(c, size)
-        if rem or val < 0:
-            raise ArithmeticError(f"dual multiplicity at weight {j} is not a nonnegative integer")
-        if val:
-            dual_counts[j] = val
-    return WeightDistribution(p=p, m=wd.m, n=n, k=n - k, counts=dual_counts)
-
-
-def dual_weight_count(wd: WeightDistribution, j: int) -> int:
-    """Single dual multiplicity A'_j via the Krawtchouk sum."""
-    size = wd.p**wd.k
-    s = sum(a * krawtchouk(wd.n, wd.p, j, w) for w, a in wd.counts.items())
-    val, rem = divmod(s, size)
-    if rem or val < 0:
-        raise ArithmeticError(f"dual multiplicity at weight {j} is not a nonnegative integer")
-    return val
+    if wd.n > DUAL_MAX_N:
+        raise ValueError(f"full dual of length n = {wd.n} exceeds DUAL_MAX_N = {DUAL_MAX_N}")
+    dual_counts = {j: a for j, a in _dual_counts(wd) if a}
+    return WeightDistribution(p=wd.p, m=wd.m, n=wd.n, k=wd.n - wd.k, counts=dual_counts)
 
 
 def dual_distance(wd: WeightDistribution):
     """Smallest j >= 1 with nonzero dual multiplicity; None for a zero dual."""
-    for j in range(1, wd.n + 1):
-        if dual_weight_count(wd, j):
-            return j
-    return None
+    return next((j for j, a in _dual_counts(wd) if j >= 1 and a), None)
 
 
 @dataclass(frozen=True)
@@ -324,8 +315,8 @@ def pless_moments_check(wd: WeightDistribution) -> PlessReport:
     never be blamed on an unchecked hypothesis.
     """
     p, n, k = wd.p, wd.n, wd.k
-    a1 = dual_weight_count(wd, 1) if n >= 1 else 0
-    a2 = dual_weight_count(wd, 2) if n >= 2 else 0
+    low = dict(itertools.islice(_dual_counts(wd), 3))
+    a1, a2 = low.get(1, 0), low.get(2, 0)
     s0 = sum(a for w, a in wd.counts.items() if w > 0)
     s1 = sum(w * a for w, a in wd.counts.items())
     s2 = sum(w * w * a for w, a in wd.counts.items())

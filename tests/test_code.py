@@ -1,12 +1,15 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
-from dscodes import sets
+from dscodes import code, sets
 from dscodes.code import (
+    DUAL_MAX_N,
     DefiningSet,
     WeightDistribution,
+    _dual_counts,
     build_code_weights,
     codeword,
     distribution_from_raw_histogram,
@@ -159,6 +162,45 @@ def test_macwilliams_involution(catalog_with_weights):
         assert macwilliams_dual(dual) == wd
 
 
+def krawtchouk(n, p, j, w):
+    """K_j(w) = sum_s (-1)^s (p-1)^(j-s) C(w, s) C(n-w, j-s), the direct sum."""
+    return sum(
+        (-1) ** s * (p - 1) ** (j - s) * math.comb(w, s) * math.comb(n - w, j - s)
+        for s in range(min(j, w) + 1)
+    )
+
+
+def test_dual_recurrence_matches_direct_krawtchouk_sum(catalog_with_weights):
+    f7 = get_field(7, 2)
+    rng = random.Random(17)
+    sevens = [DefiningSet(f7, tuple(rng.sample(range(f7.q), rng.randint(1, 20)))) for _ in range(4)]
+    cases = [wd for _, wd in catalog_with_weights] + [build_code_weights(ds) for ds in sevens]
+    for wd in cases:
+        size = wd.p**wd.k
+        expected = []
+        for j in range(wd.n + 1):
+            total = sum(a * krawtchouk(wd.n, wd.p, j, w) for w, a in wd.counts.items())
+            assert total % size == 0, (wd, j)
+            expected.append((j, total // size))
+        assert list(_dual_counts(wd)) == expected, wd
+
+
+def test_full_dual_refuses_oversized_length(monkeypatch):
+    n = DUAL_MAX_N + 1
+    wd = WeightDistribution(p=2, m=16, n=n, k=1, counts={0: 1, n: 1})
+
+    def no_work(_):
+        raise AssertionError("the transform ran before the size check")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(code, "_dual_counts", no_work)
+        with pytest.raises(ValueError, match="DUAL_MAX_N"):
+            macwilliams_dual(wd)
+    # the early-stopping views are not capped
+    assert dual_distance(wd) == 2
+    assert pless_moments_check(wd).dual_a2 == n * (n - 1) // 2
+
+
 def test_macwilliams_on_simplex():
     # [(q-1)/(p-1), m] one-weight code; its dual is the Hamming-parameter
     # code with 3 as minimum distance whenever m >= 2
@@ -175,15 +217,18 @@ def test_pless_moments_hold(catalog_with_weights):
 
 
 def test_pless_reports_applicability():
-    f = get_field(2, 4)
-    # a set with a repeated projective point: dual distance 2, so the
-    # second-moment identity must be reported inapplicable, not failed
+    f = get_field(3, 2)
+    # 2 = -1 in GF(9), so 1 and 2 are one projective point: dual distance
+    # 2 with A'_2 = 2, and the second-moment identity (lhs 46, rhs 42)
+    # must be reported inapplicable, not failed
     ds = DefiningSet(f, (1, 2, 3))
     wd = build_code_weights(ds)
     report = pless_moments_check(wd)
+    assert dual_distance(wd) == 2
+    assert (report.dual_a1, report.dual_a2) == (0, 2)
+    assert [c.applicable for c in report.checks] == [True, True, False]
+    assert (report.checks[2].lhs, report.checks[2].rhs) == (46, 42)
     assert report.ok
-    if dual_distance(wd) is not None and dual_distance(wd) < 3:
-        assert any(not c.applicable for c in report.checks)
 
 
 def test_griesmer_simplex_meets_bound():
