@@ -2,9 +2,11 @@
 
 Codes are cut out by a defining set D: the codeword for x is the vector
 of trace values Tr(x d) over d in D.  The package builds such codes,
-computes weight distributions two independent ways, checks closed-form
-predictions for several families, and reports secret-sharing viability
-through minimal-codeword enumeration.
+computes weight distributions with one kernel (an exact hyperplane-count
+transform for large sets, a direct gather for small ones, the gather
+also serving as the oracle), checks closed-form predictions for several
+families, and reports secret-sharing viability through minimal-codeword
+enumeration.
 """
 
 from .code import (

@@ -51,13 +51,16 @@ class _Parser(argparse.ArgumentParser):
 def _parse_int_list(text: str) -> tuple[int, ...]:
     """Range syntax: 'A..B' inclusive, or 'A,B,C', or a single 'A'."""
     text = text.strip()
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if hi < lo:
-            raise UsageError(f"empty range {text!r}")
-        return tuple(range(lo, hi + 1))
-    return tuple(int(part) for part in text.split(","))
+    try:
+        if ".." in text:
+            lo_s, hi_s = text.split("..", 1)
+            lo, hi = int(lo_s), int(hi_s)
+            if hi < lo:
+                raise UsageError(f"empty range {text!r}")
+            return tuple(range(lo, hi + 1))
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise UsageError(f"not an integer list or range: {text!r}") from None
 
 
 def _parse_single_int(text: str, flag: str) -> int:
@@ -179,7 +182,7 @@ def cmd_field(args):
 def cmd_code(args):
     f = _field_for(args)
     ds = build_set(f, args.set)
-    wd = build_code_weights(ds, threads=args.threads)
+    wd = build_code_weights(ds)
     summary = summarize(ds, wd)
     pless = pless_moments_check(wd)
     payload = {
@@ -256,7 +259,7 @@ def cmd_verify(args):
             field = _field_for(args, p)
             option = _SetOption(spec.token, args.set)
             arg = spec.parse_set(field, option) if spec.parse_set else None
-        report = theorems.verify(spec.token, field, arg, seed=args.seed, threads=args.threads)
+        report = theorems.verify(spec.token, field, arg, seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     payload = {"command": "verify", "report": report.to_json_dict()}
@@ -268,8 +271,7 @@ def cmd_scan(args):
     values = _checked_values(args, spec.param, p, single=False, degree=spec.degree)
     try:
         reports = theorems.scan(
-            spec.token, p=p, **{f"{spec.param}_values": values},
-            seed=args.seed, threads=args.threads,
+            spec.token, p=p, **{f"{spec.param}_values": values}, seed=args.seed
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -340,7 +342,7 @@ def cmd_ssreport(args):
     if not args.set:
         raise UsageError("ssreport needs --set")
     ds = build_set(f, args.set)
-    wd = build_code_weights(ds, threads=args.threads)
+    wd = build_code_weights(ds)
     ratio = secretshare.ratio_check(wd, tr_cubic=(args.set == "trcubic"))
     minimal = None
     skipped = None
@@ -526,7 +528,6 @@ def build_parser() -> _Parser:
         p.add_argument("--field-poly", type=str, default=None,
                        help="modulus coefficients, constant first, comma separated")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=theorems.DEFAULT_SEED)
         p.add_argument("--max-q", type=int, default=DEFAULT_MAX_Q)
         p.add_argument("--a", type=int, default=1, help="first sum argument (expsum)")

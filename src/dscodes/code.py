@@ -3,19 +3,22 @@
 A defining set D = (d_1, ..., d_n) over GF(q), q = p^m, defines the code
 whose codeword for x in GF(q) is (Tr(x d_1), ..., Tr(x d_n)) with entries
 in GF(p).  The weight of the codeword for x is n minus the number of
-indices with Tr(x d_i) = 0, which is how the enumeration kernel counts.
+indices with Tr(x d_i) = 0, that is n minus |D meet H_x| for the
+hyperplane H_x = {d : Tr(x d) = 0}.
 
-Everything here is exact integer arithmetic.  One dual layer, a
+Everything here is exact integer arithmetic.  One weight kernel,
+`weights_by_zero_count`, counts D on every hyperplane by one of two
+routes that a size rule (`_route`) picks: an int32 transform,
+O(q*m*p^2), or an int64 gather, O(q*n), which is also the oracle the
+tests check the transform against.  One dual layer, a
 Krawtchouk recurrence on Python big integers, yields the MacWilliams
 transform that the full dual, the dual distance and the power-moment
-checks all read; the enumeration kernel runs on int64 numpy gathers,
-which cannot overflow at the supported field sizes.
+checks all read.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -129,76 +132,94 @@ class WeightDistribution:
 # enumeration
 
 
-def codeword(ds: DefiningSet, x: int) -> list[int]:
-    """The codeword for x as a list of base field digits."""
-    f = ds.field
-    return [f.trace(f.mul(x, d)) for d in ds.elements]
+TRANSFORM_MAX_CELLS = 1 << 26  # int32 cells in the transform's largest array, 256 MB
+# fixed cost of one array operation of the transform, counted in cells:
+# about 5 us against 5 ns per cell, so it decides the route at small q
+TRANSFORM_CALL_CELLS = 1 << 10
 
 
-def weight_by_counting_oracle(ds: DefiningSet, x: int) -> int:
-    """Weight as n minus the zero-trace count; no vector is materialised."""
-    f = ds.field
-    zeros = 0
-    for d in ds.elements:
-        if f.trace(f.mul(x, d)) == 0:
-            zeros += 1
-    return ds.n - zeros
-
-
-def _nonzero_logs(f: Field, elements) -> np.ndarray:
-    els = np.asarray([e for e in elements if e != 0], dtype=np.int64)
-    return f.LOG[els].astype(np.int64)
-
-
-def weights_by_zero_count(f: Field, elements, threads: int = 1) -> np.ndarray:
-    """Weight of the codeword for every x, by counting zero traces of x*d."""
+def _weights_by_gather(f: Field, elements) -> np.ndarray:
+    """Weights by counting, for every x, the d with Tr(x d) = 0: q*n
+    int64 gathers.  The route for small sets, and the oracle."""
     q = f.q
-    n = len(elements)
-    logs = _nonzero_logs(f, elements)
+    logs = f.LOG[np.asarray([e for e in elements if e != 0], dtype=np.int64)].astype(np.int64)
     # t0[t] = 1 iff Tr(alpha^t) = 0, doubled so s + log d never needs a mod
     t0 = (f.TR[f.EXP] == 0).astype(np.int64)
-    has_zero = n - len(logs)
-    counts = np.empty(q - 1, dtype=np.int64)
-
-    def run(lo, hi):
-        if len(logs) == 0:
-            counts[lo:hi] = 0
-            return
-        idx = np.arange(lo, hi, dtype=np.int64)[:, None] + logs[None, :]
-        counts[lo:hi] = t0[idx].sum(axis=1)
-
-    chunk = max(1, (1 << 22) // max(1, len(logs)))
-    spans = [(lo, min(q - 1, lo + chunk)) for lo in range(0, q - 1, chunk)]
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda s: run(*s), spans))
-    else:
-        for lo, hi in spans:
-            run(lo, hi)
-
-    weights = np.zeros(q, dtype=np.int64)
-    weights[f.EXP[: q - 1]] = n - (counts + has_zero)
-    return weights
-
-
-def weights_by_codeword_scan(f: Field, elements) -> np.ndarray:
-    """Weight of every codeword by materialising its digits and counting
-    the nonzero ones.  Independent route kept for cross-checks."""
-    q = f.q
-    n = len(elements)
-    logs = _nonzero_logs(f, elements)
-    tr_at = f.TR[f.EXP]
-    weights = np.zeros(q, dtype=np.int64)
+    counts = np.zeros(q - 1, dtype=np.int64)
     if len(logs):
         chunk = max(1, (1 << 22) // len(logs))
         for lo in range(0, q - 1, chunk):
             hi = min(q - 1, lo + chunk)
-            digits = tr_at[np.arange(lo, hi, dtype=np.int64)[:, None] + logs[None, :]]
-            weights[f.EXP[lo:hi]] = np.count_nonzero(digits, axis=1)
+            idx = np.arange(lo, hi, dtype=np.int64)[:, None] + logs[None, :]
+            counts[lo:hi] = t0[idx].sum(axis=1)
+    weights = np.zeros(q, dtype=np.int64)
+    # d = 0 has Tr(x d) = 0 for every x, so it never adds weight
+    weights[f.EXP[: q - 1]] = len(logs) - counts
     return weights
 
 
-def build_code_weights(ds: DefiningSet, threads: int = 1) -> WeightDistribution:
+def _weights_by_hyperplane_count(f: Field, elements) -> np.ndarray:
+    """Weights from N(u) = |D meet u-perp| for every coordinate vector u.
+
+    Tr is GF(p)-linear, so Tr(x d) = sum_i d_i Tr(x b_i), b_i the element
+    with code p^i, and the zero count of x is N(pi(x)) with
+    pi(x)_i = Tr(x b_i).  N comes from an exact int32 transform on a state
+    F[v, t] of q*p cells: F starts as the indicator of D at t = 0, and
+    step i replaces coordinate d_i by u_i through
+    F[..u_i.., t] = sum_{d_i} F[..d_i.., (t - d_i u_i) mod p],
+    so at the end F[u, t] = #{d in D : <d, u> = t}.  Every cell counts at
+    most n <= q <= 2^24 elements, so int32 cannot overflow.  Cost O(q*m*p^2).
+    """
+    p, m, q = f.p, f.m, f.q
+    if q * p > TRANSFORM_MAX_CELLS:
+        raise ValueError(f"transform state of {q}*{p} cells exceeds TRANSFORM_MAX_CELLS")
+    n = len(elements)
+    state = np.zeros((q, p), dtype=np.int32)
+    state[:, 0] = np.bincount(np.asarray(elements, dtype=np.int64), minlength=q)
+    for i in range(m):
+        # code = sum_j d_j p^j, so in C order digit i sits on axis 1
+        src = state.reshape(p ** (m - 1 - i), p, p**i, p)
+        out = np.zeros_like(src)
+        for u in range(p):
+            for d in range(p):
+                s = d * u % p  # the second slice is empty when s = 0
+                out[:, u, :, s:] += src[:, d, :, : p - s]
+                out[:, u, :, :s] += src[:, d, :, p - s :]
+        state = out.reshape(q, p)
+    zeros = state[:, 0]
+    # pi over log indices, g the generator behind the tables:
+    # Tr(g^s b_i) = TR[EXP[s + LOG[b_i]]], and b_i is not g^i
+    tr_at = f.TR[f.EXP]
+    pi = np.zeros(q - 1, dtype=np.int64)
+    for i in range(m):
+        lo = int(f.LOG[p**i])
+        pi += tr_at[lo : lo + q - 1].astype(np.int64) * p**i
+    weights = np.zeros(q, dtype=np.int64)
+    weights[f.EXP[: q - 1]] = n - zeros[pi]
+    return weights
+
+
+def _route(p: int, m: int, n: int):
+    """The weight route for n elements of GF(p^m), q = p^m.
+
+    The transform makes m*p^2 array operations over q cells, each also
+    costing TRANSFORM_CALL_CELLS; the gather touches q*n cells.  The
+    transform runs when it costs less and its state of q*p cells fits
+    TRANSFORM_MAX_CELLS, else the gather.
+    """
+    q = p**m
+    if m * p * p * (q + TRANSFORM_CALL_CELLS) < q * n and q * p <= TRANSFORM_MAX_CELLS:
+        return _weights_by_hyperplane_count
+    return _weights_by_gather
+
+
+def weights_by_zero_count(f: Field, elements) -> np.ndarray:
+    """Weight of the codeword for every x, indexed by element code: n
+    minus the number of d in elements with Tr(x d) = 0."""
+    return _route(f.p, f.m, len(elements))(f, elements)
+
+
+def build_code_weights(ds: DefiningSet) -> WeightDistribution:
     """Exact weight distribution of the code defined by ds.
 
     Enumerates all q codewords, then divides the raw histogram by the
@@ -207,7 +228,7 @@ def build_code_weights(ds: DefiningSet, threads: int = 1) -> WeightDistribution:
     if ds.n == 0:
         raise ValueError("defining set is empty")
     f = ds.field
-    weights = weights_by_zero_count(f, ds.elements, threads=threads)
+    weights = weights_by_zero_count(f, ds.elements)
     hist = np.bincount(weights, minlength=ds.n + 1)
     return distribution_from_raw_histogram(f, ds.n, hist)
 

@@ -221,7 +221,7 @@ def tr_cubic_set(m: int, f: Field | None = None) -> DefiningSet:
 # transport between moduli
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def embedding_root(src: Field, dst: Field) -> int:
     """Smallest root in dst of src's modulus; seeds the field isomorphism."""
     if (src.p, src.m) != (dst.p, dst.m):

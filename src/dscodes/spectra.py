@@ -4,8 +4,9 @@ S(a, b) = sum over x in GF(2^m) of (-1)^Tr(a x^3 + b x).  For odd m the
 value at (1, 1) has a closed form in m; for even m the closed forms go
 through cubic residues and the affine quartic a^2 x^4 + a x = b^2, which
 is GF(2)-linear in x and solved here by elimination over GF(2).  Walsh
-spectra come in two routes: an exact integer fast transform and a naive
-quadratic oracle.
+spectra come from the code weight kernel, `code.weights_by_zero_count`,
+applied to the support of the truth table; a naive quadratic sum is the
+oracle.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import functools
 
 import numpy as np
 
+from .code import weights_by_zero_count
 from .field import Field
 
 
@@ -99,7 +101,7 @@ class QuarticSolver:
         return sols
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _solver(f: Field, a: int) -> QuarticSolver:
     return QuarticSolver(f, a)
 
@@ -166,40 +168,6 @@ def quartic_solvable_at_one(f: Field) -> bool:
 # Walsh spectra
 
 
-def fwht(values) -> np.ndarray:
-    """In-place style fast transform with exact int64 butterflies."""
-    out = np.array(values, dtype=np.int64)
-    n = len(out)
-    if n & (n - 1):
-        raise ValueError("length must be a power of 2")
-    h = 1
-    while h < n:
-        view = out.reshape(-1, 2, h)
-        a = view[:, 0, :].copy()
-        b = view[:, 1, :].copy()
-        view[:, 0, :] = a + b
-        view[:, 1, :] = a - b
-        h *= 2
-    return out
-
-
-def _walsh_permutation(f: Field) -> np.ndarray:
-    # pi(w) has bit i equal to Tr(w alpha^i), so the standard hypercube
-    # pairing at pi(w) equals the trace pairing at w
-    perm = np.zeros(f.q, dtype=np.int64)
-    xs = np.arange(f.q, dtype=np.int64)
-    for i in range(f.m):
-        perm |= f.TR[f.scalar_mul_vec(1 << i, xs)].astype(np.int64) << i
-    return perm
-
-
-@functools.lru_cache(maxsize=None)
-def _walsh_permutation_cached(f: Field):
-    perm = _walsh_permutation(f)
-    perm.setflags(write=False)
-    return perm
-
-
 class WalshSpectrum:
     """All values of w -> sum_x (-1)^(f(x) + Tr(w x)) for one Boolean f."""
 
@@ -220,16 +188,21 @@ class WalshSpectrum:
 
 
 def walsh_transform(f: Field, table) -> WalshSpectrum:
-    """Fast exact spectrum of a truth table indexed by element code."""
+    """Exact spectrum of a truth table indexed by element code.
+
+    With S the support of the table, W(u) = q [u = 0] - 2|S| + 4 wt_S(u),
+    where wt_S(u) = #{x in S : Tr(u x) = 1} is the weight of the codeword
+    for u in the trace code defined by S.
+    """
     _require_binary(f)
     table = np.asarray(table, dtype=np.int64)
     if table.shape != (f.q,) or not np.all((table == 0) | (table == 1)):
         raise ValueError("truth table must be q bits")
-    signs = 1 - 2 * table
-    std = fwht(signs)
-    values = std[_walsh_permutation_cached(f)]
+    support = np.flatnonzero(table)
+    values = 4 * weights_by_zero_count(f, support) - 2 * len(support)
+    values[0] += f.q
     values.setflags(write=False)
-    return WalshSpectrum(f, values, int(table.sum()))
+    return WalshSpectrum(f, values, len(support))
 
 
 def walsh_naive(f: Field, table) -> np.ndarray:

@@ -515,17 +515,17 @@ class ExpansionPropertyReport:
 
 
 def thm1_property_test(
-    p: int, m: int, trials: int = 40, seed: int = DEFAULT_SEED, threads: int = 1
+    p: int, m: int, trials: int = 40, seed: int = DEFAULT_SEED
 ) -> ExpansionPropertyReport:
     """Random (D, E) pairs: when |ED| = |E||D| the stretched distribution
     must match; a deterministic incomplete pair shows the hypothesis is
     not removable.
     """
-    return _expansion_sweep(get_field(p, m), trials, seed, threads)
+    return _expansion_sweep(get_field(p, m), trials, seed)
 
 
 def _expansion_sweep(
-    f: Field, trials: int = 40, seed: int = DEFAULT_SEED, threads: int = 1
+    f: Field, trials: int = 40, seed: int = DEFAULT_SEED
 ) -> ExpansionPropertyReport:
     p = f.p
     if p < 3:
@@ -536,7 +536,7 @@ def _expansion_sweep(
         d_size = rng.randint(1, min(8, f.q - 1))
         d = DefiningSet(f, tuple(rng.sample(range(1, f.q), d_size)), label="random")
         e_digits = tuple(rng.sample(range(1, p), rng.randint(1, p - 1)))
-        verdicts.append(verify(ClaimId.THM1_EXPANSION, f, (e_digits, d), threads=threads).verdict)
+        verdicts.append(verify(ClaimId.THM1_EXPANSION, f, (e_digits, d)).verdict)
     all_matched = VERDICT_MISMATCH not in verdicts
 
     # deterministic incomplete pair: D = {1, 2} is closed under the
@@ -544,8 +544,8 @@ def _expansion_sweep(
     two = 2 % p
     d0 = DefiningSet(f, (1, two), label="proportional-pair")
     product, complete = sets.product_set((1, two), d0)
-    base_wd = build_code_weights(d0, threads=threads)
-    prod_wd = build_code_weights(product, threads=threads)
+    base_wd = build_code_weights(d0)
+    prod_wd = build_code_weights(product)
     stretched = stretch_distribution(base_wd, 2)
     counterexample = {
         "D": [1, two],
@@ -645,7 +645,7 @@ class ClaimSpec:
     # (field, the CLI's --set reader) -> arg; None: --set is ignored
     parse_set: Callable | None = None
     param: str = "m"  # "h": instances take h and build their own GF(3^(3h))
-    sweep: Callable | None = None  # (field, seed, threads) -> a seeded randomized report
+    sweep: Callable | None = None  # (field, seed) -> a seeded randomized report
 
     def field_p(self, p: int | None) -> int:
         if p is None:
@@ -663,7 +663,7 @@ class ClaimSpec:
 CLAIMS = {spec.token: spec for spec in (
     ClaimSpec("thm1", 3, _expansion,
               parse_set=lambda f, s: (s.digits(f), sets.simplex_coset_reps(f))),
-    ClaimSpec("thm1prop", 3, sweep=lambda f, seed, threads: _expansion_sweep(f, seed=seed, threads=threads)),
+    ClaimSpec("thm1prop", 3, sweep=lambda f, seed: _expansion_sweep(f, seed=seed)),
     ClaimSpec("cor1", 3, _simplex, family=_one_per_m()),
     ClaimSpec("cor2", 3, _scaled_simplex, family=_scalar_subsets,
               parse_set=lambda f, s: s.digits(f)),
@@ -689,13 +689,13 @@ def _spec(claim: ClaimId | str) -> ClaimSpec:
     return CLAIMS[claim.value if isinstance(claim, ClaimId) else claim]
 
 
-def verify(claim, field=None, arg=None, *, seed: int = DEFAULT_SEED, threads: int = 1):
+def verify(claim, field=None, arg=None, *, seed: int = DEFAULT_SEED):
     """One instance of a claim, with `field` and `arg` as its row takes
     them: hypotheses first, then the prediction against enumeration.
     Rows with a sweep (thm1prop) return an ExpansionPropertyReport."""
     spec = _spec(claim)
     if spec.sweep is not None:
-        return spec.sweep(field, seed, threads)
+        return spec.sweep(field, seed)
     t0 = time.perf_counter()
     inst = spec.build(field, arg)
     predicted = computed = diff = None
@@ -703,7 +703,7 @@ def verify(claim, field=None, arg=None, *, seed: int = DEFAULT_SEED, threads: in
     if inst.holds:
         predicted, computed = inst.predict(), inst.construct()
         if isinstance(computed, DefiningSet):
-            computed = build_code_weights(computed, threads=threads)
+            computed = build_code_weights(computed)
         verdict = VERDICT_MATCH if predicted == computed else VERDICT_MISMATCH
         if verdict == VERDICT_MISMATCH:
             diff = _first_diff(predicted, computed)
@@ -721,7 +721,6 @@ def scan(
     h_values: tuple[int, ...] = (),
     trials: int = 100,
     seed: int = DEFAULT_SEED,
-    threads: int = 1,
 ) -> list[TheoremReport]:
     """One report per instance of the claim's family inside the given ranges."""
     spec = _spec(claim)
@@ -730,7 +729,7 @@ def scan(
     p = spec.field_p(p)
     rng = random.Random(seed)
     return [
-        verify(spec.token, f, arg, threads=threads)
+        verify(spec.token, f, arg)
         for value in (h_values if spec.param == "h" else m_values)
         for f, arg in spec.family(p, value, rng, trials)
     ]

@@ -17,8 +17,8 @@ from dscodes.code import (
     dual_distance,
     macwilliams_dual,
     pless_moments_check,
-    weights_by_codeword_scan,
-    weights_by_zero_count,
+    _weights_by_gather,
+    _weights_by_hyperplane_count,
 )
 from dscodes.field import alternate_field, get_field
 
@@ -186,8 +186,8 @@ def test_criterion_09_structural_property_suites(catalog_with_weights):
         assert pless_moments_check(wd).ok, ds
         if f.q <= 1 << 10:
             assert np.array_equal(
-                weights_by_zero_count(f, ds.elements),
-                weights_by_codeword_scan(f, ds.elements),
+                _weights_by_hyperplane_count(f, ds.elements),
+                _weights_by_gather(f, ds.elements),
             ), ds
         shuffled = list(ds.elements)
         rng.shuffle(shuffled)

@@ -84,6 +84,10 @@ def test_usage_errors_exit_three(capsys):
         ["ssreport", "--m", "6", "--set", "trcubic", "--format", "csv"],
         ["nosuchcommand"],
         ["code", "--p", "2", "--m", "4", "--set", "simplex", "--format", "bogus"],
+        ["field", "--m", "abc"],
+        ["field", "--m", "3..x"],
+        ["scan", "--claim", "thm4", "--m", "5..a"],
+        ["code", "--p", "2", "--m", "4", "--set", "simplex", "--threads", "2"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 3, argv

@@ -7,11 +7,14 @@ import pytest
 from dscodes import code, sets
 from dscodes.code import (
     DUAL_MAX_N,
+    TRANSFORM_MAX_CELLS,
     DefiningSet,
     WeightDistribution,
     _dual_counts,
+    _route,
+    _weights_by_gather,
+    _weights_by_hyperplane_count,
     build_code_weights,
-    codeword,
     distribution_from_raw_histogram,
     dual_distance,
     dual_distance_at_least_3,
@@ -19,8 +22,6 @@ from dscodes.code import (
     macwilliams_dual,
     pless_moments_check,
     summarize,
-    weight_by_counting_oracle,
-    weights_by_codeword_scan,
     weights_by_zero_count,
 )
 from dscodes.field import alternate_field, get_field
@@ -86,22 +87,39 @@ def test_dimension_matches_span_rank(catalog_with_weights):
 
 
 def test_two_enumeration_routes_agree(catalog_with_weights):
+    # the size rule sends most of these small sets to the gather, so
+    # both routes are called directly
     for ds, wd in catalog_with_weights:
-        if ds.field.q > 1 << 10:
-            continue
-        a = weights_by_zero_count(ds.field, ds.elements)
-        b = weights_by_codeword_scan(ds.field, ds.elements)
+        a = _weights_by_hyperplane_count(ds.field, ds.elements)
+        b = _weights_by_gather(ds.field, ds.elements)
         assert np.array_equal(a, b), ds
+        assert np.array_equal(weights_by_zero_count(ds.field, ds.elements), b), ds
 
 
-def test_counting_oracle_spot_checks(code_catalog):
-    rng = random.Random(7)
-    for ds in code_catalog[:8]:
-        f = ds.field
-        fast = weights_by_zero_count(f, ds.elements)
-        for x in rng.sample(range(f.q), min(f.q, 10)):
-            assert int(fast[x]) == weight_by_counting_oracle(ds, x)
-            assert int(fast[x]) == sum(1 for c in codeword(ds, x) if c)
+ORACLE_FIELDS = [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(1, 12) if p**m <= 1 << 11]
+
+
+@pytest.mark.parametrize("p,m", ORACLE_FIELDS)
+def test_transform_matches_gather_on_random_sets(p, m):
+    f = get_field(p, m)
+    rng = random.Random(1000 * p + m)
+    for n in sorted({1, f.q, rng.randint(1, f.q), rng.randint(1, f.q)}):
+        elements = rng.sample(range(f.q), n)
+        a = _weights_by_hyperplane_count(f, elements)
+        b = _weights_by_gather(f, elements)
+        assert np.array_equal(a, b), (p, m, n)
+
+
+def test_route_rule():
+    assert _route(2, 4, 11) is _weights_by_gather
+    assert _route(2, 16, 32511) is _weights_by_hyperplane_count
+    # fewer cells than the gather, but a state of 251^4 cells
+    assert 3 * 251**2 < 200000 and 251**4 > TRANSFORM_MAX_CELLS
+    assert _route(251, 3, 200000) is _weights_by_gather
+    # fewer cells than the gather (147 * 343 < 300 * 343), but 147 array
+    # operations, each with its fixed cost, on a field of 343 elements
+    assert _route(7, 3, 300) is _weights_by_gather
+    assert _route(7, 5, 2801) is _weights_by_hyperplane_count
 
 
 def test_distribution_is_order_invariant():
@@ -123,11 +141,6 @@ def test_distribution_is_modulus_invariant(code_catalog):
         g = alternate_field(f)
         moved = sets.transport(ds, g)
         assert build_code_weights(ds) == build_code_weights(moved), ds
-
-
-def test_threaded_enumeration_matches_serial():
-    ds = sets.tr_cubic_set(8)
-    assert build_code_weights(ds, threads=4) == build_code_weights(ds)
 
 
 def test_subfield_set_drops_dimension():

@@ -43,6 +43,15 @@ def test_coulter_closed_forms_sampled(m):
             assert spectra.coulter_s_ab(f, a, b) == spectra.weil_sum(f, a, b)
 
 
+def test_quartic_solver_cache_is_bounded():
+    f = get_field(2, 10)
+    for a in range(1, f.q):
+        spectra.coulter_s_ab(f, a, 1)
+    info = spectra._solver.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize
+
+
 def test_cube_detection():
     f = get_field(2, 4)
     cubes = {f.pow(x, 3) for x in range(1, f.q)}
@@ -74,24 +83,23 @@ def test_quartic_solver_fiber_sizes():
         assert solver.solutions(c) == []
 
 
-def test_fwht_matches_direct_small():
-    rng = random.Random(17)
-    n = 16
-    signs = np.array([rng.choice((-1, 1)) for _ in range(n)], dtype=np.int64)
-    out = spectra.fwht(signs)
-    for u in range(n):
-        acc = sum(int(signs[x]) * (-1) ** bin(u & x).count("1") for x in range(n))
-        assert int(out[u]) == acc
-
-
 def test_walsh_transform_matches_naive():
-    for m in (3, 4, 5, 6):
+    # m = 10 sends the random table's support to the transform route
+    for m in (3, 4, 5, 6, 10):
         f = get_field(2, m)
         rng = random.Random(m)
-        table = np.array([rng.randint(0, 1) for _ in range(f.q)], dtype=np.int64)
-        fast = spectra.walsh_transform(f, table)
-        slow = spectra.walsh_naive(f, table)
-        assert np.array_equal(fast.values, slow)
+        f0_set = np.zeros(f.q, dtype=np.int64)
+        f0_set[0] = 1
+        tables = [
+            np.array([rng.randint(0, 1) for _ in range(f.q)], dtype=np.int64),
+            np.zeros(f.q, dtype=np.int64),  # empty support
+            np.ones(f.q, dtype=np.int64),
+            f0_set,
+        ]
+        for table in tables:
+            fast = spectra.walsh_transform(f, table)
+            slow = spectra.walsh_naive(f, table)
+            assert np.array_equal(fast.values, slow)
 
 
 def test_walsh_rejects_bad_tables():
