@@ -8,12 +8,23 @@ arrays) so that enumeration kernels elsewhere reduce to gathers.
 
 Construction is deterministic.  The modulus is the lexicographically
 smallest monic irreducible of degree m over GF(p), coefficient vectors
-compared constant term first; irreducibility is established by trial
-division against every monic polynomial of degree at most m/2.  The
-multiplicative generator behind the log tables is the element of order
-p^m - 1 whose coordinate vector is lexicographically smallest.  An
-explicit modulus override is accepted for compatibility with tables
-built elsewhere, and is itself checked for irreducibility.
+compared constant term first; for m >= 2 the search starts at constant
+term 1, since every candidate with constant term 0 is divisible by X.
+Irreducibility is established by trial division against every monic
+polynomial of degree at most m/2.  An explicit modulus override is
+accepted for compatibility with tables built elsewhere, and is itself
+checked for irreducibility.
+
+Every table comes from one mechanism: the m x m matrix over GF(p) of
+x -> c*x on coordinate rows, whose row i holds the coordinates of
+c*alpha^i (for c = alpha, the companion matrix of the modulus).  The
+multiplicative generator is the element of order p^m - 1 whose
+coordinate vector is lexicographically smallest, its order tested by
+matrix powers.  The antilog table is built by doubling, EXP[s:2s] =
+g^s * EXP[:s], applying the step matrix to chunks of coordinate rows and
+squaring it each round.  Tr(alpha^i) is the trace of the matrix of
+alpha^i, and the trace table is the same chunked apply over all
+elements.  All of it is int64 arithmetic on entries below p.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ import numpy as np
 
 MAX_Q = 1 << 24
 MAX_P = 251
+_CHUNK = 1 << 12  # rows per matrix apply in the table builds
 
 
 def is_prime(n: int) -> bool:
@@ -93,7 +105,8 @@ def poly_is_irreducible(f: tuple[int, ...], p: int) -> bool:
 
 def iter_irreducible_moduli(p: int, m: int):
     """Monic irreducibles of degree m in lexicographic order."""
-    for k in range(p**m):
+    # for m >= 2 every candidate with c_0 = 0 is divisible by X: skip them
+    for k in range(0 if m == 1 else p ** (m - 1), p**m):
         f = tuple(_lex_vector(k, p, m)) + (1,)
         if poly_is_irreducible(f, p):
             yield f
@@ -129,73 +142,68 @@ class Field:
             if not poly_is_irreducible(modulus, p):
                 raise ValueError(f"modulus override {modulus} is reducible over GF({p})")
         self.modulus = modulus
-        # modulus packed as an integer for the p = 2 fast path (bit m included)
-        self._mod_bits = sum(c << i for i, c in enumerate(modulus))
+        self._pw = p ** np.arange(m, dtype=np.int64)
+        # companion matrix: the matrix of x -> alpha*x
+        self._alpha = np.eye(m, k=1, dtype=np.int64)
+        self._alpha[-1] = [-c % p for c in modulus[:m]]
         self.generator = self._find_generator()
         self._build_log_tables()
         self._build_trace_table()
 
     # -- construction helpers ------------------------------------------
 
-    def _mul_nonzero_poly(self, a: int, b: int) -> int:
-        """Product in GF(q) by polynomial arithmetic, no tables needed."""
-        p, m = self.p, self.m
-        if p == 2:
-            r = 0
-            while b:
-                if b & 1:
-                    r ^= a
-                b >>= 1
-                a <<= 1
-                if (a >> m) & 1:
-                    a ^= self._mod_bits
-            return r
-        da = [(a // p**i) % p for i in range(m)]
-        db = [(b // p**i) % p for i in range(m)]
-        prod = [0] * (2 * m - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ca * cb) % p
-        for i in range(2 * m - 2, m - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(m):
-                    prod[i - m + j] = (prod[i - m + j] - c * self.modulus[j]) % p
-        return sum(c * p**i for i, c in enumerate(prod[:m]))
+    def _matrix(self, c: int) -> np.ndarray:
+        """Matrix of x -> c*x on coordinate rows: row i holds the coordinates
+        of c*alpha^i, so coords(c*x) = coords(x) @ M mod p."""
+        rows = [np.array(self.coords(c), dtype=np.int64)]
+        for _ in range(self.m - 1):
+            rows.append(rows[-1] @ self._alpha % self.p)
+        return np.array(rows)
 
-    def _pow_poly(self, a: int, e: int) -> int:
-        r = 1
+    def _matpow(self, a: np.ndarray, e: int) -> np.ndarray:
+        r = np.eye(self.m, dtype=np.int64)
         while e:
             if e & 1:
-                r = self._mul_nonzero_poly(r, a)
-            a = self._mul_nonzero_poly(a, a)
+                r = r @ a % self.p
+            a = a @ a % self.p
             e >>= 1
         return r
+
+    def _apply(self, xs: np.ndarray, mat: np.ndarray) -> np.ndarray:
+        """coords(x) @ mat mod p for every element code x in xs."""
+        return (xs[:, None] // self._pw % self.p) @ mat % self.p
 
     def _find_generator(self) -> int:
         p, m, q = self.p, self.m, self.q
         cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
+        eye = np.eye(m, dtype=np.int64)
         for k in range(1, q):
-            vec = _lex_vector(k, p, m)
-            cand = sum(c * p**i for i, c in enumerate(vec))
-            if cand and all(self._pow_poly(cand, e) != 1 for e in cofactors):
+            cand = sum(c * p**i for i, c in enumerate(_lex_vector(k, p, m)))
+            mat = self._matrix(cand)
+            if not any(np.array_equal(self._matpow(mat, e), eye) for e in cofactors):
                 return cand
         raise AssertionError("no multiplicative generator found")
 
     def _build_log_tables(self):
+        # doubling: EXP[s:2s] = g^s * EXP[:s], the step matrix squared per round
         q = self.q
-        exp = np.zeros(2 * (q - 1), dtype=np.int32)
+        exp = np.empty(2 * (q - 1), dtype=np.int32)
         log = np.full(q, -1, dtype=np.int32)
-        cur = 1
-        for i in range(q - 1):
-            if log[cur] != -1:
-                raise AssertionError("generator order is below q - 1")
-            exp[i] = cur
-            log[cur] = i
-            cur = self._mul_nonzero_poly(cur, self.generator)
-        if cur != 1:
+        exp[0], log[1] = 1, 0
+        gen = self._matrix(self.generator)
+        step, s = gen, 1
+        while s < q - 1:
+            t = min(s, q - 1 - s)
+            for lo in range(0, t, _CHUNK):
+                hi = min(lo + _CHUNK, t)
+                powers = self._apply(exp[lo:hi], step) @ self._pw
+                exp[s + lo : s + hi] = powers
+                log[powers] = np.arange(s + lo, s + hi, dtype=np.int32)
+            step = step @ step % self.p
+            s *= 2
+        if log[0] != -1 or np.count_nonzero(log < 0) != 1:
+            raise AssertionError("generator order is below q - 1")
+        if self._apply(exp[q - 2 : q - 1], gen) @ self._pw != 1:
             raise AssertionError("generator does not return to 1 after q - 1 steps")
         exp[q - 1 :] = exp[: q - 1]
         exp.setflags(write=False)
@@ -204,14 +212,21 @@ class Field:
         self.LOG = log
 
     def _build_trace_table(self):
+        # Tr(alpha^i) is the trace of the matrix of alpha^i
         p, m, q = self.p, self.m, self.q
-        self.tr_basis = tuple(self.trace_by_definition(p**i) for i in range(m))
-        x = np.arange(q, dtype=np.int64)
-        acc = np.zeros(q, dtype=np.int64)
-        for i in range(m):
-            acc += ((x // p**i) % p) * self.tr_basis[i]
-        tr = (acc % p).astype(np.uint8)
-        counts = np.bincount(tr, minlength=p)
+        basis, power = [], np.eye(m, dtype=np.int64)
+        for _ in range(m):
+            basis.append(int(np.trace(power)) % p)
+            power = power @ self._alpha % p
+        self.tr_basis = tuple(basis)
+        vec = np.array(basis, dtype=np.int64)
+        tr = np.empty(q, dtype=np.uint8)
+        counts = np.zeros(p, dtype=np.int64)
+        for lo in range(0, q, _CHUNK):
+            hi = min(lo + _CHUNK, q)
+            values = self._apply(np.arange(lo, hi, dtype=np.int64), vec)
+            tr[lo:hi] = values
+            counts += np.bincount(values, minlength=p)
         if not np.all(counts == q // p):
             raise AssertionError("trace table is not balanced")
         tr.setflags(write=False)
@@ -269,12 +284,6 @@ class Field:
     def frobenius(self, a: int) -> int:
         return self.pow(a, self.p)
 
-    def gold_pow(self, x: int, ell: int) -> int:
-        """x ** (p**ell + 1): one Frobenius iterate, then multiply by x."""
-        if ell < 0:
-            raise ValueError("ell must be >= 0")
-        return self.mul(self.pow(x, self.p**ell), x)
-
     def trace(self, x: int) -> int:
         return int(self.TR[x])
 
@@ -298,15 +307,6 @@ class Field:
     def coords(self, x: int) -> tuple[int, ...]:
         p = self.p
         return tuple((x // p**i) % p for i in range(self.m))
-
-    def from_coords(self, cs) -> int:
-        if len(cs) != self.m:
-            raise ValueError(f"expected {self.m} coordinates")
-        p = self.p
-        return sum((int(c) % p) * p**i for i, c in enumerate(cs))
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def units(self) -> range:
         return range(1, self.q)

@@ -110,18 +110,16 @@ def quadratic_form_image(f: Field, terms) -> tuple[DefiningSet, dict]:
 def quadratic_form_rank(f: Field, terms) -> int:
     """Rank r with |V_f| = p^(m-r), V_f the radical of the induced bilinear form.
 
-    V_f is found by exhaustive scan: x belongs iff f(x+z) - f(x) - f(z) = 0
-    for every z.  Quadratic in q, fine at the small q where forms are used.
+    B(x, z) = f(x+z) - f(x) - f(z) is GF(p)-bilinear, so x lies in V_f
+    iff B(x, alpha^j) = 0 for the m basis directions alpha^j = p^j.
     """
     table = evaluate_quadratic_form(f, terms)
     xs = np.arange(f.q, dtype=np.int64)
-    radical = 0
-    for x in range(f.q):
-        lhs = table[f.add_vec(np.full(f.q, x, dtype=np.int64), xs)]
-        rhs = f.add_vec(np.full(f.q, int(table[x]), dtype=np.int64), table)
-        if np.array_equal(lhs, rhs):
-            radical += 1
-    size = radical
+    in_radical = np.ones(f.q, dtype=bool)
+    for j in range(f.m):
+        z = f.p**j
+        in_radical &= table[f.add_vec(xs, z)] == f.add_vec(table, int(table[z]))
+    size = radical = int(np.count_nonzero(in_radical))
     r = f.m
     while size > 1:
         if size % f.p:

@@ -81,6 +81,62 @@ def test_quadratic_form_rank_of_square_is_full():
         assert sets.quadratic_form_rank(f, ((0, 0, 1),)) == m
 
 
+def _rank_by_exhaustive_scan(f, terms):
+    # oracle: x is in the radical iff f(x+z) - f(x) - f(z) = 0 for every z
+    table = sets.evaluate_quadratic_form(f, terms)
+    xs = np.arange(f.q, dtype=np.int64)
+    radical = 0
+    for x in range(f.q):
+        lhs = table[f.add_vec(np.full(f.q, x, dtype=np.int64), xs)]
+        rhs = f.add_vec(np.full(f.q, int(table[x]), dtype=np.int64), table)
+        radical += bool(np.array_equal(lhs, rhs))
+    r = f.m
+    while radical > 1:
+        assert radical % f.p == 0
+        radical //= f.p
+        r -= 1
+    return r
+
+
+RANK_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1), (3, 2), (3, 3),
+               (3, 4), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3)]
+
+
+def _random_form(rng, f):
+    m = f.m
+    terms = [
+        (rng.randrange(m), rng.randrange(m), rng.randrange(1, f.q))
+        for _ in range(rng.randint(1, 3))
+    ]
+    if m == 1 or rng.random() < 0.5:
+        return tuple(terms)
+    # compose with L(x) = x^(p^k) - x, whose kernel GF(p^gcd(k, m)) lies in
+    # the radical: c (L x)^(p^i + p^j) expands into four terms
+    k = rng.randrange(1, m)
+    composed = []
+    for i, j, c in terms:
+        ki, kj, neg = (k + i) % m, (k + j) % m, f.neg(c)
+        composed += [(ki, kj, c), (ki, j, neg), (i, kj, neg), (i, j, c)]
+    return tuple(composed)
+
+
+def test_quadratic_form_rank_matches_exhaustive_scan():
+    rng = random.Random(20)
+    seen = set()
+    for p, m in RANK_FIELDS:
+        f = get_field(p, m)
+        forms = [_random_form(rng, f) for _ in range(8)]
+        if m >= 2:
+            a = rng.randrange(1, f.q)
+            forms.append(((0, 1, a), (1, 0, f.neg(a))))  # B vanishes: rank 0
+        for terms in forms:
+            r = sets.quadratic_form_rank(f, terms)
+            assert r == _rank_by_exhaustive_scan(f, terms), (p, m, terms)
+            seen.add((p, "zero" if r == 0 else "full" if r == m else "between"))
+    # every p meets rank 0, a rank strictly between 0 and m, and rank m
+    assert {(p, kind) for p in (2, 3, 5, 7) for kind in ("zero", "between", "full")} <= seen
+
+
 def test_e_to_1_matches_fiber_profile(gf27):
     terms = ((0, 0, 1),)  # x^2 is 2-to-1 on units
     e = sets.is_e_to_1(gf27, terms)
