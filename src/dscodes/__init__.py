@@ -6,7 +6,7 @@ computes weight distributions with one kernel (an exact hyperplane-count
 transform for large sets, a direct gather for small ones, the gather
 also serving as the oracle), checks closed-form predictions for several
 families, and reports secret-sharing viability through minimal-codeword
-enumeration.
+counts read off the weight array.
 """
 
 from .code import (

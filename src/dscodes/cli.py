@@ -342,20 +342,26 @@ def cmd_ssreport(args):
     if not args.set:
         raise UsageError("ssreport needs --set")
     ds = build_set(f, args.set)
-    wd = build_code_weights(ds)
-    ratio = secretshare.ratio_check(wd, tr_cubic=(args.set == "trcubic"))
     minimal = None
     skipped = None
-    if f.p**wd.k > secretshare.ENUMERATION_CAP or f.q > secretshare.ELEMENT_SCAN_CAP:
-        skipped = "enumeration bound exceeded"
-    else:
-        report, _ = secretshare.minimal_codewords(ds, wd)
+    # the minimal-codeword route builds the distribution from its own
+    # weight array, so the weight kernel runs once either way
+    if secretshare.minimal_scan_fits(f.p, f.m):
+        report, ratio = secretshare.minimal_codewords(ds)
         minimal = report.to_json_dict()
+        k = report.k
+    else:
+        wd = build_code_weights(ds)
+        ratio = secretshare.ratio_check(wd)
+        k = wd.k
+        skipped = "enumeration bound exceeded"
+    if args.set == "trcubic":
+        ratio = secretshare.with_cubic_trace_case(ratio, f.m)
     payload = {
         "command": "ssreport",
         "p": f.p, "m": f.m,
         "set": {"selector": args.set, "label": ds.label, "n": ds.n},
-        "code": {"n": wd.n, "k": wd.k},
+        "code": {"n": ds.n, "k": k},
         "ratio": ratio.to_json_dict(),
         "minimal": minimal,
         "minimal_skipped": skipped,

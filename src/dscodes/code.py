@@ -225,12 +225,16 @@ def build_code_weights(ds: DefiningSet) -> WeightDistribution:
     Enumerates all q codewords, then divides the raw histogram by the
     kernel size p^(m-k); the division must be exact or the run aborts.
     """
+    return distribution_from_weights(ds, weights_by_zero_count(ds.field, ds.elements))
+
+
+def distribution_from_weights(ds: DefiningSet, weights: np.ndarray) -> WeightDistribution:
+    """Weight distribution of ds's code from its raw weight array
+    W[x] = wt(c_x) over all q values of x."""
     if ds.n == 0:
         raise ValueError("defining set is empty")
-    f = ds.field
-    weights = weights_by_zero_count(f, ds.elements)
     hist = np.bincount(weights, minlength=ds.n + 1)
-    return distribution_from_raw_histogram(f, ds.n, hist)
+    return distribution_from_raw_histogram(ds.field, ds.n, hist)
 
 
 def distribution_from_raw_histogram(f: Field, n: int, hist) -> WeightDistribution:

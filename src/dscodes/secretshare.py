@@ -4,20 +4,40 @@ A code works cleanly as a secret sharing scheme (first coordinate in
 the dealer role) when every nonzero codeword is minimal, that is, no
 other nonzero codeword's support sits strictly inside its support.
 The standard sufficient condition is w_min / w_max > (p-1)/p, compared
-here as exact rationals.  Enumeration double-checks it at desk scale.
+here as exact rationals.
+
+Minimal codewords are counted from the weight array W[x] = wt(c_x)
+alone, with no codeword supports.  For codewords a and b,
+sum_{c in GF(p)} wt(b + c*a) >= (p-1)*wt(a), with equality iff
+supp(b) is inside supp(a) (Heng, Ding & Zhou, "Minimal linear codes
+over finite fields", FFA 54, 2018, Lemma 2.1).  The y whose support sits
+inside supp(c_x) form a subspace holding the kernel and GF(p)*x, so c_x
+is minimal iff exactly p^(m-k+1) values y pass (Ashikhmin & Barg,
+"Minimal vectors in linear codes", IEEE T-IT 44, 1998).  The test costs
+q*(q-1)/(p-1) gathers, bounded by MINIMAL_GATHER_BOUND before any work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .code import DefiningSet, WeightDistribution, build_code_weights
+from .code import (
+    DefiningSet,
+    WeightDistribution,
+    distribution_from_weights,
+    weights_by_zero_count,
+)
+from .field import Field
 
-ENUMERATION_CAP = 1 << 20
-ELEMENT_SCAN_CAP = 1 << 22
+# bound on the gathers of the minimal-codeword test: 2^16, 3^10 and 83^3
+# fit, 2^17, 3^11 and 89^3 do not
+MINIMAL_GATHER_BOUND = 1 << 32
+# gather cells per chunk of x rows; larger chunks raise the peak RSS, not the
+# speed.  Under the bound q/p <= 2^16, so a chunk holds at least one row.
+_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -74,20 +94,24 @@ def ratio_check(wd: WeightDistribution, *, tr_cubic: bool = False) -> RatioRepor
         raise ValueError("distribution has no nonzero weight")
     ratio = Fraction(wd.d_min, wd.w_max)
     threshold = Fraction(wd.p - 1, wd.p)
-    case, closed = "", None
-    if tr_cubic:
-        if wd.p != 2:
-            raise ValueError("the cubic-trace family is binary")
-        case, closed = cubic_trace_ratio_case(wd.m)
-        if closed != ratio:
-            raise AssertionError(
-                f"closed-form ratio {closed} disagrees with computed {ratio}"
-            )
-    return RatioReport(
+    report = RatioReport(
         p=wd.p, w_min=wd.d_min, w_max=wd.w_max, ratio=ratio,
         threshold=threshold, passes=ratio > threshold,
-        m_congruence_case=case, closed_form_ratio=closed,
     )
+    return with_cubic_trace_case(report, wd.m) if tr_cubic else report
+
+
+def with_cubic_trace_case(report: RatioReport, m: int) -> RatioReport:
+    """The report with the binary cubic-trace family's closed form for
+    GF(2^m) attached; a closed form that disagrees aborts."""
+    if report.p != 2:
+        raise ValueError("the cubic-trace family is binary")
+    case, closed = cubic_trace_ratio_case(m)
+    if closed != report.ratio:
+        raise AssertionError(
+            f"closed-form ratio {closed} disagrees with computed {report.ratio}"
+        )
+    return replace(report, m_congruence_case=case, closed_form_ratio=closed)
 
 
 @dataclass(frozen=True)
@@ -98,7 +122,6 @@ class MinimalReport:
     total_nonzero: int
     minimal_count: int
     all_minimal: bool
-    minimal_supports: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -109,63 +132,76 @@ class MinimalReport:
         }
 
 
-def _support_masks(ds: DefiningSet) -> dict[int, int]:
-    """Support bitmask -> number of x values mapping to it; bit i is
-    coordinate i of the canonically ordered defining set."""
-    f = ds.field
-    els = np.asarray(ds.elements, dtype=np.int64)
-    masks: dict[int, int] = {}
-    for x in range(f.q):
-        nz = f.TR[f.scalar_mul_vec(x, els)] != 0
-        mask = int.from_bytes(np.packbits(nz, bitorder="little").tobytes(), "little")
-        masks[mask] = masks.get(mask, 0) + 1
-    return masks
+def minimal_scan_fits(p: int, m: int) -> bool:
+    """Whether the minimal-codeword test over GF(p^m) fits
+    MINIMAL_GATHER_BOUND: one gather per projective class of x, z-coset
+    and c in GF(p), q*(q-1)/(p-1) in all."""
+    q = p**m
+    return q * (q - 1) // (p - 1) <= MINIMAL_GATHER_BOUND
+
+
+def _minimal_classes(f: Field, weights: np.ndarray, kernel: int) -> int:
+    """Number of x outside the kernel, one per projective class
+    {c*x : c in GF(p)*}, whose codeword is minimal.
+
+    y = x*z passes when sum_c W[x*(z + c)] = (p-1)*W[x].  Adding c in
+    GF(p) changes only digit 0 of z, so one z per coset z + GF(p) is
+    tested, all in log space: W[x*w] = wlog[log x + LOG[w]], and w = 0
+    reads a padded zero slot.  c_x is minimal iff exactly `kernel`
+    cosets pass, p^(m-k+1) values of y.
+    """
+    p, q = f.p, f.q
+    classes = (q - 1) // (p - 1)
+    span = classes + q - 2  # largest log x + LOG[w], plus one
+    # int32: a sum of p weights is at most p*q, and p <= field.MAX_P = 251
+    # with the bound keeps p*q below 2^26 (test_gather_bound_keeps_sums_in_int32)
+    wlog = np.zeros(span + classes, dtype=np.int32)
+    wlog[:span] = weights[f.EXP[:span]]
+    logz = f.LOG.astype(np.int64)
+    logz[0] = span
+    cosets = np.arange(0, q, p)
+    shifts = [logz[cosets + c] for c in range(p)]
+    target = (p - 1) * wlog[:classes]
+    passed = np.empty(classes, dtype=np.int64)
+    rows = _CHUNK_CELLS // len(cosets)
+    for lo in range(0, classes, rows):
+        hi = min(lo + rows, classes)
+        lx = np.arange(lo, hi)[:, None]
+        sums = np.take(wlog, lx + shifts[0])
+        for shift in shifts[1:]:
+            sums += np.take(wlog, lx + shift)
+        passed[lo:hi] = np.count_nonzero(sums == target[lo:hi, None], axis=1)
+    passed = passed[target != 0]
+    # the kernel plus GF(p)*x always passes
+    if passed.min() < kernel:
+        raise AssertionError("a codeword misses the kernel in its support test")
+    minimal = int(np.count_nonzero(passed == kernel))
+    if minimal % kernel:
+        raise AssertionError("minimal class count not divisible by the kernel size")
+    return minimal
 
 
 def minimal_codewords(
     ds: DefiningSet, wd: WeightDistribution | None = None
 ) -> tuple[MinimalReport, RatioReport]:
-    """Enumerate codeword supports and count the minimal codewords.
+    """Count the minimal codewords from the weight array alone.
 
     When the ratio criterion passes, every nonzero codeword must come
     out minimal; a counterexample would break the scheme built on the
-    code, so it aborts with an error instead of a quiet report.
+    code, so it aborts with an error instead of a quiet report.  The
+    weight array is computed once; wd, when not given, is read off it.
     """
     f = ds.field
+    if not minimal_scan_fits(f.p, f.m):
+        raise ValueError(f"GF({f.p}^{f.m}) needs more gathers than MINIMAL_GATHER_BOUND")
+    weights = weights_by_zero_count(f, ds.elements)
     if wd is None:
-        wd = build_code_weights(ds)
-    if f.p**wd.k > ENUMERATION_CAP:
-        raise ValueError(f"p^k = {f.p**wd.k} exceeds the enumeration bound")
-    if f.q > ELEMENT_SCAN_CAP:
-        raise ValueError(f"q = {f.q} exceeds the enumeration bound")
+        wd = distribution_from_weights(ds, weights)
     ratio = ratio_check(wd)
-
-    raw_masks = _support_masks(ds)
-    collapse = raw_masks.pop(0)
-    if collapse != f.p ** (f.m - wd.k):
-        raise AssertionError("zero-support count disagrees with the kernel size")
-    counts = {}
-    for mask, raw in raw_masks.items():
-        cw, rem = divmod(raw, collapse)
-        if rem:
-            raise AssertionError("support multiplicity not divisible by kernel size")
-        counts[mask] = cw
-
-    by_popcount = sorted(counts, key=lambda mk: (mk.bit_count(), mk))
-    minimal = []
-    minimal_count = 0
-    for i, mask in enumerate(by_popcount):
-        is_min = True
-        for other in by_popcount[:i]:
-            if other.bit_count() == mask.bit_count():
-                break
-            if other & mask == other:
-                is_min = False
-                break
-        if is_min:
-            minimal.append(mask)
-            minimal_count += counts[mask]
-
+    kernel = f.p ** (f.m - wd.k)
+    classes = _minimal_classes(f, weights, kernel)
+    # minimal x come in p - 1 scalings and p^(m-k) kernel translates
+    minimal_count = classes // kernel * (f.p - 1)
     total = f.p**wd.k - 1
     all_minimal = minimal_count == total
     if ratio.passes and not all_minimal:
@@ -176,6 +212,5 @@ def minimal_codewords(
     report = MinimalReport(
         p=f.p, n=ds.n, k=wd.k, total_nonzero=total,
         minimal_count=minimal_count, all_minimal=all_minimal,
-        minimal_supports=tuple(minimal),
     )
     return report, ratio

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from dscodes import cli, field
+from dscodes import cli, field, secretshare
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((ROOT / "src/dscodes/schemas/output.schema.json").read_text())
@@ -214,8 +214,28 @@ def test_ssreport_cubic_m8(capsys):
     assert code == 0
     assert payload["ratio"]["raw_ratio"] == [48, 64]
     assert payload["ratio"]["passes"] is True
+    assert payload["ratio"]["m_congruence_case"] == "m = 0 mod 8"
+    assert payload["ratio"]["closed_form_ratio"] == [3, 4]
     assert payload["minimal"]["all_minimal"] is True
     assert payload["minimal_skipped"] is None
+
+
+def test_ssreport_skips_minimal_codewords_past_the_bound(capsys, monkeypatch):
+    def boom(*args):
+        raise AssertionError("minimal-codeword work started past the bound")
+
+    monkeypatch.setattr(secretshare, "_minimal_classes", boom)
+    with pytest.raises(AssertionError, match="past the bound"):
+        cli.main(["ssreport", "--m", "8", "--set", "trcubic"])
+    capsys.readouterr()
+    monkeypatch.setattr(secretshare, "MINIMAL_GATHER_BOUND", 1 << 10)
+    code, payload, _ = run_json(capsys, "ssreport", "--m", "8", "--set", "trcubic")
+    assert code == 0
+    assert payload["minimal"] is None
+    assert payload["minimal_skipped"] == "enumeration bound exceeded"
+    assert payload["ratio"]["raw_ratio"] == [48, 64]
+    assert payload["ratio"]["m_congruence_case"] == "m = 0 mod 8"
+    assert payload["code"]["k"] == 8
 
 
 def test_thm2_requires_room_for_second_half(capsys):
