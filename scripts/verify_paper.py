@@ -8,6 +8,8 @@ was not met (and nothing mismatched), 2 at least one mismatch.
 import sys
 import time
 
+import numpy as np
+
 from dscodes import sets, theorems
 from dscodes.code import DefiningSet
 from dscodes.field import get_field
@@ -18,7 +20,7 @@ def _splits(m_values):
     for m in m_values:
         f = get_field(2, m)
         d1 = sets.tr_cubic_set(m, f)
-        d2 = DefiningSet(f, tuple(set(range(1, f.q)) - set(d1.elements)), label="rest")
+        d2 = DefiningSet(f, np.flatnonzero(~d1.mask[1:]) + 1, label="rest")
         yield theorems.verify("thm2", f, (d1, d2))
 
 

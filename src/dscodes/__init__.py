@@ -15,7 +15,6 @@ from .code import (
     WeightDistribution,
     build_code_weights,
     dual_distance,
-    dual_distance_at_least_3,
     griesmer_check,
     macwilliams_dual,
     pless_moments_check,
@@ -39,7 +38,6 @@ __all__ = [
     "alternate_field",
     "build_code_weights",
     "dual_distance",
-    "dual_distance_at_least_3",
     "get_field",
     "griesmer_check",
     "macwilliams_dual",

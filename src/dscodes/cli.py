@@ -112,11 +112,12 @@ def _read_truth_table_bits(path: str, q: int) -> str:
 
 
 def _truth_table_for_field(f: Field, path: str) -> np.ndarray:
-    bits = _read_truth_table_bits(path, f.q)
+    text = _read_truth_table_bits(path, f.q)
+    bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
     out = np.zeros(f.q, dtype=np.int64)
-    out[0] = int(bits[-1])
-    for t in range(f.q - 1):
-        out[f.antilog(t)] = int(bits[f.q - 2 - t])
+    out[0] = bits[-1]
+    # bit q-2-t belongs to alpha^t
+    out[f.EXP[: f.q - 1]] = bits[f.q - 2 :: -1]
     return out
 
 

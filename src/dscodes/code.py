@@ -9,8 +9,8 @@ hyperplane H_x = {d : Tr(x d) = 0}.
 Everything here is exact integer arithmetic.  One weight kernel,
 `weights_by_zero_count`, counts D on every hyperplane by one of two
 routes that a size rule (`_route`) picks: an int32 transform,
-O(q*m*p^2), or an int64 gather, O(q*n), which is also the oracle the
-tests check the transform against.  One dual layer, a
+O(q*m*p^2), or a gather of n int32 slices, O(q*n), which is also the
+oracle the tests check the transform against.  One dual layer, a
 Krawtchouk recurrence on Python big integers, yields the MacWilliams
 transform that the full dual, the dual distance and the power-moment
 checks all read.
@@ -27,33 +27,61 @@ import numpy as np
 from .field import Field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DefiningSet:
-    """Multiplicity-free tuple of field elements with a provenance label.
+    """A multiplicity-free set of field elements with a provenance label.
 
-    Elements are stored in canonical order: 0 first when present, then
-    ascending discrete log.  The code built from the set does not depend
-    on the order; the canonical form makes serialisation deterministic.
+    Held twice over, both read-only: `mask`, a q-byte membership mask
+    indexed by element code, and `elements`, the members as an int64
+    array in canonical order: 0 first when present, then ascending
+    discrete log.  That order is exp-table order, so the array is read
+    off the mask in O(q) with no sort.  The code built from the set does
+    not depend on the order; the canonical form makes serialisation
+    deterministic.  Two sets are equal when they share the field and the
+    elements.
     """
 
     field: Field
-    elements: tuple[int, ...]
-    label: str = dc_field(default="", compare=False)
+    elements: np.ndarray
+    label: str = dc_field(default="")
+    mask: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         q = self.field.q
-        elems = tuple(int(e) for e in self.elements)
-        if len(set(elems)) != len(elems):
+        try:
+            elems = np.asarray(self.elements, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"defining set {self.label!r} has an element outside GF({q})") from None
+        if elems.ndim != 1:
+            raise ValueError(f"defining set {self.label!r} must be a flat sequence of elements")
+        # range first: a negative code would index the mask from the end
+        bad = elems[(elems < 0) | (elems >= q)]
+        if bad.size:
+            raise ValueError(f"element {int(bad[0])} outside GF({q})")
+        mask = np.zeros(q, dtype=bool)
+        mask[elems] = True
+        if np.count_nonzero(mask) != elems.size:
             raise ValueError(f"defining set {self.label!r} has repeated elements")
-        for e in elems:
-            if not 0 <= e < q:
-                raise ValueError(f"element {e} outside GF({q})")
-        ordered = tuple(sorted(elems, key=lambda e: -1 if e == 0 else self.field.LOG[e]))
+        units = self.field.EXP[: q - 1]
+        ordered = units[mask[units]].astype(np.int64)
+        if mask[0]:
+            ordered = np.concatenate(([0], ordered))
+        mask.setflags(write=False)
+        ordered.setflags(write=False)
+        object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "elements", ordered)
 
     @property
     def n(self) -> int:
         return len(self.elements)
+
+    def __eq__(self, other):
+        if not isinstance(other, DefiningSet):
+            return NotImplemented
+        return self.field is other.field and np.array_equal(self.elements, other.elements)
+
+    def __hash__(self):
+        return hash((self.field, self.elements.tobytes()))
 
     def __repr__(self):
         return f"DefiningSet({self.label or 'unlabeled'}, n={self.n})"
@@ -140,18 +168,17 @@ TRANSFORM_CALL_CELLS = 1 << 10
 
 def _weights_by_gather(f: Field, elements) -> np.ndarray:
     """Weights by counting, for every x, the d with Tr(x d) = 0: q*n
-    int64 gathers.  The route for small sets, and the oracle."""
+    cells in n contiguous int32 slice adds, O(q) memory.  The route for
+    small sets, and the oracle."""
     q = f.q
-    logs = f.LOG[np.asarray([e for e in elements if e != 0], dtype=np.int64)].astype(np.int64)
-    # t0[t] = 1 iff Tr(alpha^t) = 0, doubled so s + log d never needs a mod
-    t0 = (f.TR[f.EXP] == 0).astype(np.int64)
-    counts = np.zeros(q - 1, dtype=np.int64)
-    if len(logs):
-        chunk = max(1, (1 << 22) // len(logs))
-        for lo in range(0, q - 1, chunk):
-            hi = min(q - 1, lo + chunk)
-            idx = np.arange(lo, hi, dtype=np.int64)[:, None] + logs[None, :]
-            counts[lo:hi] = t0[idx].sum(axis=1)
+    elements = np.asarray(elements, dtype=np.int64)
+    logs = f.LOG[elements[elements != 0]]
+    # t0[t] = 1 iff Tr(alpha^t) = 0, doubled so s + log d never needs a mod:
+    # the zero indicator of x = alpha^s over d = alpha^l is t0[l : l + q - 1]
+    t0 = (f.TR[f.EXP] == 0).astype(np.int32)
+    counts = np.zeros(q - 1, dtype=np.int32)
+    for lo in logs.tolist():
+        counts += t0[lo : lo + q - 1]
     weights = np.zeros(q, dtype=np.int64)
     # d = 0 has Tr(x d) = 0 for every x, so it never adds weight
     weights[f.EXP[: q - 1]] = len(logs) - counts
@@ -378,36 +405,6 @@ def griesmer_check(n: int, k: int, d: int, p: int) -> GriesmerResult:
         raise ValueError("griesmer_check needs k >= 1 and d >= 1")
     bound = sum(-(-d // p**i) for i in range(k))
     return GriesmerResult(bound=bound, meets_bound=(n == bound))
-
-
-@dataclass(frozen=True)
-class Dual3Certificate:
-    certified: bool
-    has_zero: bool
-    proportional_pair: tuple[int, int] | None
-
-
-def dual_distance_at_least_3(ds: DefiningSet) -> Dual3Certificate:
-    """Certify dual distance >= 3: no zero element, no GF(p)-proportional pair."""
-    if ds.n < 3:
-        raise ValueError("certificate needs |D| >= 3")
-    f = ds.field
-    has_zero = 0 in ds.elements
-    seen = {}
-    pair = None
-    for d in ds.elements:
-        if d == 0:
-            continue
-        rep = min(f.mul(lam, d) for lam in range(1, f.p))
-        if rep in seen:
-            pair = (seen[rep], d)
-            break
-        seen[rep] = d
-    return Dual3Certificate(
-        certified=(not has_zero) and pair is None,
-        has_zero=has_zero,
-        proportional_pair=pair,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,10 @@ of quadratic forms given as sparse exponent terms, supports of Boolean
 functions, the ternary set cut out by Tr(x + x^l) with the Kasami-type
 exponent l = 3^(2h) - 3^h + 1 over GF(3^(3h)), and the binary set cut
 out by Tr(x^3 + x).
+
+The family constructors are a few array operations over GF(q), on
+membership masks and element arrays; only the transport between moduli
+at the end walks the elements one at a time.
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ from .field import Field, get_field
 def simplex_coset_reps(f: Field) -> DefiningSet:
     """alpha^t for 0 <= t < (q-1)/(p-1): one representative per coset of GF(p)*."""
     n = (f.q - 1) // (f.p - 1)
-    els = tuple(int(e) for e in f.EXP[:n])
-    return DefiningSet(f, els, label=f"simplex p={f.p} m={f.m}")
+    return DefiningSet(f, f.EXP[:n], label=f"simplex p={f.p} m={f.m}")
 
 
 def product_set(e_digits, ds: DefiningSet) -> tuple[DefiningSet, bool]:
@@ -39,16 +42,19 @@ def product_set(e_digits, ds: DefiningSet) -> tuple[DefiningSet, bool]:
     for e in e_digits:
         if not 1 <= e < f.p:
             raise ValueError(f"E must sit inside GF(p)*, got {e}")
-    prods = {f.mul(e, d) for e in e_digits for d in ds.elements}
-    complete = len(prods) == len(e_digits) * ds.n
+    hit = np.zeros(f.q, dtype=bool)
+    for e in e_digits:
+        hit[f.scalar_mul_vec(e, ds.elements)] = True
+    prods = np.flatnonzero(hit)
+    complete = prods.size == len(e_digits) * ds.n
     label = f"product E={{{','.join(map(str, e_digits))}}} of {ds.label or 'set'}"
-    return DefiningSet(f, tuple(prods), label=label), complete
+    return DefiningSet(f, prods, label=label), complete
 
 
 def complement(ds: DefiningSet) -> DefiningSet:
     """GF(q) minus the set.  Contains 0 whenever the set does not."""
-    rest = tuple(set(range(ds.field.q)) - set(ds.elements))
-    if not rest:
+    rest = np.flatnonzero(~ds.mask)
+    if not rest.size:
         raise ValueError("complement is empty")
     return DefiningSet(ds.field, rest, label=f"complement-of:{ds.label or 'set'}")
 
@@ -56,12 +62,12 @@ def complement(ds: DefiningSet) -> DefiningSet:
 def union_disjoint(a: DefiningSet, b: DefiningSet) -> DefiningSet:
     if a.field is not b.field:
         raise ValueError("sets live in different fields")
-    overlap = set(a.elements) & set(b.elements)
-    if overlap:
-        raise ValueError(f"sets overlap in {sorted(overlap)}")
+    overlap = np.flatnonzero(a.mask & b.mask)
+    if overlap.size:
+        raise ValueError(f"sets overlap in {overlap.tolist()}")
     return DefiningSet(
         a.field,
-        a.elements + b.elements,
+        np.flatnonzero(a.mask | b.mask),
         label=f"union({a.label or 'a'}, {b.label or 'b'})",
     )
 
@@ -96,12 +102,11 @@ def evaluate_quadratic_form(f: Field, terms) -> np.ndarray:
 def quadratic_form_image(f: Field, terms) -> tuple[DefiningSet, dict]:
     """Nonzero values taken by the form, plus the fiber profile over GF(q)*."""
     table = evaluate_quadratic_form(f, terms)
-    fibers: dict[int, int] = {}
-    for v in table[1:]:
-        v = int(v)
-        fibers[v] = fibers.get(v, 0) + 1
-    image = tuple(v for v in fibers if v != 0)
-    if not image:
+    counts = np.bincount(table[1:], minlength=f.q)
+    values = np.flatnonzero(counts)
+    fibers = dict(zip(values.tolist(), counts[values].tolist()))
+    image = values[values != 0]
+    if not image.size:
         raise ValueError("form vanishes on all of GF(q)*")
     label = "qf:" + ";".join(f"{i},{j},{a}" for i, j, a in _check_terms(f, terms))
     return DefiningSet(f, image, label=label), fibers
@@ -154,8 +159,8 @@ def boolean_support(f: Field, table) -> DefiningSet:
     table = np.asarray(table, dtype=np.int64)
     if table.shape != (f.q,) or not np.all((table == 0) | (table == 1)):
         raise ValueError("truth table must be q bits")
-    support = tuple(int(x) for x in np.flatnonzero(table))
-    if not support:
+    support = np.flatnonzero(table)
+    if not support.size:
         raise ValueError("function is identically zero")
     return DefiningSet(f, support, label=f"bool-support n_f={len(support)}")
 
@@ -180,15 +185,11 @@ def hkm_set(h: int, f: Field | None = None, allow_even: bool = False) -> Definin
         f = get_field(3, m)
     elif (f.p, f.m) != (3, m):
         raise ValueError(f"field must be GF(3^{m})")
-    ell = hkm_exponent(h)
-    q = f.q
-    els = []
-    for t in range((q - 1) // 2):
-        x = f.antilog(t)
-        y = f.antilog((t * ell) % (q - 1))
-        if f.trace(f.add(x, y)) == 0:
-            els.append(x)
-    return DefiningSet(f, tuple(els), label=f"hkm h={h}")
+    ts = np.arange((f.q - 1) // 2, dtype=np.int64)
+    xs = f.EXP[ts]
+    ys = f.EXP[ts * hkm_exponent(h) % (f.q - 1)]
+    els = xs[f.TR[f.add_vec(xs, ys)] == 0]
+    return DefiningSet(f, els, label=f"hkm h={h}")
 
 
 def tr_cubic_set(m: int, f: Field | None = None) -> DefiningSet:
@@ -205,7 +206,7 @@ def tr_cubic_set(m: int, f: Field | None = None) -> DefiningSet:
         raise ValueError(f"field must be GF(2^{m})")
     xs = np.arange(1, f.q, dtype=np.int64)
     vals = f.pow_vec(xs, 3) ^ xs
-    els = tuple(int(x) for x in xs[f.TR[vals] == 0])
+    els = xs[f.TR[vals] == 0]
     s11 = spectra.weil_sum(f, 1, 1)
     if s11 % 2:
         raise AssertionError("S(1,1) must be even")

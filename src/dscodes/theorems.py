@@ -317,10 +317,10 @@ def _split(field, arg) -> Instance:
         "d1": d1.label or f"n={d1.n}", "d2": d2.label or f"n={d2.n}",
         "n1": d1.n, "n2": d2.n,
     }
-    overlap = set(d1.elements) & set(d2.elements)
+    overlap = int(np.count_nonzero(d1.mask & d2.mask))
     inst = Instance(
         ClaimId.THM2_COMBINE, params,
-        [HypothesisCheck("parts-disjoint", not overlap, f"overlap size {len(overlap)}")],
+        [HypothesisCheck("parts-disjoint", not overlap, f"overlap size {overlap}")],
     )
     if overlap:
         return inst
@@ -348,8 +348,8 @@ def _split(field, arg) -> Instance:
 def _split_off_rest(first: DefiningSet) -> tuple[DefiningSet, DefiningSet]:
     """The two halves of thm2 from its first: the rest of the units."""
     f = first.field
-    rest = tuple(set(range(1, f.q)) - set(first.elements))
-    if not rest:
+    rest = np.flatnonzero(~first.mask[1:]) + 1
+    if not rest.size:
         raise ValueError("the first half covers every unit; nothing is left")
     return first, DefiningSet(f, rest, label="rest-of-units")
 
@@ -449,7 +449,7 @@ def _boolean_complement(field: Field, table) -> Instance:
             f"max transform {max(nonzero_vals)}, bound {2 * (q - n_f)}",
         )
     )
-    els = tuple(int(x) for x in np.flatnonzero(table == 0) if x != 0)
+    els = np.flatnonzero(table[1:] == 0) + 1
     inst.predict = lambda: predict_boolean_complement(spectrum)
     inst.construct = lambda: DefiningSet(field, els, label=f"bool-zeros n_f={n_f}")
     return inst

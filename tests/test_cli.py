@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import random
 import re
 import runpy
 from pathlib import Path
@@ -198,6 +199,21 @@ def test_truth_table_binary_and_hex_agree(capsys, tmp_path):
     _, out1, _ = run(capsys, "walsh", "--m", "4", "--set", f"bool:{p1}")
     _, out2, _ = run(capsys, "walsh", "--m", "4", "--set", f"bool:{p2}")
     assert out1 == out2
+
+
+def test_truth_table_bit_order_matches_scalar_oracle(tmp_path):
+    # oracle: the last bit is f(0), bit q-2-t is f(alpha^t)
+    rng = random.Random(3)
+    for m in (1, 4, 7, 10):
+        f = field.get_field(2, m)
+        bits = "".join(rng.choice("01") for _ in range(f.q))
+        path = tmp_path / f"table{m}.txt"
+        path.write_text(bits + "\n")
+        want = [0] * f.q
+        want[0] = int(bits[-1])
+        for t in range(f.q - 1):
+            want[f.antilog(t)] = int(bits[f.q - 2 - t])
+        assert cli._truth_table_for_field(f, str(path)).tolist() == want, m
 
 
 def test_truth_table_errors(capsys, tmp_path):

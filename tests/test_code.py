@@ -17,7 +17,6 @@ from dscodes.code import (
     build_code_weights,
     distribution_from_raw_histogram,
     dual_distance,
-    dual_distance_at_least_3,
     griesmer_check,
     macwilliams_dual,
     pless_moments_check,
@@ -258,20 +257,6 @@ def test_griesmer_bound_values():
     assert griesmer_check(7, 3, 4, 2).bound == 7
 
 
-def test_dual3_certificate():
-    ds = sets.tr_cubic_set(5)
-    cert = dual_distance_at_least_3(ds)
-    assert cert.certified
-    f = get_field(2, 4)
-    bad = DefiningSet(f, (0, 1, 2))
-    cert2 = dual_distance_at_least_3(bad)
-    assert not cert2.certified and cert2.has_zero
-    f9 = get_field(3, 2)
-    prop = DefiningSet(f9, (1, f9.mul(2, 1), 4))
-    cert3 = dual_distance_at_least_3(prop)
-    assert not cert3.certified and cert3.proportional_pair is not None
-
-
 def test_summary_fields():
     ds = sets.tr_cubic_set(5)
     s = summarize(ds)
@@ -287,8 +272,49 @@ def test_defining_set_validation():
         DefiningSet(f, (1, 1))
     with pytest.raises(ValueError):
         DefiningSet(f, (9,))
+    with pytest.raises(ValueError):
+        DefiningSet(f, (-1,))
+    with pytest.raises(ValueError):
+        DefiningSet(f, (1 << 70,))
+    with pytest.raises(ValueError):
+        DefiningSet(f, ((1, 2), (3, 4)))
     ds = DefiningSet(f, (3, 1, 0, 2))
     assert ds.elements[0] == 0  # canonical order: 0 first, then by dlog
+
+
+def _canonical_by_sort(f, elements):
+    """Oracle for the canonical order: 0 first, then a sort by discrete log."""
+    return sorted(set(elements), key=lambda e: -1 if e == 0 else int(f.LOG[e]))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_canonical_elements_match_sort_oracle(p):
+    rng = random.Random(700 + p)
+    m = 1
+    while p**m <= 1 << 11:
+        f = get_field(p, m)
+        for _ in range(4):
+            els = rng.sample(range(f.q), rng.randint(1, f.q))
+            ds = DefiningSet(f, els)
+            assert ds.elements.dtype == np.int64
+            assert ds.elements.tolist() == _canonical_by_sort(f, els), (p, m)
+            assert np.flatnonzero(ds.mask).tolist() == sorted(els), (p, m)
+        m += 1
+
+
+def test_defining_set_is_read_only_and_compares_by_value():
+    f = get_field(3, 3)
+    a = DefiningSet(f, (5, 0, 1), label="a")
+    b = DefiningSet(f, np.array([1, 5, 0]), label="b")
+    assert a == b and hash(a) == hash(b)  # the label is provenance, not identity
+    assert len({a, b}) == 1
+    assert a != DefiningSet(f, (5, 1))
+    assert a != DefiningSet(alternate_field(f), (5, 0, 1))
+    assert a.mask.shape == (f.q,) and a.mask.dtype == bool
+    with pytest.raises(ValueError):
+        a.elements[0] = 2
+    with pytest.raises(ValueError):
+        a.mask[0] = False
 
 
 def test_weight_distribution_validation():

@@ -229,3 +229,135 @@ def test_embedding_root_respects_minimal_polynomial(gf16):
     for i, c in enumerate(gf16.modulus):
         acc = g.add(acc, g.mul(c % g.p, g.pow(root, i)))
     assert acc == 0
+
+
+# ----------------------------------------------------------------------
+# the array constructors against the scalar code they replaced, kept
+# here as oracles: every set is compared in canonical order, so order
+# and membership are checked together
+
+
+def _canonical(f, elements):
+    return sorted(set(elements), key=lambda e: -1 if e == 0 else int(f.LOG[e]))
+
+
+def _product_oracle(e_digits, ds):
+    f = ds.field
+    prods = {f.mul(e, d) for e in e_digits for d in ds.elements.tolist()}
+    return _canonical(f, prods), len(prods) == len(set(e_digits)) * ds.n
+
+
+def _quadratic_image_oracle(f, terms):
+    fibers = {}
+    for v in sets.evaluate_quadratic_form(f, terms)[1:].tolist():
+        fibers[v] = fibers.get(v, 0) + 1
+    return _canonical(f, [v for v in fibers if v != 0]), fibers
+
+
+def _hkm_oracle(h, f):
+    q, ell = f.q, sets.hkm_exponent(h)
+    els = []
+    for t in range((q - 1) // 2):
+        x = f.antilog(t)
+        if f.trace(f.add(x, f.antilog(t * ell % (q - 1)))) == 0:
+            els.append(x)
+    return _canonical(f, els)
+
+
+def _tr_cubic_oracle(f):
+    return _canonical(f, [x for x in f.units() if f.trace(f.add(f.pow(x, 3), x)) == 0])
+
+
+ORACLE_FIELDS = [(2, 3), (2, 6), (2, 9), (3, 2), (3, 5), (5, 2), (5, 4), (7, 3),
+                 (11, 2), (13, 2)]
+
+
+def _seeded_sets(f, rng, count):
+    return [
+        DefiningSet(f, rng.sample(range(f.q), rng.randint(1, f.q - 1)), label="random")
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("p,m", ORACLE_FIELDS)
+def test_complement_and_union_match_scalar_oracle(p, m):
+    f = get_field(p, m)
+    rng = random.Random(41 * p + m)
+    for ds in _seeded_sets(f, rng, 4):
+        comp = sets.complement(ds)
+        assert comp.elements.tolist() == _canonical(f, set(range(f.q)) - set(ds.elements.tolist()))
+        back = sets.complement(comp)
+        assert back == ds
+        # split the set in two halves: disjoint, so the union is the set again
+        els = ds.elements.tolist()
+        rng.shuffle(els)
+        cut = rng.randint(1, max(1, len(els) - 1))
+        if cut < len(els):
+            a, b = DefiningSet(f, els[:cut]), DefiningSet(f, els[cut:])
+            assert sets.union_disjoint(a, b).elements.tolist() == _canonical(f, els)
+            with pytest.raises(ValueError, match=rf"overlap in \[{min(els[:cut])}\]"):
+                sets.union_disjoint(a, DefiningSet(f, [min(els[:cut])]))
+    with pytest.raises(ValueError):
+        sets.complement(DefiningSet(f, range(f.q)))
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+def test_product_set_matches_scalar_oracle(p):
+    rng = random.Random(90 + p)
+    flags = set()
+    for m in (1, 2, 3):
+        f = get_field(p, m)
+        # random sets, and sets closed under a scalar so some products collapse
+        bases = _seeded_sets(f, rng, 3)
+        closed = {1, f.mul(2, 1)} | {f.mul(2, d) for d in (5 % f.q, 7 % f.q) if d}
+        bases.append(DefiningSet(f, sorted(closed), label="closed"))
+        for ds in bases:
+            e_digits = tuple(rng.sample(range(1, p), rng.randint(1, p - 1)))
+            for digits in (e_digits, (1, 2)):
+                prod, complete = sets.product_set(digits, ds)
+                want, want_complete = _product_oracle(digits, ds)
+                assert prod.elements.tolist() == want, (p, m, digits)
+                assert complete == want_complete, (p, m, digits)
+                flags.add(complete)
+    assert flags == {True, False}
+
+
+def test_quadratic_form_image_matches_scalar_oracle():
+    rng = random.Random(77)
+    seen_vanishing = False
+    for p, m in RANK_FIELDS + [(11, 2), (13, 2)]:
+        f = get_field(p, m)
+        for _ in range(4):
+            terms = _random_form(rng, f)
+            want, want_fibers = _quadratic_image_oracle(f, terms)
+            if not want:
+                seen_vanishing = True
+                with pytest.raises(ValueError):
+                    sets.quadratic_form_image(f, terms)
+                continue
+            image, fibers = sets.quadratic_form_image(f, terms)
+            assert image.elements.tolist() == want, (p, m, terms)
+            assert fibers == want_fibers, (p, m, terms)
+    assert seen_vanishing
+
+
+@pytest.mark.parametrize("h", (1, 3))
+def test_hkm_set_matches_scalar_oracle(h):
+    ds = sets.hkm_set(h)
+    assert ds.elements.tolist() == _hkm_oracle(h, ds.field)
+
+
+@pytest.mark.parametrize("m", range(2, 15))
+def test_tr_cubic_set_matches_scalar_oracle(m):
+    ds = sets.tr_cubic_set(m)
+    assert ds.elements.tolist() == _tr_cubic_oracle(ds.field)
+
+
+def test_boolean_support_matches_scalar_oracle():
+    rng = random.Random(5)
+    for m in range(1, 9):
+        f = get_field(2, m)
+        table = np.array([rng.randint(0, 1) for _ in range(f.q)], dtype=np.int64)
+        table[rng.randrange(f.q)] = 1
+        ds = sets.boolean_support(f, table)
+        assert ds.elements.tolist() == _canonical(f, [x for x in range(f.q) if table[x]])
