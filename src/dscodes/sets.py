@@ -18,7 +18,6 @@ import functools
 
 import numpy as np
 
-from . import spectra
 from .code import DefiningSet
 from .field import Field, get_field
 
@@ -89,7 +88,8 @@ def _check_terms(f: Field, terms):
 
 
 def evaluate_quadratic_form(f: Field, terms) -> np.ndarray:
-    """Value table of f over all of GF(q)."""
+    """Value table of f over all of GF(q).  The readers below take this
+    table, so a form is evaluated once however much is read off it."""
     terms = _check_terms(f, terms)
     xs = np.arange(f.q, dtype=np.int64)
     acc = np.zeros(f.q, dtype=np.int64)
@@ -99,26 +99,35 @@ def evaluate_quadratic_form(f: Field, terms) -> np.ndarray:
     return acc
 
 
-def quadratic_form_image(f: Field, terms) -> tuple[DefiningSet, dict]:
-    """Nonzero values taken by the form, plus the fiber profile over GF(q)*."""
-    table = evaluate_quadratic_form(f, terms)
-    counts = np.bincount(table[1:], minlength=f.q)
+def _fibers(table) -> dict:
+    """Fiber profile over GF(q)*: each value taken there, with how often."""
+    counts = np.bincount(table[1:])
     values = np.flatnonzero(counts)
-    fibers = dict(zip(values.tolist(), counts[values].tolist()))
-    image = values[values != 0]
+    return dict(zip(values.tolist(), counts[values].tolist()))
+
+
+def form_image(f: Field, table, label: str) -> DefiningSet:
+    """Nonzero values the table takes on GF(q)*."""
+    image = np.flatnonzero(np.bincount(table[1:], minlength=f.q)[1:]) + 1
     if not image.size:
         raise ValueError("form vanishes on all of GF(q)*")
-    label = "qf:" + ";".join(f"{i},{j},{a}" for i, j, a in _check_terms(f, terms))
-    return DefiningSet(f, image, label=label), fibers
+    return DefiningSet(f, image, label=label)
 
 
-def quadratic_form_rank(f: Field, terms) -> int:
+def quadratic_form_image(f: Field, terms) -> tuple[DefiningSet, dict]:
+    """Nonzero values taken by the form, plus the fiber profile over GF(q)*."""
+    terms = _check_terms(f, terms)
+    table = evaluate_quadratic_form(f, terms)
+    label = "qf:" + ";".join(f"{i},{j},{a}" for i, j, a in terms)
+    return form_image(f, table, label), _fibers(table)
+
+
+def quadratic_form_rank(f: Field, table) -> int:
     """Rank r with |V_f| = p^(m-r), V_f the radical of the induced bilinear form.
 
     B(x, z) = f(x+z) - f(x) - f(z) is GF(p)-bilinear, so x lies in V_f
     iff B(x, alpha^j) = 0 for the m basis directions alpha^j = p^j.
     """
-    table = evaluate_quadratic_form(f, terms)
     xs = np.arange(f.q, dtype=np.int64)
     in_radical = np.ones(f.q, dtype=bool)
     for j in range(f.m):
@@ -134,17 +143,14 @@ def quadratic_form_rank(f: Field, terms) -> int:
     return r
 
 
-def is_e_to_1(f: Field, terms):
+def is_e_to_1(table):
     """e if the form is e-to-1 from GF(q)* onto its image and never 0 there,
     with f(0) = 0; otherwise None."""
-    table = evaluate_quadratic_form(f, terms)
     if table[0] != 0:
         return None
-    if np.any(table[1:] == 0):
-        return None
-    _, fibers = quadratic_form_image(f, terms)
+    fibers = _fibers(table)
     sizes = set(fibers.values())
-    if len(sizes) != 1:
+    if 0 in fibers or len(sizes) != 1:
         return None
     return sizes.pop()
 
@@ -193,11 +199,7 @@ def hkm_set(h: int, f: Field | None = None, allow_even: bool = False) -> Definin
 
 
 def tr_cubic_set(m: int, f: Field | None = None) -> DefiningSet:
-    """Nonzero x in GF(2^m) with Tr(x^3 + x) = 0.
-
-    The size is re-derived from the exponential sum S(1,1) before the
-    set is returned; a disagreement aborts construction.
-    """
+    """Nonzero x in GF(2^m) with Tr(x^3 + x) = 0."""
     if m < 2:
         raise ValueError("m must be >= 2")
     if f is None:
@@ -207,12 +209,6 @@ def tr_cubic_set(m: int, f: Field | None = None) -> DefiningSet:
     xs = np.arange(1, f.q, dtype=np.int64)
     vals = f.pow_vec(xs, 3) ^ xs
     els = xs[f.TR[vals] == 0]
-    s11 = spectra.weil_sum(f, 1, 1)
-    if s11 % 2:
-        raise AssertionError("S(1,1) must be even")
-    n0 = f.q // 2 + s11 // 2
-    if len(els) != n0 - 1:
-        raise AssertionError(f"set size {len(els)} disagrees with n0 - 1 = {n0 - 1}")
     return DefiningSet(f, els, label=f"trcubic m={m}")
 
 

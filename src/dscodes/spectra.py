@@ -183,9 +183,6 @@ class WalshSpectrum:
     def value(self, w: int) -> int:
         return int(self.values[w])
 
-    def max_value(self) -> int:
-        return int(self.values.max())
-
 
 def walsh_transform(f: Field, table) -> WalshSpectrum:
     """Exact spectrum of a truth table indexed by element code.

@@ -11,7 +11,6 @@ formula.
 from __future__ import annotations
 
 import random
-import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -61,10 +60,8 @@ class TheoremReport:
     predicted: WeightDistribution | None
     computed: WeightDistribution | None
     first_diff: dict | None
-    elapsed_s: float
 
     def to_json_dict(self) -> dict:
-        # elapsed_s stays out: outputs must be byte-identical across runs
         return {
             "claim": self.claim.value,
             "params": self.params,
@@ -243,14 +240,15 @@ def predict_cubic_trace_even(m: int) -> WeightDistribution:
 
 
 # ----------------------------------------------------------------------
-# claim instances: one `build` function per claim, driven by `verify`
+# claim instances: one `build` function per claim; `verify` and `scan`
+# hand each built instance to `_run`
 
 
 @dataclass
 class Instance:
-    """One claim instance for `verify`.  `predict` and `construct` run
-    only when every check passed; `construct` returns the set to
-    enumerate, or a distribution a check already enumerated."""
+    """One built claim instance.  `predict` and `construct` run only
+    when every check passed; `construct` returns the set to enumerate,
+    or a distribution a check already enumerated."""
 
     claim: ClaimId
     params: dict
@@ -380,8 +378,9 @@ def _quadratic(field: Field, terms) -> Instance:
     odd- or even-rank claim by the form's rank."""
     p, m = field.p, field.m
     terms = tuple((int(i), int(j), int(a)) for i, j, a in terms)
-    e = sets.is_e_to_1(field, terms)
-    r = sets.quadratic_form_rank(field, terms)
+    table = sets.evaluate_quadratic_form(field, terms)
+    e = sets.is_e_to_1(table)
+    r = sets.quadratic_form_rank(field, table)
     even = r % 2 == 0
     inst = Instance(
         ClaimId.COR4_QF_EVEN if even else ClaimId.COR4_QF_ODD,
@@ -412,7 +411,7 @@ def _quadratic(field: Field, terms) -> Instance:
         return inst
     inst.checks.append(HypothesisCheck("weights-integral", True, ""))
     inst.predict = lambda: predicted
-    inst.construct = lambda: sets.complement(sets.quadratic_form_image(field, terms)[0])
+    inst.construct = lambda: sets.complement(sets.form_image(field, table, f"qf-image e={e} r={r}"))
     return inst
 
 
@@ -567,7 +566,7 @@ def _expansion_sweep(
 
 
 # ----------------------------------------------------------------------
-# scan families: (p, value, rng, trials) -> the (field, arg) pairs to check
+# scan families: (build, p, value, rng, trials) -> the built instances to run
 
 
 def _all_nonempty_subsets(universe):
@@ -578,53 +577,49 @@ def _all_nonempty_subsets(universe):
     return out
 
 
-def _random_reflectable_set(f: Field, rng: random.Random, max_tries: int = 400):
-    """Random D whose code has full dimension and max weight below the
-    one-weight level, so the reflection claim applies."""
-    full_weight = (f.p - 1) * f.p ** (f.m - 1)
+def _random_reflectable_set(f: Field, rng: random.Random, max_tries: int = 400) -> Instance:
+    """The first cor3 instance on a random D that meets its hypotheses."""
     for _ in range(max_tries):
         size = rng.randint(f.m, min(f.q - 2, f.m + 6))
-        els = tuple(rng.sample(range(f.q), size))
-        ds = DefiningSet(f, els, label="random")
-        wd = build_code_weights(ds)
-        if wd.k == f.m and wd.w_max is not None and wd.w_max < full_weight:
-            return ds
+        inst = _complement(f, DefiningSet(f, tuple(rng.sample(range(f.q), size)), label="random"))
+        if inst.holds:
+            return inst
     # a range too small to hold such a set is a usage error, not a falsification
     raise ValueError("could not sample a set meeting the reflection hypotheses")
 
 
 def _one_per_m(parity: int | None = None, arg=lambda f: None):
     """One instance per m (of one parity, if given), its arg made from the field."""
-    def family(p, m, rng, trials):
+    def family(build, p, m, rng, trials):
         if parity not in (None, m % 2):
             return []
         f = get_field(p, m)
-        return [(f, arg(f))]
+        return [build(f, arg(f))]
     return family
 
 
-def _scalar_subsets(p, m, rng, trials):
+def _scalar_subsets(build, p, m, rng, trials):
     if p > 13:
         raise ValueError("subset scan is limited to p <= 13")
     f = get_field(p, m)
-    return [(f, e_digits) for e_digits in _all_nonempty_subsets(range(1, p))]
+    for e_digits in _all_nonempty_subsets(range(1, p)):
+        yield build(f, e_digits)
 
 
-def _reflectable_sets(p, m, rng, trials):
+def _reflectable_sets(build, p, m, rng, trials):
     f = get_field(p, m)
     for _ in range(trials):
-        yield f, _random_reflectable_set(f, rng)
+        yield _random_reflectable_set(f, rng)
 
 
-def _diagonal_forms(even: bool):
-    """x^(p^s + 1) for the s where the form is e-to-1, e > 1, of one rank parity."""
-    def family(p, m, rng, trials):
+def _diagonal_forms(claim: ClaimId):
+    """x^(p^s + 1) for the s whose instance is this claim's, with e not in {None, 1}."""
+    def family(build, p, m, rng, trials):
         f = get_field(p, m)
         for s in range(m):
-            terms = ((s, 0, 1),)
-            e = sets.is_e_to_1(f, terms)
-            if e not in (None, 1) and (sets.quadratic_form_rank(f, terms) % 2 == 0) == even:
-                yield f, terms
+            inst = build(f, ((s, 0, 1),))
+            if inst.claim is claim and inst.params["e"] not in (None, 1):
+                yield inst
     return family
 
 
@@ -640,7 +635,7 @@ class ClaimSpec:
     default_p: int  # p when none is given
     build: Callable[..., Instance] | None = None  # (field, arg) -> one instance
     fixed_p: bool = False  # refuse any p but default_p
-    # (p, value of the parameter, rng, trials) -> the (field, arg) pairs a scan checks
+    # (build, p, value of the parameter, rng, trials) -> the built instances a scan runs
     family: Callable | None = None
     # (field, the CLI's --set reader) -> arg; None: --set is ignored
     parse_set: Callable | None = None
@@ -670,14 +665,14 @@ CLAIMS = {spec.token: spec for spec in (
     ClaimSpec("thm2", 2, _split, parse_set=lambda f, s: _split_off_rest(s.defining_set(f))),
     ClaimSpec("cor3", 2, _complement, family=_reflectable_sets,
               parse_set=lambda f, s: s.defining_set(f)),
-    ClaimSpec("cor4odd", 3, _quadratic, family=_diagonal_forms(even=False),
+    ClaimSpec("cor4odd", 3, _quadratic, family=_diagonal_forms(ClaimId.COR4_QF_ODD),
               parse_set=lambda f, s: s.terms()),
-    ClaimSpec("cor4even", 3, _quadratic, family=_diagonal_forms(even=True),
+    ClaimSpec("cor4even", 3, _quadratic, family=_diagonal_forms(ClaimId.COR4_QF_EVEN),
               parse_set=lambda f, s: s.terms()),
     ClaimSpec("cor5", 2, _boolean_complement, fixed_p=True,
               family=_one_per_m(arg=spectra.tr_cubic_table), parse_set=lambda f, s: s.table(f)),
     ClaimSpec("thm3", 3, _half_orbit, fixed_p=True, param="h",
-              family=lambda p, h, rng, trials: [(None, h)] if h % 2 == 1 else []),
+              family=lambda build, p, h, rng, trials: [build(None, h)] if h % 2 == 1 else []),
     ClaimSpec("thm4", 2, _cubic_trace(ClaimId.THM4_ODD_M, True, 5, predict_cubic_trace_odd),
               fixed_p=True, family=_one_per_m(parity=1)),
     ClaimSpec("thm5", 2, _cubic_trace(ClaimId.THM5_EVEN_M, False, 4, predict_cubic_trace_even),
@@ -689,15 +684,8 @@ def _spec(claim: ClaimId | str) -> ClaimSpec:
     return CLAIMS[claim.value if isinstance(claim, ClaimId) else claim]
 
 
-def verify(claim, field=None, arg=None, *, seed: int = DEFAULT_SEED):
-    """One instance of a claim, with `field` and `arg` as its row takes
-    them: hypotheses first, then the prediction against enumeration.
-    Rows with a sweep (thm1prop) return an ExpansionPropertyReport."""
-    spec = _spec(claim)
-    if spec.sweep is not None:
-        return spec.sweep(field, seed)
-    t0 = time.perf_counter()
-    inst = spec.build(field, arg)
+def _run(inst: Instance) -> TheoremReport:
+    """The prediction against enumeration, when every hypothesis holds."""
     predicted = computed = diff = None
     verdict = VERDICT_HYPOTHESIS
     if inst.holds:
@@ -708,9 +696,18 @@ def verify(claim, field=None, arg=None, *, seed: int = DEFAULT_SEED):
         if verdict == VERDICT_MISMATCH:
             diff = _first_diff(predicted, computed)
     return TheoremReport(
-        inst.claim, inst.params, verdict, tuple(inst.checks), predicted, computed, diff,
-        time.perf_counter() - t0,
+        inst.claim, inst.params, verdict, tuple(inst.checks), predicted, computed, diff
     )
+
+
+def verify(claim, field=None, arg=None, *, seed: int = DEFAULT_SEED):
+    """One instance of a claim, with `field` and `arg` as its row takes
+    them: built, then run.  Rows with a sweep (thm1prop) return an
+    ExpansionPropertyReport."""
+    spec = _spec(claim)
+    if spec.sweep is not None:
+        return spec.sweep(field, seed)
+    return _run(spec.build(field, arg))
 
 
 def scan(
@@ -722,16 +719,16 @@ def scan(
     trials: int = 100,
     seed: int = DEFAULT_SEED,
 ) -> list[TheoremReport]:
-    """One report per instance of the claim's family inside the given ranges."""
+    """One report per instance the claim's family builds inside the given ranges."""
     spec = _spec(claim)
     if spec.family is None:
         raise ValueError(f"no scan family for {spec.token}")
     p = spec.field_p(p)
     rng = random.Random(seed)
     return [
-        verify(spec.token, f, arg)
+        _run(inst)
         for value in (h_values if spec.param == "h" else m_values)
-        for f, arg in spec.family(p, value, rng, trials)
+        for inst in spec.family(spec.build, p, value, rng, trials)
     ]
 
 

@@ -147,9 +147,8 @@ def test_criterion_07_complement_reflection_sweep():
         f = get_field(p, m)
         rng = random.Random(1000 + f.q)
         for _ in range(count):
-            ds = theorems._random_reflectable_set(f, rng)
-            rep = theorems.verify("cor3", f, ds)
-            assert rep.verdict == "match", (p, m, ds.elements, rep.first_diff)
+            rep = theorems._run(theorems._random_reflectable_set(f, rng))
+            assert rep.verdict == "match", (p, m, rep.params, rep.first_diff)
             total += 1
     assert total == 100
     print("PASS criterion 7: 100 random reflection instances all match")

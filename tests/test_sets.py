@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from dscodes import sets
+from dscodes import sets, spectra
 from dscodes.code import DefiningSet, build_code_weights
 from dscodes.field import alternate_field, get_field
 
@@ -78,7 +78,7 @@ def test_quadratic_form_evaluation_matches_pointwise(gf27):
 def test_quadratic_form_rank_of_square_is_full():
     for p, m in [(3, 2), (3, 3), (5, 2)]:
         f = get_field(p, m)
-        assert sets.quadratic_form_rank(f, ((0, 0, 1),)) == m
+        assert sets.quadratic_form_rank(f, sets.evaluate_quadratic_form(f, ((0, 0, 1),))) == m
 
 
 def _rank_by_exhaustive_scan(f, terms):
@@ -130,7 +130,7 @@ def test_quadratic_form_rank_matches_exhaustive_scan():
             a = rng.randrange(1, f.q)
             forms.append(((0, 1, a), (1, 0, f.neg(a))))  # B vanishes: rank 0
         for terms in forms:
-            r = sets.quadratic_form_rank(f, terms)
+            r = sets.quadratic_form_rank(f, sets.evaluate_quadratic_form(f, terms))
             assert r == _rank_by_exhaustive_scan(f, terms), (p, m, terms)
             seen.add((p, "zero" if r == 0 else "full" if r == m else "between"))
     # every p meets rank 0, a rank strictly between 0 and m, and rank m
@@ -139,18 +139,21 @@ def test_quadratic_form_rank_matches_exhaustive_scan():
 
 def test_e_to_1_matches_fiber_profile(gf27):
     terms = ((0, 0, 1),)  # x^2 is 2-to-1 on units
-    e = sets.is_e_to_1(gf27, terms)
+    e = sets.is_e_to_1(sets.evaluate_quadratic_form(gf27, terms))
     assert e == 2
     image, fibers = sets.quadratic_form_image(gf27, terms)
     assert image.n == (gf27.q - 1) // 2
     assert {count for v, count in fibers.items() if v != 0} == {2}
     assert 0 not in fibers  # the square map has no zero on the units
+    # x^2 + 1: still 2-to-1 with no zero on the units (-1 is a non-square
+    # in GF(27)), but f(0) = 1
+    assert sets.is_e_to_1(gf27.add_vec(sets.evaluate_quadratic_form(gf27, terms), 1)) is None
 
 
 def test_gold_form_over_gf81_is_4_to_1():
     f = get_field(3, 4)
     terms = ((1, 0, 1),)  # x^{3+1}
-    assert sets.is_e_to_1(f, terms) == 4
+    assert sets.is_e_to_1(sets.evaluate_quadratic_form(f, terms)) == 4
     image, _ = sets.quadratic_form_image(f, terms)
     assert image.n == (f.q - 1) // 4
 
@@ -163,8 +166,8 @@ def test_vanishing_form_is_not_e_to_1(gf9):
     # f(x) = x^2 + 2 x^{3+1}: check the helper rejects it when it
     # vanishes at a unit or has uneven fibers
     terms = ((0, 0, 1), (1, 0, 2))
-    e = sets.is_e_to_1(f, terms)
     values = sets.evaluate_quadratic_form(f, terms)
+    e = sets.is_e_to_1(values)
     vanishes = bool(np.any(values[1:] == 0))
     if vanishes:
         assert e is None
@@ -190,10 +193,15 @@ def test_hkm_set_rejects_even_h():
 
 
 def test_tr_cubic_set_sizes():
-    # closed forms cross-checked internally against the character sum
     expected = {4: 11, 5: 11, 6: 31, 7: 71, 8: 111}
     for m, n in expected.items():
         assert sets.tr_cubic_set(m).n == n
+    # |D| = n0 - 1 with n0 = q/2 + S(1, 1)/2 the zeros of Tr(x^3 + x)
+    for m in range(2, 15):
+        ds = sets.tr_cubic_set(m)
+        s11 = spectra.weil_sum(ds.field, 1, 1)
+        assert s11 % 2 == 0, m
+        assert ds.n == ds.field.q // 2 + s11 // 2 - 1, m
 
 
 def test_boolean_support(gf16):
@@ -322,13 +330,28 @@ def test_product_set_matches_scalar_oracle(p):
     assert flags == {True, False}
 
 
+def _e_oracle(f, terms):
+    values = [0] * f.q
+    for x in range(f.q):
+        for i, j, a in terms:
+            power = f.mul(f.pow(x, f.p**i), f.pow(x, f.p**j))
+            values[x] = f.add(values[x], f.mul(a, power))
+    fibers = {v: values[1:].count(v) for v in set(values[1:])}
+    if values[0] != 0 or 0 in fibers or len(set(fibers.values())) != 1:
+        return None
+    return set(fibers.values()).pop()
+
+
 def test_quadratic_form_image_matches_scalar_oracle():
     rng = random.Random(77)
     seen_vanishing = False
+    seen_e = set()
     for p, m in RANK_FIELDS + [(11, 2), (13, 2)]:
         f = get_field(p, m)
-        for _ in range(4):
-            terms = _random_form(rng, f)
+        for terms in [_random_form(rng, f) for _ in range(4)] + [((0, 0, 1),)]:
+            e = sets.is_e_to_1(sets.evaluate_quadratic_form(f, terms))
+            assert e == _e_oracle(f, terms), (p, m, terms)
+            seen_e.add(e is None)
             want, want_fibers = _quadratic_image_oracle(f, terms)
             if not want:
                 seen_vanishing = True
@@ -338,7 +361,7 @@ def test_quadratic_form_image_matches_scalar_oracle():
             image, fibers = sets.quadratic_form_image(f, terms)
             assert image.elements.tolist() == want, (p, m, terms)
             assert fibers == want_fibers, (p, m, terms)
-    assert seen_vanishing
+    assert seen_vanishing and seen_e == {True, False}
 
 
 @pytest.mark.parametrize("h", (1, 3))

@@ -184,8 +184,8 @@ def test_complement_random_sweep():
     for p, m in [(2, 4), (3, 3)]:
         f = get_field(p, m)
         for _ in range(10):
-            ds = theorems._random_reflectable_set(f, rng)
-            assert theorems.verify("cor3", f, ds).verdict == "match"
+            inst = theorems._random_reflectable_set(f, rng)
+            assert theorems._run(inst).verdict == "match"
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +239,7 @@ def test_quadratic_rejects_permutation_form():
     # x^{3^s + 1} with gcd(q - 1, 3^s + 1) = 2 always here, so fall back
     # to a form that vanishes on units
     terms = ((0, 0, 1), (1, 0, 2))
-    e = sets.is_e_to_1(f, terms)
+    e = sets.is_e_to_1(sets.evaluate_quadratic_form(f, terms))
     if e is None:
         rep = theorems.verify("cor4odd", f, terms)
         assert rep.verdict == "hypothesis-not-met"
@@ -378,6 +378,61 @@ def test_scan_half_orbit_skips_even_h():
     reports = scan(ClaimId.THM3_HKM, h_values=(1, 2))
     assert len(reports) == 1
     assert reports[0].verdict == "match"
+
+
+# ----------------------------------------------------------------------
+# work per instance: each value is computed once
+
+
+def _record_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper; the returned list gets each result."""
+    results = []
+    original = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, recorded)
+    return results
+
+
+def test_cor3_scan_enumerates_base_and_complement_once(monkeypatch):
+    weights = _record_calls(monkeypatch, theorems, "build_code_weights")
+    built = _record_calls(monkeypatch, theorems, "_complement")
+    reports = scan("cor3", p=2, m_values=(4, 5), trials=25)
+    rejected = sum(not inst.holds for inst in built)
+    assert len(reports) == 50 and rejected > 0
+    assert len(built) == len(reports) + rejected
+    # one kernel call per draw for its base, one per report for its complement
+    assert len(weights) == 2 * len(reports) + rejected
+
+
+def test_cor4_scan_evaluates_each_form_once(monkeypatch):
+    tables = _record_calls(monkeypatch, sets, "evaluate_quadratic_form")
+    reports = scan("cor4odd", p=3, m_values=(3, 4, 5))
+    assert len(reports) == 8
+    assert len(tables) == 3 + 4 + 5  # one form x^(3^s + 1) per s < m
+
+
+def test_scan_runs_each_instance_before_building_the_next(monkeypatch):
+    # families yield lazily, so one instance's sets are alive at a time
+    events = []
+    for module, name in ((sets, "product_set"), (theorems, "build_code_weights")):
+        def logged(*args, _original=getattr(module, name), _name=name):
+            events.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(module, name, logged)
+    reports = scan("cor2", p=5, m_values=(2,))
+    assert len(reports) == 15
+    assert events == ["product_set", "build_code_weights"] * 15
+
+
+def test_cor4_verify_evaluates_the_form_once(monkeypatch):
+    tables = _record_calls(monkeypatch, sets, "evaluate_quadratic_form")
+    rep = theorems.verify("cor4even", get_field(3, 2), ((0, 0, 1),))
+    assert rep.verdict == "match"
+    assert len(tables) == 1
 
 
 # ----------------------------------------------------------------------
