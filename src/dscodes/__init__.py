@@ -20,10 +20,10 @@ from .code import (
     pless_moments_check,
     summarize,
 )
-from .field import Field, alternate_field, get_field
+from .field import Field, get_field
 from .secretshare import MinimalReport, RatioReport, minimal_codewords, ratio_check
 from .spectra import WalshSpectrum, walsh_transform, weil_sum
-from .theorems import ClaimId, TheoremReport, scan, scan_summary, thm1_property_test
+from .theorems import ClaimId, TheoremReport, scan, scan_summary
 
 __all__ = [
     "ClaimId",
@@ -35,7 +35,6 @@ __all__ = [
     "TheoremReport",
     "WalshSpectrum",
     "WeightDistribution",
-    "alternate_field",
     "build_code_weights",
     "dual_distance",
     "get_field",
@@ -47,7 +46,6 @@ __all__ = [
     "scan",
     "scan_summary",
     "summarize",
-    "thm1_property_test",
     "walsh_transform",
     "weil_sum",
 ]

@@ -317,10 +317,8 @@ def cmd_walsh(args):
     table = _SetOption("walsh", args.set).table(f)
     canned = not args.set
     spectrum = spectra.walsh_transform(f, table)
-    values = [int(v) for v in spectrum.values]
-    hist: dict[int, int] = {}
-    for v in values:
-        hist[v] = hist.get(v, 0) + 1
+    values, counts = np.unique(spectrum.values, return_counts=True)
+    values = values.tolist()
     semibent = None
     if f.m % 2 == 1:
         level = 1 << ((f.m + 1) // 2)
@@ -328,8 +326,8 @@ def cmd_walsh(args):
     payload = {
         "command": "walsh",
         "p": 2, "m": f.m, "n_f": spectrum.n_f,
-        "value_histogram": [[v, hist[v]] for v in sorted(hist)],
-        "max_abs": max(abs(v) for v in values),
+        "value_histogram": [[v, c] for v, c in zip(values, counts.tolist())],
+        "max_abs": max(abs(values[0]), abs(values[-1])),
         "semibent": semibent,
     }
     code = EXIT_OK

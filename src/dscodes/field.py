@@ -247,30 +247,10 @@ class Field:
             pw *= p
         return s
 
-    def neg(self, a: int) -> int:
-        p = self.p
-        if p == 2:
-            return a
-        s = 0
-        pw = 1
-        for _ in range(self.m):
-            s += (-a % p) * pw
-            a //= p
-            pw *= p
-        return s
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         return int(self.EXP[self.LOG[a] + self.LOG[b]])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return int(self.EXP[(self.q - 1 - self.LOG[a]) % (self.q - 1)])
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -281,25 +261,8 @@ class Field:
             raise ZeroDivisionError("negative power of 0")
         return int(self.EXP[(int(self.LOG[a]) * e) % (self.q - 1)])
 
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
-
     def trace(self, x: int) -> int:
         return int(self.TR[x])
-
-    def trace_by_definition(self, x: int) -> int:
-        """Sum of the m Frobenius conjugates, reduced to a base field digit."""
-        acc = x
-        t = x
-        for _ in range(self.m - 1):
-            t = self.pow(t, self.p)
-            acc = self.add(acc, t)
-        if acc >= self.p:
-            raise AssertionError("trace left the base field")
-        return acc
-
-    def dlog(self, x: int):
-        return None if x == 0 else int(self.LOG[x])
 
     def antilog(self, t: int) -> int:
         return int(self.EXP[t % (self.q - 1)])
@@ -333,13 +296,18 @@ class Field:
         prods = self.EXP[int(self.LOG[c]) + self.LOG[xs]]
         return np.where(xs == 0, 0, prods).astype(np.int64)
 
-    def pow_vec(self, xs, e: int):
-        """Elementwise x ** e for e >= 1, with 0 ** e = 0."""
+    def power_table(self, e: int) -> np.ndarray:
+        """x ** e for every element code x, e >= 1 (so 0 ** e = 0), read off
+        the antilog table: (g^t)^e = g^((e mod (q-1)) t mod (q-1))."""
         if e < 1:
-            raise ValueError("pow_vec needs e >= 1")
-        xs = np.asarray(xs, dtype=np.int64)
-        idx = (self.LOG[xs].astype(np.int64) * e) % (self.q - 1)
-        return np.where(xs == 0, 0, self.EXP[idx]).astype(np.int64)
+            raise ValueError("power_table needs e >= 1")
+        n = self.q - 1
+        t = np.arange(n, dtype=np.int64)
+        t *= e % n
+        t %= n
+        out = np.zeros(self.q, dtype=self.EXP.dtype)
+        out[self.EXP[:n]] = self.EXP[t]
+        return out
 
     # -- misc ----------------------------------------------------------
 
@@ -356,23 +324,10 @@ class Field:
         return f"Field(p={self.p}, m={self.m}, modulus={list(self.modulus)})"
 
 
-def make_field(p: int, m: int, modulus=None) -> Field:
-    """Fresh GF(p^m) context; deterministic for fixed inputs."""
-    return Field(p, m, None if modulus is None else tuple(modulus))
+_cached_field = functools.lru_cache(maxsize=None)(Field)
 
 
 def get_field(p: int, m: int, modulus=None) -> Field:
-    """Memoised make_field, for callers that share contexts.  The modulus
-    is normalised first, so an omitted one and None share one entry."""
+    """Memoised GF(p^m) context, deterministic for fixed inputs.  The
+    modulus is normalised first, so an omitted one and None share one entry."""
     return _cached_field(p, m, None if modulus is None else tuple(modulus))
-
-
-_cached_field = functools.lru_cache(maxsize=None)(make_field)
-
-
-def alternate_field(field: Field) -> Field:
-    """Same GF(p^m) under the next irreducible modulus in lexicographic order."""
-    for mod in iter_irreducible_moduli(field.p, field.m):
-        if mod != field.modulus:
-            return get_field(field.p, field.m, mod)
-    raise ValueError(f"GF({field.p}^{field.m}) has a single irreducible modulus")

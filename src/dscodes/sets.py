@@ -8,13 +8,10 @@ exponent l = 3^(2h) - 3^h + 1 over GF(3^(3h)), and the binary set cut
 out by Tr(x^3 + x).
 
 The family constructors are a few array operations over GF(q), on
-membership masks and element arrays; only the transport between moduli
-at the end walks the elements one at a time.
+membership masks and element arrays.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -91,10 +88,9 @@ def evaluate_quadratic_form(f: Field, terms) -> np.ndarray:
     """Value table of f over all of GF(q).  The readers below take this
     table, so a form is evaluated once however much is read off it."""
     terms = _check_terms(f, terms)
-    xs = np.arange(f.q, dtype=np.int64)
     acc = np.zeros(f.q, dtype=np.int64)
     for i, j, a in terms:
-        powed = f.pow_vec(xs, f.p**i + f.p**j)
+        powed = f.power_table(f.p**i + f.p**j)
         acc = f.add_vec(acc, f.scalar_mul_vec(a, powed))
     return acc
 
@@ -206,43 +202,7 @@ def tr_cubic_set(m: int, f: Field | None = None) -> DefiningSet:
         f = get_field(2, m)
     elif (f.p, f.m) != (2, m):
         raise ValueError(f"field must be GF(2^{m})")
-    xs = np.arange(1, f.q, dtype=np.int64)
-    vals = f.pow_vec(xs, 3) ^ xs
-    els = xs[f.TR[vals] == 0]
-    return DefiningSet(f, els, label=f"trcubic m={m}")
+    zero = f.TR[f.power_table(3) ^ np.arange(f.q, dtype=np.int32)] == 0
+    zero[0] = False
+    return DefiningSet(f, np.flatnonzero(zero), label=f"trcubic m={m}")
 
-
-# ----------------------------------------------------------------------
-# transport between moduli
-
-
-@functools.lru_cache(maxsize=32)
-def embedding_root(src: Field, dst: Field) -> int:
-    """Smallest root in dst of src's modulus; seeds the field isomorphism."""
-    if (src.p, src.m) != (dst.p, dst.m):
-        raise ValueError("fields must share p and m")
-    for z in range(dst.q):
-        acc = 0
-        for c in reversed(src.modulus):
-            acc = dst.add(dst.mul(acc, z), c)
-        if acc == 0:
-            return z
-    raise AssertionError("modulus has no root in an isomorphic field")
-
-
-def transport(ds: DefiningSet, dst: Field) -> DefiningSet:
-    """Image of the set under the isomorphism alpha -> root(dst)."""
-    src = ds.field
-    if src is dst:
-        return ds
-    z = embedding_root(src, dst)
-    zpows = [1]
-    for _ in range(src.m - 1):
-        zpows.append(dst.mul(zpows[-1], z))
-    mapped = []
-    for e in ds.elements:
-        acc = 0
-        for c, zp in zip(src.coords(e), zpows):
-            acc = dst.add(acc, dst.mul(c, zp))
-        mapped.append(acc)
-    return DefiningSet(dst, tuple(mapped), label=f"{ds.label}@modulus{list(dst.modulus)}")

@@ -5,8 +5,8 @@ value at (1, 1) has a closed form in m; for even m the closed forms go
 through cubic residues and the affine quartic a^2 x^4 + a x = b^2, which
 is GF(2)-linear in x and solved here by elimination over GF(2).  Walsh
 spectra come from the code weight kernel, `code.weights_by_zero_count`,
-applied to the support of the truth table; a naive quadratic sum is the
-oracle.
+applied to the support of the truth table; the naive quadratic sum that
+checks them lives in the tests.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ def weil_sum(f: Field, a: int, b: int) -> int:
     """S(a, b) by direct summation over the field."""
     _require_binary(f)
     xs = np.arange(f.q, dtype=np.int64)
-    cubes = f.pow_vec(xs, 3)
-    arg = f.scalar_mul_vec(a, cubes) ^ f.scalar_mul_vec(b, xs)
+    arg = f.scalar_mul_vec(a, f.power_table(3)) ^ f.scalar_mul_vec(b, xs)
     ones = int(f.TR[arg].sum())
     return f.q - 2 * ones
 
@@ -151,19 +150,6 @@ def coulter_s_ab(f: Field, a: int, b: int) -> int:
     return -2 * unit * chi
 
 
-def quartic_solvable_at_one(f: Field) -> bool:
-    """Whether x^4 + x = 1 has a root; closed form is m = 0 mod 4, and the
-    answer is cross-checked against an actual elimination solve."""
-    _require_binary(f)
-    if f.m % 2:
-        raise ValueError("defined for even m")
-    predicted = f.m % 4 == 0
-    found = _solver(f, 1).solve(1)
-    if (found is not None) != predicted:
-        raise AssertionError("closed form and elimination disagree on x^4 + x = 1")
-    return predicted
-
-
 # ----------------------------------------------------------------------
 # Walsh spectra
 
@@ -202,55 +188,7 @@ def walsh_transform(f: Field, table) -> WalshSpectrum:
     return WalshSpectrum(f, values, len(support))
 
 
-def walsh_naive(f: Field, table) -> np.ndarray:
-    """Quadratic oracle for the same spectrum; keep to q <= 2^10."""
-    _require_binary(f)
-    table = np.asarray(table, dtype=np.int64)
-    xs = np.arange(f.q, dtype=np.int64)
-    out = np.empty(f.q, dtype=np.int64)
-    for w in range(f.q):
-        tr = f.TR[f.scalar_mul_vec(w, xs)].astype(np.int64)
-        out[w] = f.q - 2 * int(((table + tr) % 2).sum())
-    return out
-
-
 def tr_cubic_table(f: Field) -> np.ndarray:
     """Truth table of x -> Tr(x^3)."""
     _require_binary(f)
-    xs = np.arange(f.q, dtype=np.int64)
-    return f.TR[f.pow_vec(xs, 3)].astype(np.int64)
-
-
-# ----------------------------------------------------------------------
-
-
-def n0_and_nb(f: Field, b: int) -> tuple[int, int]:
-    """(n0, N_b): the count of x with Tr(x^3 + x) = 0, and of x with
-    additionally Tr(b x) = 0.
-
-    Computed twice, by direct counting and through S(1, 1) and S(1, b+1);
-    the two routes must agree.
-    """
-    _require_binary(f)
-    if b == 0:
-        raise ValueError("b must be nonzero")
-    xs = np.arange(f.q, dtype=np.int64)
-    zero_cubic = f.TR[f.pow_vec(xs, 3) ^ xs] == 0
-    n0 = int(zero_cubic.sum())
-    nb = int((zero_cubic & (f.TR[f.scalar_mul_vec(b, xs)] == 0)).sum())
-
-    s11 = weil_sum(f, 1, 1)
-    if s11 % 2:
-        raise AssertionError("S(1,1) must be even")
-    n0_char = f.q // 2 + s11 // 2
-    s1b1 = weil_sum(f, 1, b ^ 1)
-    num = s11 + s1b1 + f.q
-    if num % 4:
-        raise AssertionError("character route for N_b is not divisible by 4")
-    nb_char = num // 4
-
-    if (n0, nb) != (n0_char, nb_char):
-        raise AssertionError(
-            f"counting and character routes disagree: {(n0, nb)} vs {(n0_char, nb_char)}"
-        )
-    return n0, nb
+    return f.TR[f.power_table(3)].astype(np.int64)

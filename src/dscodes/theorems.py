@@ -22,6 +22,7 @@ from .code import DefiningSet, WeightDistribution, build_code_weights
 from .field import Field, get_field
 
 DEFAULT_SEED = 101
+EXPANSION_TRIALS = 40  # random (D, E) pairs per thm1prop sweep
 
 VERDICT_MATCH = "match"
 VERDICT_MISMATCH = "mismatch"
@@ -513,25 +514,17 @@ class ExpansionPropertyReport:
         }
 
 
-def thm1_property_test(
-    p: int, m: int, trials: int = 40, seed: int = DEFAULT_SEED
-) -> ExpansionPropertyReport:
+def _expansion_sweep(f: Field, seed: int) -> ExpansionPropertyReport:
     """Random (D, E) pairs: when |ED| = |E||D| the stretched distribution
     must match; a deterministic incomplete pair shows the hypothesis is
     not removable.
     """
-    return _expansion_sweep(get_field(p, m), trials, seed)
-
-
-def _expansion_sweep(
-    f: Field, trials: int = 40, seed: int = DEFAULT_SEED
-) -> ExpansionPropertyReport:
     p = f.p
     if p < 3:
         raise ValueError("needs p >= 3 so GF(p)* has nontrivial subsets")
     rng = random.Random(seed)
     verdicts = []
-    for _ in range(trials):
+    for _ in range(EXPANSION_TRIALS):
         d_size = rng.randint(1, min(8, f.q - 1))
         d = DefiningSet(f, tuple(rng.sample(range(1, f.q), d_size)), label="random")
         e_digits = tuple(rng.sample(range(1, p), rng.randint(1, p - 1)))
@@ -558,8 +551,8 @@ def _expansion_sweep(
     if complete or stretched == prod_wd:
         all_matched = False
     return ExpansionPropertyReport(
-        p=p, m=f.m, seed=seed, trials=trials,
-        complete_trials=trials - verdicts.count(VERDICT_HYPOTHESIS),
+        p=p, m=f.m, seed=seed, trials=EXPANSION_TRIALS,
+        complete_trials=EXPANSION_TRIALS - verdicts.count(VERDICT_HYPOTHESIS),
         incomplete_trials=verdicts.count(VERDICT_HYPOTHESIS),
         all_matched=all_matched, counterexample=counterexample,
     )
@@ -658,7 +651,7 @@ class ClaimSpec:
 CLAIMS = {spec.token: spec for spec in (
     ClaimSpec("thm1", 3, _expansion,
               parse_set=lambda f, s: (s.digits(f), sets.simplex_coset_reps(f))),
-    ClaimSpec("thm1prop", 3, sweep=lambda f, seed: _expansion_sweep(f, seed=seed)),
+    ClaimSpec("thm1prop", 3, sweep=_expansion_sweep),
     ClaimSpec("cor1", 3, _simplex, family=_one_per_m()),
     ClaimSpec("cor2", 3, _scaled_simplex, family=_scalar_subsets,
               parse_set=lambda f, s: s.digits(f)),

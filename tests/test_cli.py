@@ -118,6 +118,23 @@ def test_cor3_scan_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(("argv", "digest"), [
+    (("--m", "7"), "63f854380507a3bce29b53328d17b79423dc9108d753f1d15ffee61eb2d26174"),
+    (("--m", "6", "--format", "text"),
+     "5c98218ecdf5d9fb924668856945e19b966526622dbcf416abc6db538ef7df3b"),
+    (("--m", "4", "--set", "bool:{table}"),
+     "d6ce8db88cbeb94c59905fdc8f93cbe78e161149fa7e4fb9bcc2349104d7e7b1"),
+], ids=["m7", "m6-text", "m4-bool"])
+def test_walsh_output_is_pinned(capsys, tmp_path, argv, digest):
+    # the histogram, max |value| and semibent verdict, byte for byte
+    table = tmp_path / "table.txt"
+    table.write_text("1111011110111100\n")
+    argv = [a.format(table=table) for a in argv]
+    code, out, _ = run(capsys, "walsh", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_property_claim_is_seeded_and_deterministic(capsys):
     argv = ("verify", "--claim", "thm1prop", "--p", "3", "--m", "2")
     code1, out1, _ = run(capsys, *argv)
@@ -203,6 +220,16 @@ def test_walsh_accepts_truth_table_file(capsys, tmp_path):
     )
     assert code == 0
     assert payload["n_f"] == 12
+
+
+def test_walsh_max_abs_of_a_one_sided_spectrum(capsys, tmp_path):
+    # f = 1 everywhere: W(0) = -q and W(w) = 0 for w != 0
+    path = tmp_path / "ones.txt"
+    path.write_text("1" * 16 + "\n")
+    code, payload, _ = run_json(capsys, "walsh", "--m", "4", "--set", f"bool:{path}")
+    assert code == 0
+    assert payload["value_histogram"] == [[-16, 1], [0, 15]]
+    assert payload["max_abs"] == 16
 
 
 def test_truth_table_binary_and_hex_agree(capsys, tmp_path):

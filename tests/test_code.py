@@ -23,7 +23,8 @@ from dscodes.code import (
     summarize,
     weights_by_zero_count,
 )
-from dscodes.field import alternate_field, get_field
+from dscodes.field import get_field
+from moduli import alternate_field, transport
 
 # enumerators frozen after computing them by both enumeration routes;
 # every dual here has minimum distance exactly 3
@@ -138,7 +139,7 @@ def test_distribution_is_modulus_invariant(code_catalog):
         if f.q > 1 << 8:
             continue
         g = alternate_field(f)
-        moved = sets.transport(ds, g)
+        moved = transport(ds, g)
         assert build_code_weights(ds) == build_code_weights(moved), ds
 
 

@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from dscodes.field import (
     MAX_Q,
     Field,
-    alternate_field,
     get_field,
     iter_irreducible_moduli,
     poly_is_irreducible,
     smallest_irreducible,
 )
+from moduli import alternate_field
 
 FIELDS = [(2, 1), (2, 4), (2, 5), (3, 1), (3, 3), (5, 2), (7, 2)]
 
@@ -42,7 +42,7 @@ def test_ring_axioms(f, ra, rb, rc):
     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
     assert f.add(a, 0) == a
     assert f.mul(a, 1) == a
-    assert f.add(a, f.neg(a)) == 0
+    assert f.add(a, f.mul(f.p - 1, a)) == 0  # -1 has element code p - 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -50,7 +50,7 @@ def test_ring_axioms(f, ra, rb, rc):
 def test_inverses_and_powers(f, ra):
     a = pick(f, ra)
     if a != 0:
-        assert f.mul(a, f.inv(a)) == 1
+        assert f.mul(a, f.pow(a, f.q - 2)) == 1
         assert f.pow(a, f.q - 1) == 1
     assert f.pow(a, f.q) == a  # q-th power is the identity map
 
@@ -62,9 +62,21 @@ def test_trace_is_additive(f, ra, rb):
     assert f.trace(f.add(a, b)) == (f.trace(a) + f.trace(b)) % f.p
 
 
+def _trace_by_definition(f, x):
+    """Sum of the m Frobenius conjugates, reduced to a base field digit."""
+    acc = x
+    t = x
+    for _ in range(f.m - 1):
+        t = f.pow(t, f.p)
+        acc = f.add(acc, t)
+    if acc >= f.p:
+        raise AssertionError("trace left the base field")
+    return acc
+
+
 def test_trace_matches_definition(f):
     for x in range(f.q):
-        assert f.trace(x) == f.trace_by_definition(x)
+        assert f.trace(x) == _trace_by_definition(f, x)
 
 
 def test_trace_is_balanced(f):
@@ -76,13 +88,13 @@ def test_trace_is_balanced(f):
 
 def test_trace_commutes_with_frobenius(f):
     for x in range(min(f.q, 64)):
-        assert f.trace(f.frobenius(x)) == f.trace(x)
+        assert f.trace(f.pow(x, f.p)) == f.trace(x)
 
 
 def test_log_antilog_roundtrip(f):
     for x in range(1, f.q):
-        assert f.antilog(f.dlog(x)) == x
-    assert f.dlog(f.generator) == 1 or f.q == 2
+        assert f.antilog(int(f.LOG[x])) == x
+    assert int(f.LOG[f.generator]) == 1 or f.q == 2
 
 
 def test_generator_has_full_order(f):
@@ -169,6 +181,16 @@ def test_vector_helpers_match_scalar_ops(f):
         vec = f.scalar_mul_vec(c, xs)
         for x in range(0, f.q, max(1, f.q // 17)):
             assert int(vec[x]) == f.mul(c, x)
+
+
+def test_power_table_matches_scalar_pow(f):
+    for e in (1, 2, 3, f.p + 1, f.q - 1, f.q, 2 * f.q):
+        assert f.power_table(e).tolist() == [f.pow(x, e) for x in range(f.q)], e
+
+
+def test_power_table_refuses_nonpositive_exponents():
+    with pytest.raises(ValueError):
+        get_field(2, 3).power_table(0)
 
 
 # ----------------------------------------------------------------------

@@ -64,8 +64,10 @@ def test_cube_detection():
 
 @pytest.mark.parametrize("m,expected", [(4, True), (6, False), (8, True), (10, False), (12, True)])
 def test_quartic_solvability_alternates(m, expected):
-    f = get_field(2, m)
-    assert spectra.quartic_solvable_at_one(f) is expected
+    # x^4 + x = 1 has a root exactly when 4 divides m
+    assert expected is (m % 4 == 0)
+    found = spectra.QuarticSolver(get_field(2, m), 1).solve(1)
+    assert (found is not None) is expected
 
 
 def test_quartic_solver_fiber_sizes():
@@ -83,6 +85,18 @@ def test_quartic_solver_fiber_sizes():
         assert solver.solutions(c) == []
 
 
+def _walsh_naive(f, table):
+    """Quadratic oracle for the Walsh spectrum; keep to q <= 2^10."""
+    assert f.p == 2 and f.q <= 1 << 10
+    table = np.asarray(table, dtype=np.int64)
+    xs = np.arange(f.q, dtype=np.int64)
+    out = np.empty(f.q, dtype=np.int64)
+    for w in range(f.q):
+        tr = f.TR[f.scalar_mul_vec(w, xs)].astype(np.int64)
+        out[w] = f.q - 2 * int(((table + tr) % 2).sum())
+    return out
+
+
 def test_walsh_transform_matches_naive():
     # m = 10 sends the random table's support to the transform route
     for m in (3, 4, 5, 6, 10):
@@ -98,7 +112,7 @@ def test_walsh_transform_matches_naive():
         ]
         for table in tables:
             fast = spectra.walsh_transform(f, table)
-            slow = spectra.walsh_naive(f, table)
+            slow = _walsh_naive(f, table)
             assert np.array_equal(fast.values, slow)
 
 
@@ -135,24 +149,20 @@ def test_tr_cubic_table_values():
 
 
 def test_zero_counts_two_routes():
-    # the character-sum route is asserted against counting inside the
-    # function; here the counting is redone with scalar arithmetic
+    # n0 = #{x : Tr(x^3 + x) = 0} and N_b = #{x : Tr(x^3 + x) = Tr(b x) = 0},
+    # counted with scalar arithmetic and read off S(1, 1) and S(1, b + 1):
+    # n0 = q/2 + S(1, 1)/2 and N_b = (q + S(1, 1) + S(1, b + 1))/4
     for m in (4, 5, 6):
         f = get_field(2, m)
+        s11 = spectra.weil_sum(f, 1, 1)
+        cubic_zero = [
+            x for x in range(f.q)
+            if f.trace(f.add(f.pow(x, 3), x)) == 0
+        ]
+        assert 2 * len(cubic_zero) == f.q + s11, m
         for b in (1, 7 % f.q, f.q - 1):
-            n0, nb = spectra.n0_and_nb(f, b)
-            cubic_zero = [
-                x for x in range(f.q)
-                if f.trace(f.add(f.pow(x, 3), x)) == 0
-            ]
-            assert n0 == len(cubic_zero)
-            assert nb == sum(1 for x in cubic_zero if f.trace(f.mul(b, x)) == 0)
-
-
-def test_n0_rejects_zero_b():
-    f = get_field(2, 4)
-    with pytest.raises(ValueError):
-        spectra.n0_and_nb(f, 0)
+            nb = sum(1 for x in cubic_zero if f.trace(f.mul(b, x)) == 0)
+            assert 4 * nb == f.q + s11 + spectra.weil_sum(f, 1, b ^ 1), (m, b)
 
 
 def test_weil_sum_rejects_odd_p():

@@ -11,7 +11,6 @@ from dscodes.theorems import (
     scan,
     scan_summary,
     stretch_distribution,
-    thm1_property_test,
 )
 
 
@@ -84,7 +83,8 @@ def test_expansion_detects_incomplete_product():
 
 
 def test_expansion_property_sweep():
-    rep = thm1_property_test(3, 2, trials=40, seed=101)
+    rep = theorems.verify("thm1prop", get_field(3, 2), seed=101)
+    assert rep.trials == 40
     assert rep.verdict == "match"
     assert rep.all_matched
     assert rep.complete_trials > 0 and rep.incomplete_trials > 0
@@ -95,7 +95,7 @@ def test_expansion_property_sweep():
 
 def test_expansion_property_rejects_binary():
     with pytest.raises(ValueError):
-        thm1_property_test(2, 3)
+        theorems.verify("thm1prop", get_field(2, 3))
 
 
 # ----------------------------------------------------------------------
