@@ -19,7 +19,7 @@ def _splits(m_values):
     """thm2 has no scan family: split GF(2^m)* into the cubic-trace set and the rest."""
     for m in m_values:
         f = get_field(2, m)
-        d1 = sets.tr_cubic_set(m, f)
+        d1 = sets.tr_cubic_set(f)
         d2 = DefiningSet(f, np.flatnonzero(~d1.mask[1:]) + 1, label="rest")
         yield theorems.verify("thm2", f, (d1, d2))
 

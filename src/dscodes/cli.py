@@ -128,7 +128,7 @@ def build_set(f: Field, selector: str) -> DefiningSet:
         if selector == "simplex":
             return sets.simplex_coset_reps(f)
         if selector == "trcubic":
-            return sets.tr_cubic_set(f.m, f)
+            return sets.tr_cubic_set(f)
         if selector.startswith("hkm:"):
             return sets.hkm_set(int(selector[4:]), f)
         if selector.startswith("product:"):
@@ -161,8 +161,7 @@ def _checked_values(args, name: str, p: int, single=True, degree=lambda v: v):
     return values
 
 
-def _field_for(args, p_default=2) -> Field:
-    p = args.p if args.p is not None else p_default
+def _field_for(args, p: int) -> Field:
     (m,) = _checked_values(args, "m", p)
     modulus = _parse_modulus(args.field_poly) if args.field_poly else None
     try:
@@ -176,14 +175,17 @@ def _field_for(args, p_default=2) -> Field:
 
 
 def cmd_field(args):
-    f = _field_for(args)
+    f = _field_for(args, args.p)
     return {"command": "field", "field": f.describe()}, EXIT_OK
 
 
 def cmd_code(args):
-    f = _field_for(args)
+    f = _field_for(args, args.p)
     ds = build_set(f, args.set)
-    wd = build_code_weights(ds)
+    try:
+        wd = build_code_weights(ds)
+    except ValueError as exc:  # no weight route fits the size
+        raise UsageError(str(exc)) from None
     summary = summarize(ds, wd)
     pless = pless_moments_check(wd)
     payload = {
@@ -239,12 +241,13 @@ class _SetOption:
 
 
 def _claim(args) -> tuple[theorems.ClaimSpec, int]:
-    """The --claim row and the p its field rule gives."""
-    if args.claim is None:
-        raise UsageError("--claim is required")
-    spec = theorems.CLAIMS.get(args.claim)
-    if spec is None:
-        raise UsageError(f"unknown claim {args.claim!r}")
+    """The --claim row and the p its field rule gives.  A flag the row
+    does not read is refused before any field is built."""
+    spec = theorems.CLAIMS[args.claim]
+    unread = ("m", "field_poly") if spec.param == "h" else ("h",)
+    for name in unread + (() if spec.parse_set else ("set",)):
+        if getattr(args, name, None) is not None:  # scan has no --set or --field-poly
+            raise UsageError(f"{spec.token} does not take --{name.replace('_', '-')}")
     try:
         return spec, spec.field_p(args.p)
     except ValueError as exc:
@@ -287,9 +290,7 @@ def cmd_scan(args):
 
 
 def cmd_expsum(args):
-    f = _field_for(args)
-    if f.p != 2:
-        raise UsageError("exponential sums here are binary")
+    f = _field_for(args, 2)
     a, b = args.a, args.b
     if not 0 < a < f.q or not 0 <= b < f.q:
         raise UsageError("need 0 < a < q and 0 <= b < q")
@@ -311,9 +312,7 @@ def cmd_expsum(args):
 
 
 def cmd_walsh(args):
-    f = _field_for(args)
-    if f.p != 2:
-        raise UsageError("walsh spectra need p = 2")
+    f = _field_for(args, 2)
     table = _SetOption("walsh", args.set).table(f)
     canned = not args.set
     spectrum = spectra.walsh_transform(f, table)
@@ -337,25 +336,26 @@ def cmd_walsh(args):
 
 
 def cmd_ssreport(args):
-    f = _field_for(args)
-    if not args.set:
-        raise UsageError("ssreport needs --set")
+    f = _field_for(args, args.p)
     ds = build_set(f, args.set)
     minimal = None
     skipped = None
     # the minimal-codeword route builds the distribution from its own
     # weight array, so the weight kernel runs once either way
-    if secretshare.minimal_scan_fits(f.p, f.m):
-        report, ratio = secretshare.minimal_codewords(ds)
-        minimal = report.to_json_dict()
-        k = report.k
-    else:
-        wd = build_code_weights(ds)
-        ratio = secretshare.ratio_check(wd)
-        k = wd.k
-        skipped = "enumeration bound exceeded"
-    if args.set == "trcubic":
-        ratio = secretshare.with_cubic_trace_case(ratio, f.m)
+    try:
+        if secretshare.minimal_scan_fits(f.p, f.m):
+            report, ratio = secretshare.minimal_codewords(ds)
+            minimal = report.to_json_dict()
+            k = report.k
+        else:
+            wd = build_code_weights(ds)
+            ratio = secretshare.ratio_check(wd)
+            k = wd.k
+            skipped = "enumeration bound exceeded"
+        if args.set == "trcubic":
+            ratio = secretshare.with_cubic_trace_case(ratio, f.m)
+    except ValueError as exc:  # no weight route fits, or no closed form below m = 4
+        raise UsageError(str(exc)) from None
     payload = {
         "command": "ssreport",
         "p": f.p, "m": f.m,
@@ -397,8 +397,6 @@ def _csv_rows(payload):
         for rep in payload["reports"]:
             p, m = rep["params"].get("p", ""), rep["params"].get("m", "")
             dist_rows(rep["claim"], rep.get("computed"), rep["verdict"])
-    else:
-        raise UsageError(f"csv output is not defined for {payload['command']!r}")
     return rows
 
 
@@ -412,9 +410,7 @@ def render(payload, fmt: str) -> str:
         for row in _csv_rows(payload):
             writer.writerow(row)
         return buf.getvalue()
-    if fmt == "text":
-        return _render_text(payload)
-    raise UsageError(f"unknown format {fmt!r}")
+    return _render_text(payload)
 
 
 def _dist_lines(dist, indent="  "):
@@ -494,7 +490,7 @@ def _render_text(payload) -> str:
         for v, c in payload["value_histogram"]:
             lines.append(f"  value {v:>6}  count {c}")
         lines.append(f"max |value| = {payload['max_abs']}, semibent = {payload['semibent']}")
-    elif cmd == "ssreport":
+    else:  # ssreport
         r = payload["ratio"]
         lines.append(
             f"w_min/w_max = {r['w_min']}/{r['w_max']}"
@@ -510,8 +506,6 @@ def _render_text(payload) -> str:
             )
         else:
             lines.append(f"minimal codewords skipped: {payload['minimal_skipped']}")
-    else:  # pragma: no cover
-        raise AssertionError(f"no text renderer for {cmd}")
     return "\n".join(lines) + "\n"
 
 
@@ -519,36 +513,46 @@ def _render_text(payload) -> str:
 # wiring
 
 
+_FLAGS = {
+    "--p": dict(type=int, default=2, help="base field characteristic (claims: their own default)"),
+    "--m": dict(help="extension degree (scan: range A..B or list)"),
+    "--h": dict(help="half-orbit family parameter"),
+    "--set": dict(help="set selector"),
+    "--claim": dict(choices=tuple(theorems.CLAIMS), help="claim token"),
+    "--field-poly": dict(help="modulus coefficients, constant first, comma separated"),
+    "--seed": dict(type=int, default=theorems.DEFAULT_SEED),
+    "--max-q": dict(type=int, default=DEFAULT_MAX_Q),
+    "--a": dict(type=int, default=1, help="first sum argument"),
+    "--b": dict(type=int, default=1, help="second sum argument"),
+}
+
+# subcommand: (function, required flags, the other flags it reads, --format choices)
+_COMMANDS = {
+    "field": (cmd_field, "", "--p --m --field-poly --max-q", "json text"),
+    "code": (cmd_code, "--set", "--p --m --field-poly --max-q", "json csv text"),
+    "verify": (cmd_verify, "--claim", "--p --m --h --set --field-poly --seed --max-q",
+               "json csv text"),
+    "scan": (cmd_scan, "--claim", "--p --m --h --seed --max-q", "json csv text"),
+    "expsum": (cmd_expsum, "", "--m --field-poly --max-q --a --b", "json text"),
+    "walsh": (cmd_walsh, "", "--m --field-poly --max-q --set", "json text"),
+    "ssreport": (cmd_ssreport, "--set", "--p --m --field-poly --max-q", "json text"),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="dscodes", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, add_help=True)
-        p.set_defaults(fn=fn)
-        p.add_argument("--p", type=int, default=None, help="base field characteristic")
-        p.add_argument("--m", type=str, default=None, help="extension degree (scan: range A..B or list)")
-        p.add_argument("--h", type=str, default=None, help="half-orbit family parameter")
-        p.add_argument("--set", type=str, default=None, help="set selector")
-        p.add_argument("--claim", type=str, default=None, help="claim token")
-        p.add_argument("--field-poly", type=str, default=None,
-                       help="modulus coefficients, constant first, comma separated")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--seed", type=int, default=theorems.DEFAULT_SEED)
-        p.add_argument("--max-q", type=int, default=DEFAULT_MAX_Q)
-        p.add_argument("--a", type=int, default=1, help="first sum argument (expsum)")
-        p.add_argument("--b", type=int, default=1, help="second sum argument (expsum)")
+    for name, (fn, required, optional, formats) in _COMMANDS.items():
+        cmd = sub.add_parser(name, allow_abbrev=False)
+        cmd.set_defaults(fn=fn)
+        for flag in required.split():
+            cmd.add_argument(flag, required=True, **_FLAGS[flag])
+        for flag in optional.split():
+            cmd.add_argument(flag, **_FLAGS[flag])
+        cmd.add_argument("--format", choices=formats.split(), default="json")
+        if required == "--claim":
+            cmd.set_defaults(p=None)  # without --p a claim takes its own default p
     return parser
-
-
-_COMMANDS = {
-    "field": cmd_field,
-    "code": cmd_code,
-    "verify": cmd_verify,
-    "scan": cmd_scan,
-    "expsum": cmd_expsum,
-    "walsh": cmd_walsh,
-    "ssreport": cmd_ssreport,
-}
 
 
 def main(argv=None) -> int:

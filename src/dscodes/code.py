@@ -142,8 +142,8 @@ class WeightDistribution:
             parts.append(coeff + expo)
         return "+".join(parts)
 
-    def to_json_dict(self, dual: dict | None = None) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "p": self.p,
             "m": self.m,
             "n": self.n,
@@ -151,9 +151,6 @@ class WeightDistribution:
             "weights": [{"w": w, "count": a} for w, a in self.nonzero_items()],
             "d_min": self.d_min,
         }
-        if dual is not None:
-            out["dual"] = dual
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -164,6 +161,9 @@ TRANSFORM_MAX_CELLS = 1 << 26  # int32 cells in the transform's largest array, 2
 # fixed cost of one array operation of the transform, counted in cells:
 # about 5 us against 5 ns per cell, so it decides the route at small q
 TRANSFORM_CALL_CELLS = 1 << 10
+# cells the gather may touch, about 30 s at 2.4e9 cells/s (2-core x86 VM):
+# simplex over GF(127^3), 3.3e10 cells, fits; its complement, 4.2e12, does not
+GATHER_MAX_CELLS = 1 << 36
 
 
 def _weights_by_gather(f: Field, elements) -> np.ndarray:
@@ -232,12 +232,17 @@ def _route(p: int, m: int, n: int):
     The transform makes m*p^2 array operations over q cells, each also
     costing TRANSFORM_CALL_CELLS; the gather touches q*n cells.  The
     transform runs when it costs less and its state of q*p cells fits
-    TRANSFORM_MAX_CELLS, else the gather.
+    TRANSFORM_MAX_CELLS, else the gather when its q*n cells fit
+    GATHER_MAX_CELLS, else ValueError before any allocation.  Past the
+    gather's bound a transform that fits is cheaper anyway (m*p < 512).
     """
     q = p**m
     if m * p * p * (q + TRANSFORM_CALL_CELLS) < q * n and q * p <= TRANSFORM_MAX_CELLS:
         return _weights_by_hyperplane_count
-    return _weights_by_gather
+    if q * n <= GATHER_MAX_CELLS:
+        return _weights_by_gather
+    raise ValueError(f"{n} elements of GF({p}^{m}) fit neither GATHER_MAX_CELLS"
+                     " nor TRANSFORM_MAX_CELLS")
 
 
 def weights_by_zero_count(f: Field, elements) -> np.ndarray:

@@ -88,17 +88,16 @@ def cubic_trace_ratio_case(m: int) -> tuple[str, Fraction]:
     return "m = 3 or 5 mod 8", Fraction(u - half, u)
 
 
-def ratio_check(wd: WeightDistribution, *, tr_cubic: bool = False) -> RatioReport:
+def ratio_check(wd: WeightDistribution) -> RatioReport:
     """Exact w_min/w_max > (p-1)/p test on a weight distribution."""
     if wd.w_max is None:
         raise ValueError("distribution has no nonzero weight")
     ratio = Fraction(wd.d_min, wd.w_max)
     threshold = Fraction(wd.p - 1, wd.p)
-    report = RatioReport(
+    return RatioReport(
         p=wd.p, w_min=wd.d_min, w_max=wd.w_max, ratio=ratio,
         threshold=threshold, passes=ratio > threshold,
     )
-    return with_cubic_trace_case(report, wd.m) if tr_cubic else report
 
 
 def with_cubic_trace_case(report: RatioReport, m: int) -> RatioReport:
@@ -181,22 +180,19 @@ def _minimal_classes(f: Field, weights: np.ndarray, kernel: int) -> int:
     return minimal
 
 
-def minimal_codewords(
-    ds: DefiningSet, wd: WeightDistribution | None = None
-) -> tuple[MinimalReport, RatioReport]:
+def minimal_codewords(ds: DefiningSet) -> tuple[MinimalReport, RatioReport]:
     """Count the minimal codewords from the weight array alone.
 
     When the ratio criterion passes, every nonzero codeword must come
     out minimal; a counterexample would break the scheme built on the
     code, so it aborts with an error instead of a quiet report.  The
-    weight array is computed once; wd, when not given, is read off it.
+    weight array is computed once and the distribution is read off it.
     """
     f = ds.field
     if not minimal_scan_fits(f.p, f.m):
         raise ValueError(f"GF({f.p}^{f.m}) needs more gathers than MINIMAL_GATHER_BOUND")
     weights = weights_by_zero_count(f, ds.elements)
-    if wd is None:
-        wd = distribution_from_weights(ds, weights)
+    wd = distribution_from_weights(ds, weights)
     ratio = ratio_check(wd)
     kernel = f.p ** (f.m - wd.k)
     classes = _minimal_classes(f, weights, kernel)

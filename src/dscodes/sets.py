@@ -171,17 +171,13 @@ def hkm_exponent(h: int) -> int:
     return 3 ** (2 * h) - 3**h + 1
 
 
-def hkm_set(h: int, f: Field | None = None, allow_even: bool = False) -> DefiningSet:
+def hkm_set(h: int, f: Field | None = None) -> DefiningSet:
     """Half-orbit set over GF(3^(3h)): alpha^t with Tr(alpha^t + alpha^(t*l)) = 0
-    for 0 <= t <= (q-3)/2, l = 3^(2h) - 3^h + 1.
-
-    Even h is refused unless allow_even is set; no distribution is
-    predicted for that exploratory case.
-    """
+    for 0 <= t <= (q-3)/2, l = 3^(2h) - 3^h + 1.  h must be odd."""
     if h < 1:
         raise ValueError("h must be >= 1")
-    if h % 2 == 0 and not allow_even:
-        raise ValueError("h must be odd (pass allow_even=True to explore anyway)")
+    if h % 2 == 0:
+        raise ValueError("h must be odd")
     m = 3 * h
     if f is None:
         f = get_field(3, m)
@@ -194,15 +190,11 @@ def hkm_set(h: int, f: Field | None = None, allow_even: bool = False) -> Definin
     return DefiningSet(f, els, label=f"hkm h={h}")
 
 
-def tr_cubic_set(m: int, f: Field | None = None) -> DefiningSet:
+def tr_cubic_set(f: Field) -> DefiningSet:
     """Nonzero x in GF(2^m) with Tr(x^3 + x) = 0."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if f is None:
-        f = get_field(2, m)
-    elif (f.p, f.m) != (2, m):
-        raise ValueError(f"field must be GF(2^{m})")
+    if f.p != 2 or f.m < 2:
+        raise ValueError("field must be GF(2^m) with m >= 2")
     zero = f.TR[f.power_table(3) ^ np.arange(f.q, dtype=np.int32)] == 0
     zero[0] = False
-    return DefiningSet(f, np.flatnonzero(zero), label=f"trcubic m={m}")
+    return DefiningSet(f, np.flatnonzero(zero), label=f"trcubic m={f.m}")
 

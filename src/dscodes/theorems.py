@@ -23,6 +23,7 @@ from .field import Field, get_field
 
 DEFAULT_SEED = 101
 EXPANSION_TRIALS = 40  # random (D, E) pairs per thm1prop sweep
+REFLECTABLE_TRIES = 400  # random base sets a cor3 draw tries before it gives up
 
 VERDICT_MATCH = "match"
 VERDICT_MISMATCH = "mismatch"
@@ -478,7 +479,7 @@ def _cubic_trace(claim: ClaimId, odd: bool, floor: int, predict):
                 HypothesisCheck("m-odd" if odd else "m-even", (m % 2 == 1) == odd, f"m = {m}"),
                 HypothesisCheck(f"m-at-least-{floor}", m >= floor, f"m = {m}"),
             ],
-            lambda: predict(m), lambda: sets.tr_cubic_set(m, f),
+            lambda: predict(m), lambda: sets.tr_cubic_set(f),
         )
     return build
 
@@ -570,9 +571,9 @@ def _all_nonempty_subsets(universe):
     return out
 
 
-def _random_reflectable_set(f: Field, rng: random.Random, max_tries: int = 400) -> Instance:
+def _random_reflectable_set(f: Field, rng: random.Random) -> Instance:
     """The first cor3 instance on a random D that meets its hypotheses."""
-    for _ in range(max_tries):
+    for _ in range(REFLECTABLE_TRIES):
         size = rng.randint(f.m, min(f.q - 2, f.m + 6))
         inst = _complement(f, DefiningSet(f, tuple(rng.sample(range(f.q), size)), label="random"))
         if inst.holds:
@@ -630,7 +631,7 @@ class ClaimSpec:
     fixed_p: bool = False  # refuse any p but default_p
     # (build, p, value of the parameter, rng, trials) -> the built instances a scan runs
     family: Callable | None = None
-    # (field, the CLI's --set reader) -> arg; None: --set is ignored
+    # (field, the CLI's --set reader) -> arg; None: the claim takes no --set
     parse_set: Callable | None = None
     param: str = "m"  # "h": instances take h and build their own GF(3^(3h))
     sweep: Callable | None = None  # (field, seed) -> a seeded randomized report

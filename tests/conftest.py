@@ -46,12 +46,12 @@ def code_catalog():
         f = get_field(p, m)
         catalog.append(sets.simplex_coset_reps(f))
     for m in (4, 5, 6):
-        catalog.append(sets.tr_cubic_set(m))
+        catalog.append(sets.tr_cubic_set(get_field(2, m)))
     catalog.append(sets.hkm_set(1))
     f27 = get_field(3, 3)
     image, _ = sets.quadratic_form_image(f27, ((0, 0, 1),))
     catalog.append(image)
-    catalog.append(sets.complement(sets.tr_cubic_set(5)))
+    catalog.append(sets.complement(sets.tr_cubic_set(get_field(2, 5))))
     prod, complete = sets.product_set((2, 3), sets.simplex_coset_reps(get_field(5, 2)))
     assert complete
     catalog.append(prod)

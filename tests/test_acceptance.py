@@ -36,7 +36,7 @@ WORKED_EXAMPLES = {
 def test_criterion_01_worked_examples_exact_and_fast():
     for m, (n, k, enumerator) in sorted(WORKED_EXAMPLES.items()):
         t0 = time.perf_counter()
-        ds = sets.tr_cubic_set(m)
+        ds = sets.tr_cubic_set(get_field(2, m))
         wd = build_code_weights(ds)
         dual = macwilliams_dual(wd)
         elapsed = time.perf_counter() - t0
@@ -206,17 +206,17 @@ def test_criterion_09_structural_property_suites(catalog_with_weights):
 def test_criterion_10_share_ratio_checks():
     expected = {6: (12, 20), 7: (32, 40), 8: (48, 64)}
     for m, (lo, hi) in expected.items():
-        ds = sets.tr_cubic_set(m)
+        ds = sets.tr_cubic_set(get_field(2, m))
         wd = build_code_weights(ds)
-        ratio = secretshare.ratio_check(wd, tr_cubic=True)
+        ratio = secretshare.with_cubic_trace_case(secretshare.ratio_check(wd), m)
         assert (ratio.w_min, ratio.w_max) == (lo, hi), m
         assert ratio.ratio == Fraction(lo, hi) and ratio.passes, m
         assert ratio.closed_form_ratio == ratio.ratio, m
-        report, _ = secretshare.minimal_codewords(ds, wd)
+        report, _ = secretshare.minimal_codewords(ds)
         assert report.all_minimal, m
 
-    wd5 = build_code_weights(sets.tr_cubic_set(5))
-    ratio5 = secretshare.ratio_check(wd5, tr_cubic=True)
+    wd5 = build_code_weights(sets.tr_cubic_set(get_field(2, 5)))
+    ratio5 = secretshare.with_cubic_trace_case(secretshare.ratio_check(wd5), 5)
     assert ratio5.ratio == Fraction(1, 2)
     assert not ratio5.passes
     print("PASS criterion 10: exact ratios 12/20, 32/40, 48/64; m=5 sits at 1/2")

@@ -90,10 +90,96 @@ def test_usage_errors_exit_three(capsys):
         ["field", "--m", "3..x"],
         ["scan", "--claim", "thm4", "--m", "5..a"],
         ["code", "--p", "2", "--m", "4", "--set", "simplex", "--threads", "2"],
+        ["code", "--p", "2", "--m", "4"],
+        ["ssreport", "--m", "3", "--set", "trcubic"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 3, argv
         assert err != ""
+
+
+# the flags each subcommand reads, besides --format
+FLAGS_READ = {
+    "field": {"--p", "--m", "--field-poly", "--max-q"},
+    "code": {"--p", "--m", "--field-poly", "--max-q", "--set"},
+    "verify": {"--claim", "--p", "--m", "--h", "--set", "--field-poly", "--seed", "--max-q"},
+    "scan": {"--claim", "--p", "--m", "--h", "--seed", "--max-q"},
+    "expsum": {"--m", "--field-poly", "--max-q", "--a", "--b"},
+    "walsh": {"--m", "--field-poly", "--max-q", "--set"},
+    "ssreport": {"--p", "--m", "--field-poly", "--max-q", "--set"},
+}
+FLAG_VALUES = {
+    "--p": "2", "--m": "3", "--h": "1", "--set": "simplex", "--claim": "thm4",
+    "--field-poly": "1,1,0,1", "--seed": "1", "--max-q": "64", "--a": "1", "--b": "1",
+}
+# a valid invocation of each subcommand, the base the unread flags are added to
+BASE_ARGV = {
+    "field": ["field", "--m", "3"],
+    "code": ["code", "--m", "3", "--set", "simplex"],
+    "verify": ["verify", "--claim", "thm4", "--m", "5"],
+    "scan": ["scan", "--claim", "thm4", "--m", "5"],
+    "expsum": ["expsum", "--m", "3"],
+    "walsh": ["walsh", "--m", "3"],
+    "ssreport": ["ssreport", "--m", "3", "--set", "simplex"],
+}
+UNREAD_ARGV = [
+    BASE_ARGV[cmd] + [flag, value]
+    for cmd, read in FLAGS_READ.items()
+    for flag, value in FLAG_VALUES.items()
+    if flag not in read
+] + [
+    BASE_ARGV[cmd] + ["--format", "csv"] for cmd in ("field", "expsum", "walsh", "ssreport")
+] + [
+    # flags that the claim's row does not read
+    ["verify", "--claim", "thm1prop", "--m", "2", "--set", "simplex"],
+    ["verify", "--claim", "cor1", "--m", "3", "--set", "simplex"],
+    ["verify", "--claim", "thm3", "--h", "1", "--set", "simplex"],
+    ["verify", "--claim", "thm4", "--m", "5", "--set", "simplex"],
+    ["verify", "--claim", "thm5", "--m", "4", "--set", "simplex"],
+    ["verify", "--claim", "thm4", "--m", "5", "--h", "1"],
+    ["scan", "--claim", "cor1", "--m", "3", "--h", "1"],
+    ["verify", "--claim", "thm3", "--h", "1", "--m", "3"],
+    ["verify", "--claim", "thm3", "--h", "1", "--field-poly", "1,2,0,1"],
+    ["scan", "--claim", "thm3", "--h", "1", "--m", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", BASE_ARGV.values(), ids=BASE_ARGV)
+def test_flag_table_base_invocations_run(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out
+
+
+@pytest.mark.parametrize("argv", UNREAD_ARGV, ids=" ".join)
+def test_unread_flags_exit_three_before_any_field(capsys, monkeypatch, argv):
+    def boom(*args):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(field, "_cached_field", boom)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err != ""
+
+
+def test_weight_routes_past_their_bounds_exit_three(capsys, monkeypatch):
+    def boom(*args):
+        raise AssertionError("the gather started past its bound")
+
+    # GF(27) holds 13 simplex elements: a gather of 351 cells
+    monkeypatch.setattr("dscodes.code.GATHER_MAX_CELLS", 1 << 8)
+    monkeypatch.setattr("dscodes.code._weights_by_gather", boom)
+    for argv in (
+        ["code", "--p", "3", "--m", "3", "--set", "simplex"],
+        ["ssreport", "--p", "3", "--m", "3", "--set", "simplex"],
+        ["verify", "--claim", "cor3", "--p", "3", "--m", "3", "--set", "simplex"],
+        ["scan", "--claim", "cor1", "--p", "3", "--m", "3"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert "GATHER_MAX_CELLS" in err
 
 
 def test_outputs_are_byte_identical(capsys):
@@ -393,6 +479,16 @@ def test_unsamplable_reflection_range_is_a_usage_error(capsys):
     assert code == 3
     assert out == ""
     assert "could not sample" in err
+
+
+def test_readme_library_tour_prints_its_comments():
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    want = [line.split("#", 1)[1].strip() for line in tour.splitlines() if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(tour, {})
+    assert want and out.getvalue().splitlines() == want
 
 
 def test_verify_paper_script_tally():

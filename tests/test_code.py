@@ -7,6 +7,8 @@ import pytest
 from dscodes import code, sets
 from dscodes.code import (
     DUAL_MAX_N,
+    GATHER_MAX_CELLS,
+    TRANSFORM_CALL_CELLS,
     TRANSFORM_MAX_CELLS,
     DefiningSet,
     WeightDistribution,
@@ -41,7 +43,7 @@ CUBIC_TRACE_EXPECTED = {
 @pytest.mark.parametrize("m", sorted(CUBIC_TRACE_EXPECTED))
 def test_cubic_trace_codes_frozen(m):
     n, k, enumerator = CUBIC_TRACE_EXPECTED[m]
-    ds = sets.tr_cubic_set(m)
+    ds = sets.tr_cubic_set(get_field(2, m))
     wd = build_code_weights(ds)
     assert (wd.n, wd.k) == (n, k)
     assert wd.enumerator() == enumerator
@@ -113,9 +115,14 @@ def test_transform_matches_gather_on_random_sets(p, m):
 def test_route_rule():
     assert _route(2, 4, 11) is _weights_by_gather
     assert _route(2, 16, 32511) is _weights_by_hyperplane_count
-    # fewer cells than the gather, but a state of 251^4 cells
-    assert 3 * 251**2 < 200000 and 251**4 > TRANSFORM_MAX_CELLS
-    assert _route(251, 3, 200000) is _weights_by_gather
+    # fewer cells than the gather, but a state of 23^6 cells
+    assert 5 * 23**2 * (23**5 + TRANSFORM_CALL_CELLS) < 23**5 * 5000
+    assert 23**6 > TRANSFORM_MAX_CELLS and 23**5 * 5000 <= GATHER_MAX_CELLS
+    assert _route(23, 5, 5000) is _weights_by_gather
+    # neither the gather's 251^3 * 200000 cells nor a state of 251^4 cells fits
+    assert 251**3 * 200000 > GATHER_MAX_CELLS and 251**4 > TRANSFORM_MAX_CELLS
+    with pytest.raises(ValueError, match="GATHER_MAX_CELLS"):
+        _route(251, 3, 200000)
     # fewer cells than the gather (147 * 343 < 300 * 343), but 147 array
     # operations, each with its fixed cost, on a field of 343 elements
     assert _route(7, 3, 300) is _weights_by_gather
@@ -259,7 +266,7 @@ def test_griesmer_bound_values():
 
 
 def test_summary_fields():
-    ds = sets.tr_cubic_set(5)
+    ds = sets.tr_cubic_set(get_field(2, 5))
     s = summarize(ds)
     assert (s.n, s.k, s.d_min) == (11, 5, 4)
     assert s.dual_d == 3

@@ -15,8 +15,8 @@ from dscodes.field import MAX_P, get_field, is_prime
 
 
 def cubic_ratio(m):
-    wd = build_code_weights(sets.tr_cubic_set(m))
-    return secretshare.ratio_check(wd, tr_cubic=True)
+    wd = build_code_weights(sets.tr_cubic_set(get_field(2, m)))
+    return secretshare.with_cubic_trace_case(secretshare.ratio_check(wd), m)
 
 
 def test_ratio_m6():
@@ -146,7 +146,7 @@ def test_minimal_count_matches_support_oracle_on_random_sets(p, m):
 
 @pytest.mark.parametrize("m", range(5, 13))
 def test_minimal_count_matches_support_oracle_on_cubic_trace_codes(m):
-    report = _check_against_oracle(sets.tr_cubic_set(m))
+    report = _check_against_oracle(sets.tr_cubic_set(get_field(2, m)))
     assert report.all_minimal == (m != 5)
 
 
@@ -181,7 +181,7 @@ def test_full_space_code_has_covering_word():
 
 @pytest.mark.parametrize("m,expected_minimal", [(6, 63), (7, 127), (8, 255)])
 def test_cubic_trace_codes_all_minimal(m, expected_minimal):
-    ds = sets.tr_cubic_set(m)
+    ds = sets.tr_cubic_set(get_field(2, m))
     report, ratio = secretshare.minimal_codewords(ds)
     assert ratio.passes
     assert report.all_minimal
@@ -189,7 +189,7 @@ def test_cubic_trace_codes_all_minimal(m, expected_minimal):
 
 
 def test_cubic_trace_m5_not_all_minimal():
-    report, ratio = secretshare.minimal_codewords(sets.tr_cubic_set(5))
+    report, ratio = secretshare.minimal_codewords(sets.tr_cubic_set(get_field(2, 5)))
     assert not ratio.passes
     assert report.total_nonzero == 31
     assert report.minimal_count == 26
@@ -224,7 +224,7 @@ def test_minimal_codewords_refuses_past_bound_before_any_work(monkeypatch):
     monkeypatch.setattr(secretshare, "weights_by_zero_count", boom)
     monkeypatch.setattr(secretshare, "_minimal_classes", boom)
     with pytest.raises(ValueError, match="MINIMAL_GATHER_BOUND"):
-        secretshare.minimal_codewords(sets.tr_cubic_set(6))
+        secretshare.minimal_codewords(sets.tr_cubic_set(get_field(2, 6)))
 
 
 def test_fixed_threshold_for_binary():
@@ -237,7 +237,7 @@ def test_cubic_trace_case_refuses_a_disagreeing_ratio():
     # the binary simplex code is one-weight: ratio 1, not the m = 6 form 3/5
     wd = build_code_weights(sets.simplex_coset_reps(get_field(2, 6)))
     with pytest.raises(AssertionError, match="disagrees"):
-        secretshare.ratio_check(wd, tr_cubic=True)
+        secretshare.with_cubic_trace_case(secretshare.ratio_check(wd), 6)
 
 
 def test_ratio_check_without_family_flag():

@@ -104,7 +104,7 @@ def test_expansion_property_rejects_binary():
 
 def test_split_of_cubic_set_and_rest():
     f = get_field(2, 5)
-    d1 = sets.tr_cubic_set(5, f)
+    d1 = sets.tr_cubic_set(f)
     d2 = DefiningSet(f, tuple(set(range(1, f.q)) - set(d1.elements)))
     rep = theorems.verify("thm2", f, (d1, d2))
     assert rep.verdict == "match"
@@ -146,7 +146,7 @@ def test_split_rejects_two_weight_union():
 
 
 def test_complement_of_cubic_set():
-    rep = theorems.verify("cor3", get_field(2, 5), sets.tr_cubic_set(5))
+    rep = theorems.verify("cor3", get_field(2, 5), sets.tr_cubic_set(get_field(2, 5)))
     assert rep.verdict == "match"
     assert rep.computed.n == 21
     assert dict(rep.computed.nonzero_items()) == {8: 5, 10: 16, 12: 10}
@@ -154,7 +154,7 @@ def test_complement_of_cubic_set():
 
 def test_complement_applied_twice_restores_distribution():
     f = get_field(2, 5)
-    base = sets.tr_cubic_set(5, f)
+    base = sets.tr_cubic_set(f)
     once = sets.complement(base)
     twice = sets.complement(once)
     assert build_code_weights(twice) == build_code_weights(base)
