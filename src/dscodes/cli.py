@@ -240,22 +240,25 @@ class _SetOption:
         return build_set(f, self.text)
 
 
-def _claim(args) -> tuple[theorems.ClaimSpec, int]:
-    """The --claim row and the p its field rule gives.  A flag the row
-    does not read is refused before any field is built."""
+def _claim(args) -> tuple[theorems.ClaimSpec, int, int]:
+    """The --claim row, the p its field rule gives and the seed.  A flag the
+    row does not read is refused before any field is built."""
     spec = theorems.CLAIMS[args.claim]
     unread = ("m", "field_poly") if spec.param == "h" else ("h",)
-    for name in unread + (() if spec.parse_set else ("set",)):
+    unread += () if spec.parse_set else ("set",)
+    unread += () if spec.seeded == args.command else ("seed",)
+    for name in unread:
         if getattr(args, name, None) is not None:  # scan has no --set or --field-poly
-            raise UsageError(f"{spec.token} does not take --{name.replace('_', '-')}")
+            raise UsageError(f"{args.command} {spec.token} does not take --{name.replace('_', '-')}")
     try:
-        return spec, spec.field_p(args.p)
+        p = spec.field_p(args.p)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    return spec, p, theorems.DEFAULT_SEED if args.seed is None else args.seed
 
 
 def cmd_verify(args):
-    spec, p = _claim(args)
+    spec, p, seed = _claim(args)
     try:
         if spec.param == "h":
             field, (arg,) = None, _checked_values(args, spec.param, p, degree=spec.degree)
@@ -263,7 +266,7 @@ def cmd_verify(args):
             field = _field_for(args, p)
             option = _SetOption(spec.token, args.set)
             arg = spec.parse_set(field, option) if spec.parse_set else None
-        report = theorems.verify(spec.token, field, arg, seed=args.seed)
+        report = theorems.verify(spec.token, field, arg, seed=seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     payload = {"command": "verify", "report": report.to_json_dict()}
@@ -271,11 +274,11 @@ def cmd_verify(args):
 
 
 def cmd_scan(args):
-    spec, p = _claim(args)
+    spec, p, seed = _claim(args)
     values = _checked_values(args, spec.param, p, single=False, degree=spec.degree)
     try:
         reports = theorems.scan(
-            spec.token, p=p, **{f"{spec.param}_values": values}, seed=args.seed
+            spec.token, p=p, **{f"{spec.param}_values": values}, seed=seed
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -520,7 +523,7 @@ _FLAGS = {
     "--set": dict(help="set selector"),
     "--claim": dict(choices=tuple(theorems.CLAIMS), help="claim token"),
     "--field-poly": dict(help="modulus coefficients, constant first, comma separated"),
-    "--seed": dict(type=int, default=theorems.DEFAULT_SEED),
+    "--seed": dict(type=int, help="random seed of thm1prop (verify) and cor3 (scan)"),
     "--max-q": dict(type=int, default=DEFAULT_MAX_Q),
     "--a": dict(type=int, default=1, help="first sum argument"),
     "--b": dict(type=int, default=1, help="second sum argument"),

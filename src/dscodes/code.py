@@ -190,7 +190,8 @@ def _weights_by_hyperplane_count(f: Field, elements) -> np.ndarray:
 
     Tr is GF(p)-linear, so Tr(x d) = sum_i d_i Tr(x b_i), b_i the element
     with code p^i, and the zero count of x is N(pi(x)) with
-    pi(x)_i = Tr(x b_i).  N comes from an exact int32 transform on a state
+    pi(x)_i = Tr(x b_i), a GF(p)-linear map of x the field holds as the
+    table `Field.PI`.  N comes from an exact int32 transform on a state
     F[v, t] of q*p cells: F starts as the indicator of D at t = 0, and
     step i replaces coordinate d_i by u_i through
     F[..u_i.., t] = sum_{d_i} F[..d_i.., (t - d_i u_i) mod p],
@@ -213,17 +214,7 @@ def _weights_by_hyperplane_count(f: Field, elements) -> np.ndarray:
                 out[:, u, :, s:] += src[:, d, :, : p - s]
                 out[:, u, :, :s] += src[:, d, :, p - s :]
         state = out.reshape(q, p)
-    zeros = state[:, 0]
-    # pi over log indices, g the generator behind the tables:
-    # Tr(g^s b_i) = TR[EXP[s + LOG[b_i]]], and b_i is not g^i
-    tr_at = f.TR[f.EXP]
-    pi = np.zeros(q - 1, dtype=np.int64)
-    for i in range(m):
-        lo = int(f.LOG[p**i])
-        pi += tr_at[lo : lo + q - 1].astype(np.int64) * p**i
-    weights = np.zeros(q, dtype=np.int64)
-    weights[f.EXP[: q - 1]] = n - zeros[pi]
-    return weights
+    return n - state[f.PI, 0]
 
 
 def _route(p: int, m: int, n: int):

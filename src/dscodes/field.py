@@ -20,22 +20,22 @@ x -> c*x on coordinate rows, whose row i holds the coordinates of
 c*alpha^i (for c = alpha, the companion matrix of the modulus).  The
 multiplicative generator is the element of order p^m - 1 whose
 coordinate vector is lexicographically smallest, its order tested by
-matrix powers.  The antilog table is built by doubling, EXP[s:2s] =
-g^s * EXP[:s], applying the step matrix to chunks of coordinate rows and
-squaring it each round.  Tr(alpha^i) is the trace of the matrix of
-alpha^i, and the trace table is the same chunked apply over all
-elements.  All of it is int64 arithmetic on entries below p.
+matrix powers.  `Field.linear_map` applies a matrix over GF(p) to every
+element at once.  The trace table is the one-column map of the
+Tr(alpha^i), each the trace of the matrix of alpha^i.  EXP walks its
+first b ~ sqrt(q) powers, then reads each block through x -> g^b * x.
+`Field.PI`, the kernel's map x -> (Tr(x alpha^j))_j, is built on first use.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 MAX_Q = 1 << 24
 MAX_P = 251
-_CHUNK = 1 << 12  # rows per matrix apply in the table builds
 
 
 def is_prime(n: int) -> bool:
@@ -142,13 +142,12 @@ class Field:
             if not poly_is_irreducible(modulus, p):
                 raise ValueError(f"modulus override {modulus} is reducible over GF({p})")
         self.modulus = modulus
-        self._pw = p ** np.arange(m, dtype=np.int64)
         # companion matrix: the matrix of x -> alpha*x
         self._alpha = np.eye(m, k=1, dtype=np.int64)
         self._alpha[-1] = [-c % p for c in modulus[:m]]
         self.generator = self._find_generator()
-        self._build_log_tables()
         self._build_trace_table()
+        self._build_log_tables()
 
     # -- construction helpers ------------------------------------------
 
@@ -169,9 +168,26 @@ class Field:
             e >>= 1
         return r
 
-    def _apply(self, xs: np.ndarray, mat: np.ndarray) -> np.ndarray:
-        """coords(x) @ mat mod p for every element code x in xs."""
-        return (xs[:, None] // self._pw % self.p) @ mat % self.p
+    def linear_map(self, mat) -> np.ndarray:
+        """The int32 code of coords(x) @ mat mod p for every element code x.
+        Each output digit is a column filled by digit blocks: codes whose digit
+        i is d hold the column below p^i plus d*mat[i] mod p.  The top digit's
+        blocks go straight into the output by Horner, out = out*p + column."""
+        p, m, q = self.p, self.m, self.q
+        out = np.zeros(q, dtype=np.int32)
+        col = np.zeros(q // p, dtype=np.uint8 if p < 128 else np.uint16)  # holds v + c < 2p
+        steps = (np.arange(p)[:, None, None] * np.asarray(mat) % p).astype(col.dtype)
+        for j in reversed(range(steps.shape[2])):
+            for i in range(m - 1):
+                blocks = col[: p ** (i + 1)].reshape(p, p**i)
+                np.add(blocks[0], steps[1:, i, j, None], out=blocks[1:])
+                blocks[1:] %= p
+            out *= p
+            for row in out.reshape(p, q // p):  # p steps of mat[m - 1] bring col back
+                row += col
+                col += steps[1, m - 1, j]
+                col %= p
+        return out
 
     def _find_generator(self) -> int:
         p, m, q = self.p, self.m, self.q
@@ -185,25 +201,23 @@ class Field:
         raise AssertionError("no multiplicative generator found")
 
     def _build_log_tables(self):
-        # doubling: EXP[s:2s] = g^s * EXP[:s], the step matrix squared per round
-        q = self.q
+        # the first b powers walked one product at a time, then EXP[t + b] = g^b * EXP[t]
+        p, m, q = self.p, self.m, self.q
         exp = np.empty(2 * (q - 1), dtype=np.int32)
-        log = np.full(q, -1, dtype=np.int32)
-        exp[0], log[1] = 1, 0
-        gen = self._matrix(self.generator)
-        step, s = gen, 1
-        while s < q - 1:
-            t = min(s, q - 1 - s)
-            for lo in range(0, t, _CHUNK):
-                hi = min(lo + _CHUNK, t)
-                powers = self._apply(exp[lo:hi], step) @ self._pw
-                exp[s + lo : s + hi] = powers
-                log[powers] = np.arange(s + lo, s + hi, dtype=np.int32)
-            step = step @ step % self.p
-            s *= 2
+        gen, pw, b = self._matrix(self.generator), p ** np.arange(m), math.isqrt(q - 1)
+        row = np.eye(m, dtype=np.int64)[0]  # the coordinates of 1
+        for t in range(b):
+            exp[t], row = row @ pw, row @ gen % p
+        log = self.linear_map(self._matrix(int(row @ pw)))  # x -> g^b * x, LOG once EXP is done
+        for lo in range(b, q - 1, b):  # the last block spills into the half copied below
+            exp[lo : lo + b] = log[exp[lo - b : lo]]
+        log.fill(-1)
+        for lo in range(0, q - 1, b):
+            hi = min(lo + b, q - 1)
+            log[exp[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
         if log[0] != -1 or np.count_nonzero(log < 0) != 1:
             raise AssertionError("generator order is below q - 1")
-        if self._apply(exp[q - 2 : q - 1], gen) @ self._pw != 1:
+        if not np.array_equal(self._matrix(int(exp[q - 2])) @ gen % p, np.eye(m)):
             raise AssertionError("generator does not return to 1 after q - 1 steps")
         exp[q - 1 :] = exp[: q - 1]
         exp.setflags(write=False)
@@ -219,18 +233,23 @@ class Field:
             basis.append(int(np.trace(power)) % p)
             power = power @ self._alpha % p
         self.tr_basis = tuple(basis)
-        vec = np.array(basis, dtype=np.int64)
-        tr = np.empty(q, dtype=np.uint8)
+        tr = self.linear_map(np.array(basis)[:, None])
         counts = np.zeros(p, dtype=np.int64)
-        for lo in range(0, q, _CHUNK):
-            hi = min(lo + _CHUNK, q)
-            values = self._apply(np.arange(lo, hi, dtype=np.int64), vec)
-            tr[lo:hi] = values
-            counts += np.bincount(values, minlength=p)
+        np.add.at(counts, tr, 1)  # no q-sized temporary, unlike bincount's cast to intp
         if not np.all(counts == q // p):
             raise AssertionError("trace table is not balanced")
+        tr = tr.astype(np.uint8)
         tr.setflags(write=False)
         self.TR = tr
+
+    @functools.cached_property
+    def PI(self) -> np.ndarray:
+        """Read-only pi(x) = sum_j Tr(x alpha^j) p^j for every element code x:
+        Tr(x alpha^j) = sum_i x_i Tr(alpha^(i+j)), a Hankel matrix over GF(p)."""
+        p, m = self.p, self.m
+        pi = self.linear_map([[self.trace(self.mul(p**i, p**j)) for j in range(m)] for i in range(m)])
+        pi.setflags(write=False)
+        return pi
 
     # -- scalar arithmetic ---------------------------------------------
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .code import DefiningSet
-from .field import Field, get_field
+from .field import Field
 
 
 def simplex_coset_reps(f: Field) -> DefiningSet:
@@ -171,18 +171,15 @@ def hkm_exponent(h: int) -> int:
     return 3 ** (2 * h) - 3**h + 1
 
 
-def hkm_set(h: int, f: Field | None = None) -> DefiningSet:
+def hkm_set(h: int, f: Field) -> DefiningSet:
     """Half-orbit set over GF(3^(3h)): alpha^t with Tr(alpha^t + alpha^(t*l)) = 0
     for 0 <= t <= (q-3)/2, l = 3^(2h) - 3^h + 1.  h must be odd."""
     if h < 1:
         raise ValueError("h must be >= 1")
     if h % 2 == 0:
         raise ValueError("h must be odd")
-    m = 3 * h
-    if f is None:
-        f = get_field(3, m)
-    elif (f.p, f.m) != (3, m):
-        raise ValueError(f"field must be GF(3^{m})")
+    if (f.p, f.m) != (3, 3 * h):
+        raise ValueError(f"field must be GF(3^{3 * h})")
     ts = np.arange((f.q - 1) // 2, dtype=np.int64)
     xs = f.EXP[ts]
     ys = f.EXP[ts * hkm_exponent(h) % (f.q - 1)]

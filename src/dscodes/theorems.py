@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from . import sets, spectra
-from .code import DefiningSet, WeightDistribution, build_code_weights
+from .code import DefiningSet, WeightDistribution, _route, build_code_weights
 from .field import Field, get_field
 
 DEFAULT_SEED = 101
@@ -355,8 +355,10 @@ def _split_off_rest(first: DefiningSet) -> tuple[DefiningSet, DefiningSet]:
 
 
 def _complement(field, base: DefiningSet) -> Instance:
-    """Cor 3: the complement's weights are the base's reflected."""
+    """Cor 3: the complement's weights are the base's reflected.  A
+    complement no weight route fits is refused before the base is enumerated."""
     f = base.field
+    _route(f.p, f.m, f.q - base.n)
     full_weight = (f.p - 1) * f.p ** (f.m - 1)
     base_wd = build_code_weights(base)
     checks = [
@@ -465,7 +467,7 @@ def _half_orbit(field, h: int) -> Instance:
             HypothesisCheck("h-odd", h % 2 == 1, f"h = {h}"),
         ],
         lambda: predict_half_orbit_complement(h),
-        lambda: sets.complement(sets.hkm_set(h, field)),
+        lambda: sets.complement(sets.hkm_set(h, get_field(3, 3 * h))),
     )
 
 
@@ -635,6 +637,7 @@ class ClaimSpec:
     parse_set: Callable | None = None
     param: str = "m"  # "h": instances take h and build their own GF(3^(3h))
     sweep: Callable | None = None  # (field, seed) -> a seeded randomized report
+    seeded: str = ""  # the subcommand whose route reads --seed: "verify" (sweep) or "scan"
 
     def field_p(self, p: int | None) -> int:
         if p is None:
@@ -652,13 +655,13 @@ class ClaimSpec:
 CLAIMS = {spec.token: spec for spec in (
     ClaimSpec("thm1", 3, _expansion,
               parse_set=lambda f, s: (s.digits(f), sets.simplex_coset_reps(f))),
-    ClaimSpec("thm1prop", 3, sweep=_expansion_sweep),
+    ClaimSpec("thm1prop", 3, sweep=_expansion_sweep, seeded="verify"),
     ClaimSpec("cor1", 3, _simplex, family=_one_per_m()),
     ClaimSpec("cor2", 3, _scaled_simplex, family=_scalar_subsets,
               parse_set=lambda f, s: s.digits(f)),
     ClaimSpec("thm2", 2, _split, parse_set=lambda f, s: _split_off_rest(s.defining_set(f))),
     ClaimSpec("cor3", 2, _complement, family=_reflectable_sets,
-              parse_set=lambda f, s: s.defining_set(f)),
+              parse_set=lambda f, s: s.defining_set(f), seeded="scan"),
     ClaimSpec("cor4odd", 3, _quadratic, family=_diagonal_forms(ClaimId.COR4_QF_ODD),
               parse_set=lambda f, s: s.terms()),
     ClaimSpec("cor4even", 3, _quadratic, family=_diagonal_forms(ClaimId.COR4_QF_EVEN),

@@ -47,7 +47,7 @@ def code_catalog():
         catalog.append(sets.simplex_coset_reps(f))
     for m in (4, 5, 6):
         catalog.append(sets.tr_cubic_set(get_field(2, m)))
-    catalog.append(sets.hkm_set(1))
+    catalog.append(sets.hkm_set(1, get_field(3, 3)))
     f27 = get_field(3, 3)
     image, _ = sets.quadratic_form_image(f27, ((0, 0, 1),))
     catalog.append(image)

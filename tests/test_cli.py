@@ -12,9 +12,11 @@ import jsonschema
 import pytest
 
 from dscodes import cli, field, secretshare
+import parity
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((ROOT / "src/dscodes/schemas/output.schema.json").read_text())
+PARITY_ROWS = json.loads(parity.PARITY_FILE.read_text())
 
 
 def run(capsys, *argv):
@@ -141,6 +143,13 @@ UNREAD_ARGV = [
     ["verify", "--claim", "thm3", "--h", "1", "--m", "3"],
     ["verify", "--claim", "thm3", "--h", "1", "--field-poly", "1,2,0,1"],
     ["scan", "--claim", "thm3", "--h", "1", "--m", "3"],
+    # --seed is read only by the thm1prop sweep (verify) and the cor3 family (scan)
+    ["verify", "--claim", "thm4", "--m", "5", "--seed", "3"],
+    ["verify", "--claim", "cor3", "--m", "5", "--set", "trcubic", "--seed", "3"],
+    ["verify", "--claim", "thm3", "--h", "1", "--seed", "3"],
+    ["scan", "--claim", "thm5", "--m", "4", "--seed", "3"],
+    ["scan", "--claim", "cor1", "--m", "3", "--seed", "3"],
+    ["scan", "--claim", "thm1prop", "--m", "2", "--seed", "3"],
 ]
 
 
@@ -182,6 +191,22 @@ def test_weight_routes_past_their_bounds_exit_three(capsys, monkeypatch):
         assert "GATHER_MAX_CELLS" in err
 
 
+def test_cor3_refuses_an_unfit_complement_before_enumerating(capsys, monkeypatch, tmp_path):
+    def boom(*args):
+        raise AssertionError("the base set was enumerated")
+
+    # a base of 3 elements of GF(16) fits a 48-cell gather, its complement's
+    # 208 cells do not
+    table = tmp_path / "table.txt"
+    table.write_text("1000000000000110\n")
+    monkeypatch.setattr("dscodes.code.GATHER_MAX_CELLS", 1 << 6)
+    monkeypatch.setattr("dscodes.code._weights_by_gather", boom)
+    code, out, err = run(capsys, "verify", "--claim", "cor3", "--m", "4", "--set", f"bool:{table}")
+    assert code == 3
+    assert out == ""
+    assert "GATHER_MAX_CELLS" in err
+
+
 def test_outputs_are_byte_identical(capsys):
     argv = ("scan", "--claim", "cor2", "--p", "3", "--m", "2,3")
     code1, out1, _ = run(capsys, *argv)
@@ -190,35 +215,12 @@ def test_outputs_are_byte_identical(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize(("argv", "digest"), [
-    (("--p", "2", "--m", "4..6"),
-     "deda168e30d9d063b28144be06d2755a4aa23dd1d6d92f84aeb3457eedb88cd6"),
-    (("--p", "3", "--m", "3"),
-     "aa11d2cbefb73f322c1bfa1820237980332b0a3d6c480c2cc9a57edb803aa199"),
-], ids=["p2-m4..6", "p3-m3"])
-def test_cor3_scan_output_is_pinned(capsys, argv, digest):
-    # the cor3 family samples its base sets from random.Random(seed); this
-    # pins the draw sequence and every report it leads to
-    code, out, _ = run(capsys, "scan", "--claim", "cor3", *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize(("argv", "digest"), [
-    (("--m", "7"), "63f854380507a3bce29b53328d17b79423dc9108d753f1d15ffee61eb2d26174"),
-    (("--m", "6", "--format", "text"),
-     "5c98218ecdf5d9fb924668856945e19b966526622dbcf416abc6db538ef7df3b"),
-    (("--m", "4", "--set", "bool:{table}"),
-     "d6ce8db88cbeb94c59905fdc8f93cbe78e161149fa7e4fb9bcc2349104d7e7b1"),
-], ids=["m7", "m6-text", "m4-bool"])
-def test_walsh_output_is_pinned(capsys, tmp_path, argv, digest):
-    # the histogram, max |value| and semibent verdict, byte for byte
-    table = tmp_path / "table.txt"
-    table.write_text("1111011110111100\n")
-    argv = [a.format(table=table) for a in argv]
-    code, out, _ = run(capsys, "walsh", *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+@pytest.mark.parametrize("row", PARITY_ROWS, ids=parity.row_id)
+def test_cli_parity(tmp_path, row):
+    # exit code and stdout bytes of every row, recorded by tests/parity.py
+    code, out = parity.run_row(row["argv"], tmp_path)
+    assert code == row["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == row["sha256"]
 
 
 def test_property_claim_is_seeded_and_deterministic(capsys):

@@ -280,6 +280,41 @@ def test_tables_match_sequential_walk_under_override(p, m):
         _assert_tables_match_walk(f)
 
 
+def _apply(f, mat):
+    """The oracle: coords(x) @ mat mod p for every element code x, as codes."""
+    xs = np.arange(f.q, dtype=np.int64)
+    digits = xs[:, None] // f.p ** np.arange(f.m) % f.p
+    return (digits @ mat % f.p) @ f.p ** np.arange(mat.shape[1])
+
+
+@pytest.mark.parametrize("p, m", WALK_FIELDS, ids=lambda v: str(v))
+def test_linear_map_matches_digit_matmul(p, m):
+    f = get_field(p, m)
+    rng = np.random.default_rng(p * 100 + m)
+    for cols in (1, m, m):
+        mat = rng.integers(0, p, size=(m, cols))
+        got = f.linear_map(mat)
+        assert got.dtype == np.int32
+        assert got.tolist() == _apply(f, mat).tolist(), mat
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (2, 6), (3, 4), (5, 3), (7, 2), (251, 1)])
+def test_pi_is_the_trace_against_each_basis_element(p, m):
+    f = get_field(p, m)
+    want = [
+        sum(f.trace(f.mul(x, p**i)) * p**i for i in range(m)) for x in range(f.q)
+    ]
+    assert f.PI.tolist() == want
+
+
+def test_pi_is_cached_and_read_only():
+    f = get_field(3, 4)
+    assert f.PI is f.PI
+    assert not f.PI.flags.writeable
+    with pytest.raises(ValueError):
+        f.PI[1] = 0
+
+
 def test_non_primitive_generator_is_refused(monkeypatch):
     f = Field(3, 2)
     short = [x for x in range(1, f.q) if math.gcd(int(f.LOG[x]), f.q - 1) > 1]

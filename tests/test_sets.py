@@ -181,7 +181,7 @@ def test_hkm_exponent_values():
 
 
 def test_hkm_set_h1_size():
-    ds = sets.hkm_set(1)
+    ds = sets.hkm_set(1, get_field(3, 3))
     assert ds.field.q == 27
     assert ds.n == 4
     assert 0 not in ds.elements
@@ -189,7 +189,7 @@ def test_hkm_set_h1_size():
 
 def test_hkm_set_rejects_even_h():
     with pytest.raises(ValueError):
-        sets.hkm_set(2)
+        sets.hkm_set(2, get_field(3, 6))
 
 
 def test_tr_cubic_set_sizes():
@@ -366,7 +366,7 @@ def test_quadratic_form_image_matches_scalar_oracle():
 
 @pytest.mark.parametrize("h", (1, 3))
 def test_hkm_set_matches_scalar_oracle(h):
-    ds = sets.hkm_set(h)
+    ds = sets.hkm_set(h, get_field(3, 3 * h))
     assert ds.elements.tolist() == _hkm_oracle(h, ds.field)
 
 
