@@ -48,8 +48,9 @@ class _Parser(argparse.ArgumentParser):
 # small parsers
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    """Range syntax: 'A..B' inclusive, or 'A,B,C', or a single 'A'."""
+def _parse_int_list(text: str) -> range | tuple[int, ...]:
+    """Range syntax: 'A..B' inclusive (a range, never built out), or
+    'A,B,C', or a single 'A'."""
     text = text.strip()
     try:
         if ".." in text:
@@ -57,7 +58,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
             lo, hi = int(lo_s), int(hi_s)
             if hi < lo:
                 raise UsageError(f"empty range {text!r}")
-            return tuple(range(lo, hi + 1))
+            return range(lo, hi + 1)
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"not an integer list or range: {text!r}") from None
@@ -148,16 +149,17 @@ def build_set(f: Field, selector: str) -> DefiningSet:
 
 
 def _checked_values(args, name: str, p: int, single=True, degree=lambda v: v):
-    """The values of --m (or --h), each field size p^degree checked
-    against --max-q before any table is built."""
+    """The values of --m (or --h), the largest field size p^degree checked
+    against --max-q before any table is built.  A degree at or past the
+    cap's bit length is refused before its power is computed."""
     text = getattr(args, name)
     if not text:
         raise UsageError(f"--{name} is required")
     values = (_parse_single_int(text, f"--{name}"),) if single else _parse_int_list(text)
-    for value in values:
-        q = p ** degree(value)
-        if q > args.max_q:
-            raise UsageError(f"{name} = {value}: q = {q} exceeds --max-q = {args.max_q}")
+    top = values[-1] if isinstance(values, range) else max(values)
+    d = degree(top)
+    if d >= args.max_q.bit_length() or p**d > args.max_q:
+        raise UsageError(f"{name} = {top}: q = {p}^{d} exceeds --max-q = {args.max_q}")
     return values
 
 

@@ -10,10 +10,10 @@ Construction is deterministic.  The modulus is the lexicographically
 smallest monic irreducible of degree m over GF(p), coefficient vectors
 compared constant term first; for m >= 2 the search starts at constant
 term 1, since every candidate with constant term 0 is divisible by X.
-Irreducibility is established by trial division against every monic
-polynomial of degree at most m/2.  An explicit modulus override is
-accepted for compatibility with tables built elsewhere, and is itself
-checked for irreducibility.
+Irreducibility is Rabin's test on the companion matrix C of the candidate:
+C^(p^m) = C, and C^(p^(m/r)) - C has full rank over GF(p) for every prime
+r | m.  An explicit modulus override is accepted for compatibility with
+tables built elsewhere, and is itself checked for irreducibility.
 
 Every table comes from one mechanism: the m x m matrix over GF(p) of
 x -> c*x on coordinate rows, whose row i holds the coordinates of
@@ -65,22 +65,38 @@ def prime_factors(n: int) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# polynomials over GF(p): coefficient lists, constant term first
+# matrices over GF(p), and polynomials as coefficient lists, constant term first
 
 
-def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
-    """Remainder of num by den; den must be monic."""
-    r = list(num)
-    dd = len(den) - 1
-    for i in range(len(r) - 1, dd - 1, -1):
-        c = r[i]
-        if c:
-            r[i] = 0
-            for j in range(dd):
-                r[i - dd + j] = (r[i - dd + j] - c * den[j]) % p
-    while len(r) > 1 and r[-1] == 0:
-        r.pop()
+def rank_mod_p(a, p: int) -> int:
+    """Rank over GF(p) of a small integer matrix, by row reduction: each pass
+    clears the first nonzero entry's column with its row, then drops the row."""
+    a = np.array(a, dtype=np.int64) % p
+    rank = 0
+    while a.any():
+        i, j = np.argwhere(a)[0]
+        row = a[i] * pow(int(a[i, j]), -1, p) % p
+        a = np.delete(a, i, axis=0)
+        a = (a - a[:, j, None] * row) % p
+        rank += 1
+    return rank
+
+
+def _matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    r = np.eye(len(a), dtype=np.int64)
+    while e:
+        if e & 1:
+            r = r @ a % p
+        a = a @ a % p
+        e >>= 1
     return r
+
+
+def _companion(f: tuple[int, ...], p: int) -> np.ndarray:
+    """Matrix of x -> X*x modulo the monic f, on coordinate rows."""
+    c = np.eye(len(f) - 1, k=1, dtype=np.int64)
+    c[-1] = [-a % p for a in f[:-1]]
+    return c
 
 
 def _lex_vector(k: int, p: int, m: int) -> list[int]:
@@ -90,17 +106,16 @@ def _lex_vector(k: int, p: int, m: int) -> list[int]:
 
 
 def poly_is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    """Trial division by all monic polynomials of degree <= deg(f)/2."""
-    d = len(f) - 1
-    if d < 1 or f[-1] != 1:
+    """Rabin's test: the monic f of degree m >= 1 is irreducible iff
+    X^(p^m) = X mod f and X^(p^(m/r)) - X is a unit mod f for each prime
+    r | m; on the companion matrix C, a unit is a full-rank C^(p^(m/r)) - C."""
+    m = len(f) - 1
+    if m < 1 or f[-1] != 1:
         return False
-    for e in range(1, d // 2 + 1):
-        for k in range(p**e):
-            g = [(k // p**i) % p for i in range(e)] + [1]
-            r = _poly_mod(list(f), g, p)
-            if r == [0]:
-                return False
-    return True
+    c = _companion(f, p)
+    if not np.array_equal(_matpow(c, p**m, p), c):
+        return False
+    return all(rank_mod_p(_matpow(c, p ** (m // r), p) - c, p) == m for r in prime_factors(m))
 
 
 def iter_irreducible_moduli(p: int, m: int):
@@ -123,16 +138,15 @@ class Field:
     """GF(p^m).  Treat as immutable; share freely across threads."""
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None):
-        if not is_prime(p) or not (2 <= p <= MAX_P):
+        if not (2 <= p <= MAX_P) or not is_prime(p):
             raise ValueError(f"p must be a prime in [2, {MAX_P}], got {p}")
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
-        q = p**m
-        if q > MAX_Q:
+        if m > MAX_Q.bit_length() or p**m > MAX_Q:  # m first: no power past the cap
             raise ValueError(f"q = {p}^{m} exceeds the table cap 2^24")
         self.p = p
         self.m = m
-        self.q = q
+        self.q = p**m
         if modulus is None:
             modulus = smallest_irreducible(p, m)
         else:
@@ -142,9 +156,7 @@ class Field:
             if not poly_is_irreducible(modulus, p):
                 raise ValueError(f"modulus override {modulus} is reducible over GF({p})")
         self.modulus = modulus
-        # companion matrix: the matrix of x -> alpha*x
-        self._alpha = np.eye(m, k=1, dtype=np.int64)
-        self._alpha[-1] = [-c % p for c in modulus[:m]]
+        self._alpha = _companion(modulus, p)  # the matrix of x -> alpha*x
         self.generator = self._find_generator()
         self._build_trace_table()
         self._build_log_tables()
@@ -158,15 +170,6 @@ class Field:
         for _ in range(self.m - 1):
             rows.append(rows[-1] @ self._alpha % self.p)
         return np.array(rows)
-
-    def _matpow(self, a: np.ndarray, e: int) -> np.ndarray:
-        r = np.eye(self.m, dtype=np.int64)
-        while e:
-            if e & 1:
-                r = r @ a % self.p
-            a = a @ a % self.p
-            e >>= 1
-        return r
 
     def linear_map(self, mat) -> np.ndarray:
         """The int32 code of coords(x) @ mat mod p for every element code x.
@@ -196,7 +199,7 @@ class Field:
         for k in range(1, q):
             cand = sum(c * p**i for i, c in enumerate(_lex_vector(k, p, m)))
             mat = self._matrix(cand)
-            if not any(np.array_equal(self._matpow(mat, e), eye) for e in cofactors):
+            if not any(np.array_equal(_matpow(mat, e, p), eye) for e in cofactors):
                 return cand
         raise AssertionError("no multiplicative generator found")
 

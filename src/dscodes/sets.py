@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .code import DefiningSet
-from .field import Field
+from .field import Field, rank_mod_p
 
 
 def simplex_coset_reps(f: Field) -> DefiningSet:
@@ -32,12 +32,12 @@ def product_set(e_digits, ds: DefiningSet) -> tuple[DefiningSet, bool]:
     expansion theorems only speak about the case where the flag is True.
     """
     f = ds.field
+    for e in e_digits:  # before the set is built: a range of digits can be long
+        if not 1 <= e < f.p:
+            raise ValueError(f"E must sit inside GF(p)*, got {e}")
     e_digits = tuple(sorted(set(int(e) for e in e_digits)))
     if not e_digits:
         raise ValueError("E must be nonempty")
-    for e in e_digits:
-        if not 1 <= e < f.p:
-            raise ValueError(f"E must sit inside GF(p)*, got {e}")
     hit = np.zeros(f.q, dtype=bool)
     for e in e_digits:
         hit[f.scalar_mul_vec(e, ds.elements)] = True
@@ -119,24 +119,17 @@ def quadratic_form_image(f: Field, terms) -> tuple[DefiningSet, dict]:
 
 
 def quadratic_form_rank(f: Field, table) -> int:
-    """Rank r with |V_f| = p^(m-r), V_f the radical of the induced bilinear form.
-
-    B(x, z) = f(x+z) - f(x) - f(z) is GF(p)-bilinear, so x lies in V_f
-    iff B(x, alpha^j) = 0 for the m basis directions alpha^j = p^j.
-    """
-    xs = np.arange(f.q, dtype=np.int64)
-    in_radical = np.ones(f.q, dtype=bool)
-    for j in range(f.m):
-        z = f.p**j
-        in_radical &= table[f.add_vec(xs, z)] == f.add_vec(table, int(table[z]))
-    size = radical = int(np.count_nonzero(in_radical))
-    r = f.m
-    while size > 1:
-        if size % f.p:
-            raise ArithmeticError(f"radical size {radical} is not a power of p")
-        size //= f.p
-        r -= 1
-    return r
+    """Rank r of the form, m minus the dimension of its radical: the rank
+    over GF(p) of the m x m^2 matrix whose row i holds the coordinates of
+    B(alpha^i, alpha^j) = f(alpha^i + alpha^j) - f(alpha^i) - f(alpha^j),
+    j < m.  B is GF(p)-bilinear, and alpha^i has element code p^i."""
+    p, m = f.p, f.m
+    pw = p ** np.arange(m)
+    sums = pw[:, None] + pw  # alpha^i + alpha^j, but 2 alpha^i on the diagonal
+    sums[np.diag_indices(m)] = 2 % p * pw
+    pair = table[sums][..., None] // pw % p  # the coordinates of f(alpha^i + alpha^j)
+    one = table[pw][:, None] // pw % p  # the coordinates of f(alpha^i)
+    return rank_mod_p((pair - one[:, None] - one).reshape(m, m * m), p)
 
 
 def is_e_to_1(table):

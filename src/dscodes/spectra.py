@@ -163,7 +163,14 @@ class WalshSpectrum:
         self.n_f = n_f
         if int(values[0]) != f.q - 2 * n_f:
             raise AssertionError("spectrum at 0 disagrees with the weight of f")
-        if int(np.sum(values.astype(object) ** 2)) != f.q * f.q:
+        # a value past q fails at once; below it, 2^62 / q^2 squares sum exactly in int64
+        q, total, step = f.q, 0, (1 << 62) // (f.q * f.q)
+        for lo in range(0, len(values), step):
+            block = np.asarray(values[lo : lo + step], dtype=np.int64)
+            if block.min() < -q or block.max() > q:
+                raise AssertionError("Parseval check failed")
+            total += int(np.dot(block, block))
+        if total != q * q:
             raise AssertionError("Parseval check failed")
 
     def value(self, w: int) -> int:

@@ -575,6 +575,8 @@ def _all_nonempty_subsets(universe):
 
 def _random_reflectable_set(f: Field, rng: random.Random) -> Instance:
     """The first cor3 instance on a random D that meets its hypotheses."""
+    if f.q - 2 < f.m:
+        raise ValueError(f"GF({f.p}^{f.m}) is too small for cor3: D needs m to q - 2 elements")
     for _ in range(REFLECTABLE_TRIES):
         size = rng.randint(f.m, min(f.q - 2, f.m + 6))
         inst = _complement(f, DefiningSet(f, tuple(rng.sample(range(f.q), size)), label="random"))

@@ -172,6 +172,42 @@ def test_unread_flags_exit_three_before_any_field(capsys, monkeypatch, argv):
     assert err != ""
 
 
+OVERSIZED_ARGV = [
+    ["code", "--set", "simplex", "--m", "20000"],
+    ["code", "--set", "simplex", "--m", "3000000000"],
+    ["code", "--set", "simplex", "--m", "99999999999999999999"],
+    ["field", "--p", "2", "--m", "100000000"],
+    ["field", "--p", "251", "--m", "2", "--max-q", "0"],
+    ["verify", "--claim", "thm3", "--h", "2000000000"],
+    ["scan", "--claim", "thm4", "--m", "1..3000000000"],
+    ["scan", "--claim", "thm3", "--h", "1..2000000000"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_ARGV, ids=" ".join)
+def test_oversized_sizes_exit_three_before_any_power(capsys, monkeypatch, argv):
+    def boom(*args):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(field, "_cached_field", boom)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "exceeds --max-q" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["code", "--m", "3", "--set", "product:1..3000000000"], "inside GF(p)*"),
+    (["verify", "--claim", "thm1", "--m", "3", "--set", "product:1..3000000000"], "inside GF(p)*"),
+    (["scan", "--claim", "cor3", "--p", "2", "--m", "1"], "GF(2^1) is too small for cor3"),
+], ids=["code product", "verify thm1 product", "scan cor3 GF(2^1)"])
+def test_long_digit_ranges_and_tiny_cor3_fields_exit_three(capsys, argv, needle):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert needle in err and "Traceback" not in err
+
+
 def test_weight_routes_past_their_bounds_exit_three(capsys, monkeypatch):
     def boom(*args):
         raise AssertionError("the gather started past its bound")

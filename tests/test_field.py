@@ -11,6 +11,7 @@ from dscodes.field import (
     get_field,
     iter_irreducible_moduli,
     poly_is_irreducible,
+    rank_mod_p,
     smallest_irreducible,
 )
 from moduli import alternate_field
@@ -138,6 +139,100 @@ def test_irreducibility_checker_rejects_products():
     assert poly_is_irreducible((1, 1, 1), 2)
 
 
+# ----------------------------------------------------------------------
+# oracle: irreducibility by trial division against every monic polynomial
+# of degree at most m/2, by polynomial long division
+
+
+def _poly_mod(num, den, p):
+    """Remainder of num by the monic den, coefficient lists constant term first."""
+    r = list(num)
+    dd = len(den) - 1
+    for i in range(len(r) - 1, dd - 1, -1):
+        c = r[i]
+        if c:
+            r[i] = 0
+            for j in range(dd):
+                r[i - dd + j] = (r[i - dd + j] - c * den[j]) % p
+    while len(r) > 1 and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _irreducible_by_trial_division(f, p):
+    d = len(f) - 1
+    return not any(
+        _poly_mod(f, list(g) + [1], p) == [0]
+        for e in range(1, d // 2 + 1)
+        for g in itertools.product(range(p), repeat=e)
+    )
+
+
+def _smallest_by_trial_division(p, m):
+    # for m >= 2 a candidate with constant term 0 is divisible by X
+    c0 = range(p) if m == 1 else range(1, p)
+    for vec in itertools.product(c0, *[range(p)] * (m - 1)):
+        if _irreducible_by_trial_division(vec + (1,), p):
+            return vec + (1,)
+
+
+RABIN_DEGREES = {2: range(1, 9), 3: range(1, 6), 5: range(2, 4), 7: range(2, 4), 11: (2,)}
+
+
+@pytest.mark.parametrize("p", RABIN_DEGREES)
+def test_rabin_test_matches_trial_division(p):
+    for m in RABIN_DEGREES[p]:
+        for vec in itertools.product(range(p), repeat=m):
+            f = vec + (1,)
+            assert poly_is_irreducible(f, p) == _irreducible_by_trial_division(f, p), f
+
+
+def test_rabin_test_refuses_non_monic_and_constant_input():
+    assert not poly_is_irreducible((1, 2), 3)  # 2X + 1
+    assert not poly_is_irreducible((1, 1, 0), 2)
+    assert not poly_is_irreducible((1,), 2)
+    assert not poly_is_irreducible((2,), 3)
+
+
+MODULUS_FIELDS = (
+    [(2, m) for m in range(1, 25)] + [(3, m) for m in range(1, 16)]
+    + [(5, m) for m in range(1, 11)] + [(7, m) for m in range(1, 9)] + [(251, m) for m in (1, 2, 3)]
+)
+
+
+def test_smallest_irreducible_matches_trial_division():
+    for p, m in MODULUS_FIELDS:
+        assert smallest_irreducible(p, m) == _smallest_by_trial_division(p, m), (p, m)
+
+
+def _kernel_size(a, p):
+    """|{x : x a = 0 mod p}| by enumerating every x in GF(p)^rows."""
+    xs = np.array(list(itertools.product(range(p), repeat=a.shape[0])), dtype=np.int64)
+    return int(np.count_nonzero(~(xs @ a % p).any(axis=1)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 251])
+def test_rank_mod_p_matches_kernel_count(p):
+    rng = np.random.default_rng(p)
+    max_rows = {2: 8, 3: 5, 5: 4, 7: 3, 251: 2}[p]
+    mats = []
+    for rows in range(1, max_rows + 1):
+        for cols in (1, rows, rows + 2):
+            mats.append(np.zeros((rows, cols), dtype=np.int64))
+            mats.append(np.hstack([np.eye(rows, dtype=np.int64), rng.integers(0, p, (rows, cols))]))
+            mats += [rng.integers(0, p, (rows, cols)) for _ in range(3)]
+            if rows >= 2:
+                a = rng.integers(0, p, (rows, cols))
+                a[-1] = a[0]
+                mats.append(a)
+    kinds = set()
+    for a in mats:
+        r = rank_mod_p(a, p)
+        assert _kernel_size(a, p) == p ** (a.shape[0] - r), a
+        kinds.add("zero" if r == 0 else "full" if r == a.shape[0] else "deficient")
+    assert kinds == {"zero", "deficient", "full"}
+
+
 def test_get_field_caches():
     assert get_field(3, 3) is get_field(3, 3)
 
@@ -159,6 +254,15 @@ def test_alternate_field_uses_different_modulus():
 def test_size_cap():
     with pytest.raises(ValueError):
         Field(2, MAX_Q.bit_length())
+
+
+def test_size_cap_refuses_a_huge_degree_before_any_power(monkeypatch):
+    def boom(*args):
+        raise AssertionError("a modulus search started")
+
+    monkeypatch.setattr("dscodes.field.smallest_irreducible", boom)
+    with pytest.raises(ValueError, match="exceeds"):
+        Field(2, 10**12)
 
 
 def test_rejects_reducible_modulus():

@@ -124,6 +124,27 @@ def test_walsh_rejects_bad_tables():
         spectra.walsh_transform(f, np.zeros(4, dtype=np.int64))
 
 
+def test_parseval_check_refuses_a_perturbed_spectrum():
+    f = get_field(2, 7)
+    spectrum = spectra.walsh_transform(f, spectra.tr_cubic_table(f))
+    for w, delta in ((1, 4), (f.q - 1, -4), (5, 1)):
+        values = spectrum.values.copy()
+        values[w] += delta
+        with pytest.raises(AssertionError, match="Parseval"):
+            spectra.WalshSpectrum(f, values, spectrum.n_f)
+
+
+def test_parseval_check_refuses_values_that_wrap_an_int64_sum():
+    f = get_field(2, 7)
+    spectrum = spectra.walsh_transform(f, spectra.tr_cubic_table(f))
+    values = spectrum.values.copy()
+    w = int(np.flatnonzero(values[1:] == 0)[0]) + 1
+    values[w] = 1 << 32  # its square is 2^64, 0 in a wrapping int64 sum
+    assert int(np.sum(values * values)) == f.q * f.q
+    with pytest.raises(AssertionError, match="Parseval"):
+        spectra.WalshSpectrum(f, values, spectrum.n_f)
+
+
 @pytest.mark.parametrize("m", [3, 5, 7, 9, 11])
 def test_cubic_trace_is_semibent_for_odd_m(m):
     f = get_field(2, m)
