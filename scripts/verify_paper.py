@@ -15,9 +15,9 @@ from dscodes.code import DefiningSet
 from dscodes.field import get_field
 
 
-def _splits(m_values):
+def _splits(ms):
     """thm2 has no scan family: split GF(2^m)* into the cubic-trace set and the rest."""
-    for m in m_values:
+    for m in ms:
         f = get_field(2, m)
         d1 = sets.tr_cubic_set(f)
         d2 = DefiningSet(f, np.flatnonzero(~d1.mask[1:]) + 1, label="rest")
@@ -28,25 +28,25 @@ def main() -> int:
     t0 = time.perf_counter()
     scan = theorems.scan
     reports = [
-        *scan("cor1", p=3, m_values=(2, 3)),
-        *scan("cor1", p=5, m_values=(2,)),
-        *scan("cor1", p=7, m_values=(2,)),
-        *scan("cor2", p=3, m_values=(2, 3)),
-        *scan("cor2", p=5, m_values=(2,)),
+        *scan("cor1", (2, 3), p=3),
+        *scan("cor1", (2,), p=5),
+        *scan("cor1", (2,), p=7),
+        *scan("cor2", (2, 3), p=3),
+        *scan("cor2", (2,), p=5),
         *_splits((5, 7)),
-        *scan("cor3", p=2, m_values=(4, 5), trials=25),
-        *scan("cor4odd", p=3, m_values=(3,)),
-        *scan("cor4even", p=3, m_values=(2, 4)),
-        *scan("cor5", m_values=(4, 5, 6, 7)),
-        *scan("thm3", h_values=(1, 3)),
-        *scan("thm4", m_values=(5, 7, 9, 11, 13)),
-        *scan("thm5", m_values=(4, 6, 8, 10, 12)),
+        *scan("cor3", (4, 5), p=2, trials=25),
+        *scan("cor4odd", (3,), p=3),
+        *scan("cor4even", (2, 4), p=3),
+        *scan("cor5", (4, 5, 6, 7)),
+        *scan("thm3", (1, 3)),
+        *scan("thm4", (5, 7, 9, 11, 13)),
+        *scan("thm5", (4, 6, 8, 10, 12)),
     ]
     prop = theorems.verify("thm1prop", get_field(3, 2))
 
     width = max(len(str(r.params)) for r in reports)
     for r in reports:
-        print(f"{r.claim.value:<9} {str(r.params):<{width}} {r.verdict}")
+        print(f"{r.claim:<9} {str(r.params):<{width}} {r.verdict}")
     print(
         f"thm1prop  p=3 m=2 trials={prop.trials} "
         f"{'match' if prop.all_matched else 'mismatch'}"

@@ -23,10 +23,9 @@ from .code import (
 from .field import Field, get_field
 from .secretshare import MinimalReport, RatioReport, minimal_codewords, ratio_check
 from .spectra import WalshSpectrum, walsh_transform, weil_sum
-from .theorems import ClaimId, TheoremReport, scan, scan_summary
+from .theorems import TheoremReport, scan, scan_summary
 
 __all__ = [
-    "ClaimId",
     "CodeSummary",
     "DefiningSet",
     "Field",

@@ -151,12 +151,18 @@ def build_set(f: Field, selector: str) -> DefiningSet:
 def _checked_values(args, name: str, p: int, single=True, degree=lambda v: v):
     """The values of --m (or --h), the largest field size p^degree checked
     against --max-q before any table is built.  A degree at or past the
-    cap's bit length is refused before its power is computed."""
+    cap's bit length is refused before its power is computed.  A list or
+    range (single=False) that starts below 1 is refused before any
+    instance is built; a single value is left to the claim's own checks."""
     text = getattr(args, name)
     if not text:
         raise UsageError(f"--{name} is required")
     values = (_parse_single_int(text, f"--{name}"),) if single else _parse_int_list(text)
-    top = values[-1] if isinstance(values, range) else max(values)
+    ranged = isinstance(values, range)  # read its ends, never walk it
+    bottom = values[0] if ranged else min(values)
+    if not single and bottom < 1:
+        raise UsageError(f"{name} = {bottom} is below 1")
+    top = values[-1] if ranged else max(values)
     d = degree(top)
     if d >= args.max_q.bit_length() or p**d > args.max_q:
         raise UsageError(f"{name} = {top}: q = {p}^{d} exceeds --max-q = {args.max_q}")
@@ -279,9 +285,7 @@ def cmd_scan(args):
     spec, p, seed = _claim(args)
     values = _checked_values(args, spec.param, p, single=False, degree=spec.degree)
     try:
-        reports = theorems.scan(
-            spec.token, p=p, **{f"{spec.param}_values": values}, seed=seed
-        )
+        reports = theorems.scan(spec.token, values, p=p, seed=seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     payload = {

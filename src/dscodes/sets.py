@@ -176,7 +176,7 @@ def hkm_set(h: int, f: Field) -> DefiningSet:
     ts = np.arange((f.q - 1) // 2, dtype=np.int64)
     xs = f.EXP[ts]
     ys = f.EXP[ts * hkm_exponent(h) % (f.q - 1)]
-    els = xs[f.TR[f.add_vec(xs, ys)] == 0]
+    els = xs[(f.TR[xs] + f.TR[ys]) % 3 == 0]  # Tr(x + x^l) = Tr(x) + Tr(x^l)
     return DefiningSet(f, els, label=f"hkm h={h}")
 
 

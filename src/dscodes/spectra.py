@@ -173,9 +173,6 @@ class WalshSpectrum:
         if total != q * q:
             raise AssertionError("Parseval check failed")
 
-    def value(self, w: int) -> int:
-        return int(self.values[w])
-
 
 def walsh_transform(f: Field, table) -> WalshSpectrum:
     """Exact spectrum of a truth table indexed by element code.

@@ -6,6 +6,9 @@ distribution it is handed); the construction side only enumerates
 codewords.  A report compares the two and carries the hypothesis
 checks, so a failed precondition is distinguishable from a falsified
 formula.
+
+A claim has one name, its token: the key of its row in `CLAIMS`, the
+CLI's `--claim` value and the `claim` of every report built for it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -30,22 +32,6 @@ VERDICT_MISMATCH = "mismatch"
 VERDICT_HYPOTHESIS = "hypothesis-not-met"
 
 
-class ClaimId(Enum):
-    """Stable identifiers for the checkable claims; values are CLI tokens."""
-
-    THM1_EXPANSION = "thm1"
-    COR1_SIMPLEX = "cor1"
-    COR2_ONEWEIGHT_L = "cor2"
-    THM2_COMBINE = "thm2"
-    COR3_COMPLEMENT = "cor3"
-    COR4_QF_ODD = "cor4odd"
-    COR4_QF_EVEN = "cor4even"
-    COR5_BOOLEAN = "cor5"
-    THM3_HKM = "thm3"
-    THM4_ODD_M = "thm4"
-    THM5_EVEN_M = "thm5"
-
-
 @dataclass(frozen=True)
 class HypothesisCheck:
     name: str
@@ -55,7 +41,7 @@ class HypothesisCheck:
 
 @dataclass(frozen=True)
 class TheoremReport:
-    claim: ClaimId
+    claim: str  # the CLAIMS token
     params: dict
     verdict: str
     hypothesis_checks: tuple[HypothesisCheck, ...]
@@ -65,7 +51,7 @@ class TheoremReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "claim": self.claim.value,
+            "claim": self.claim,
             "params": self.params,
             "verdict": self.verdict,
             "hypothesis_checks": [
@@ -168,18 +154,18 @@ def predict_boolean_complement(spectrum: spectra.WalshSpectrum) -> WeightDistrib
     """Weights of the code on the nonzero zeros of f, from f's spectrum."""
     f = spectrum.field
     q = f.q
-    n = q - spectrum.n_f - 1
-    counts: dict[int, int] = {0: 1}
-    base = 2 * (q - spectrum.n_f)
-    for w in range(1, q):
-        num = base - spectrum.value(w)
-        wt, rem = divmod(num, 4)
-        if rem:
-            raise ArithmeticError(f"weight formula not divisible by 4 at w = {w}")
-        if wt <= 0:
-            raise ArithmeticError(f"nonpositive predicted weight at w = {w}")
-        counts[wt] = counts.get(wt, 0) + 1
-    return WeightDistribution(p=2, m=f.m, n=n, k=f.m, counts=counts)
+    wts, rems = np.divmod(2 * (q - spectrum.n_f) - spectrum.values[1:], 4)
+    bad = np.flatnonzero((rems != 0) | (wts <= 0))
+    if bad.size:
+        w = int(bad[0])
+        if rems[w]:
+            raise ArithmeticError(f"weight formula not divisible by 4 at w = {w + 1}")
+        raise ArithmeticError(f"nonpositive predicted weight at w = {w + 1}")
+    weights, counts = np.unique(wts, return_counts=True)
+    return WeightDistribution(
+        p=2, m=f.m, n=q - spectrum.n_f - 1, k=f.m,
+        counts={0: 1, **dict(zip(weights.tolist(), counts.tolist()))},
+    )
 
 
 def predict_half_orbit_complement(h: int) -> WeightDistribution:
@@ -252,7 +238,7 @@ class Instance:
     when every check passed; `construct` returns the set to enumerate,
     or a distribution a check already enumerated."""
 
-    claim: ClaimId
+    claim: str  # the CLAIMS token
     params: dict
     checks: list[HypothesisCheck]
     predict: Callable[[], WeightDistribution] | None = None
@@ -281,7 +267,7 @@ def _expansion(field, arg) -> Instance:
         "product_n": product.n,
     }
     return Instance(
-        ClaimId.THM1_EXPANSION, params, [_product_check(ell, base, product, complete)],
+        "thm1", params, [_product_check(ell, base, product, complete)],
         lambda: stretch_distribution(build_code_weights(base), ell), lambda: product,
     )
 
@@ -289,7 +275,7 @@ def _expansion(field, arg) -> Instance:
 def _simplex(f: Field, _arg) -> Instance:
     """Cor 1: the simplex set gives a one-weight code."""
     return Instance(
-        ClaimId.COR1_SIMPLEX, {"p": f.p, "m": f.m}, [],
+        "cor1", {"p": f.p, "m": f.m}, [],
         lambda: predict_simplex(f.p, f.m), lambda: sets.simplex_coset_reps(f),
     )
 
@@ -301,7 +287,7 @@ def _scaled_simplex(f: Field, e_digits) -> Instance:
     digits = sorted(set(int(e) for e in e_digits))
     ell = len(digits)
     return Instance(
-        ClaimId.COR2_ONEWEIGHT_L, {"p": f.p, "m": f.m, "ell": ell, "E": digits},
+        "cor2", {"p": f.p, "m": f.m, "ell": ell, "E": digits},
         [_product_check(ell, base, product, complete)],
         lambda: predict_scaled_simplex(f.p, f.m, ell), lambda: product,
     )
@@ -319,7 +305,7 @@ def _split(field, arg) -> Instance:
     }
     overlap = int(np.count_nonzero(d1.mask & d2.mask))
     inst = Instance(
-        ClaimId.THM2_COMBINE, params,
+        "thm2", params,
         [HypothesisCheck("parts-disjoint", not overlap, f"overlap size {overlap}")],
     )
     if overlap:
@@ -370,7 +356,7 @@ def _complement(field, base: DefiningSet) -> Instance:
         ),
     ]
     return Instance(
-        ClaimId.COR3_COMPLEMENT,
+        "cor3",
         {"p": f.p, "m": f.m, "base": base.label or f"n={base.n}", "n": base.n}, checks,
         lambda: mirror_distribution(base_wd, full_weight, f.q - base.n),
         lambda: sets.complement(base),
@@ -387,7 +373,7 @@ def _quadratic(field: Field, terms) -> Instance:
     r = sets.quadratic_form_rank(field, table)
     even = r % 2 == 0
     inst = Instance(
-        ClaimId.COR4_QF_EVEN if even else ClaimId.COR4_QF_ODD,
+        "cor4even" if even else "cor4odd",
         {"p": p, "m": m, "terms": [list(t) for t in terms], "e": e, "r": r},
         [
             # the closed forms come from an odd-characteristic evaluation;
@@ -428,7 +414,7 @@ def _boolean_complement(field: Field, table) -> Instance:
     q = field.q
     n_f = int(table.sum())
     inst = Instance(
-        ClaimId.COR5_BOOLEAN, {"p": 2, "m": field.m, "n_f": n_f},
+        "cor5", {"p": 2, "m": field.m, "n_f": n_f},
         [
             HypothesisCheck("vanishes-at-origin", int(table[0]) == 0, f"f(0) = {int(table[0])}"),
             HypothesisCheck("not-identically-zero", n_f > 0, f"n_f = {n_f}"),
@@ -438,8 +424,9 @@ def _boolean_complement(field: Field, table) -> Instance:
     if not inst.holds:
         return inst
     spectrum = spectra.walsh_transform(field, table)
-    nonzero_vals = [spectrum.value(w) for w in range(1, q)]
-    avoid = all(v != 2 * n_f for v in nonzero_vals)
+    nonzero_vals = spectrum.values[1:]
+    avoid = not (nonzero_vals == 2 * n_f).any()
+    top = int(nonzero_vals.max())
     inst.checks.append(
         HypothesisCheck(
             "spectrum-avoids-2nf", avoid,
@@ -448,8 +435,8 @@ def _boolean_complement(field: Field, table) -> Instance:
     )
     inst.checks.append(
         HypothesisCheck(
-            "spectrum-below-twice-zero-count", max(nonzero_vals) < 2 * (q - n_f),
-            f"max transform {max(nonzero_vals)}, bound {2 * (q - n_f)}",
+            "spectrum-below-twice-zero-count", top < 2 * (q - n_f),
+            f"max transform {top}, bound {2 * (q - n_f)}",
         )
     )
     els = np.flatnonzero(table[1:] == 0) + 1
@@ -461,7 +448,7 @@ def _boolean_complement(field: Field, table) -> Instance:
 def _half_orbit(field, h: int) -> Instance:
     """Thm 3: the complement of the half-orbit set over GF(3^(3h))."""
     return Instance(
-        ClaimId.THM3_HKM, {"p": 3, "h": h, "m": 3 * h},
+        "thm3", {"p": 3, "h": h, "m": 3 * h},
         [
             HypothesisCheck("h-positive", h >= 1, f"h = {h}"),
             HypothesisCheck("h-odd", h % 2 == 1, f"h = {h}"),
@@ -471,7 +458,7 @@ def _half_orbit(field, h: int) -> Instance:
     )
 
 
-def _cubic_trace(claim: ClaimId, odd: bool, floor: int, predict):
+def _cubic_trace(claim: str, odd: bool, floor: int, predict):
     """Thm 4 / Thm 5: the set Tr(x^3 + x) = 0 for odd / even m."""
     def build(f: Field, _arg) -> Instance:
         m = f.m
@@ -531,7 +518,7 @@ def _expansion_sweep(f: Field, seed: int) -> ExpansionPropertyReport:
         d_size = rng.randint(1, min(8, f.q - 1))
         d = DefiningSet(f, tuple(rng.sample(range(1, f.q), d_size)), label="random")
         e_digits = tuple(rng.sample(range(1, p), rng.randint(1, p - 1)))
-        verdicts.append(verify(ClaimId.THM1_EXPANSION, f, (e_digits, d)).verdict)
+        verdicts.append(verify("thm1", f, (e_digits, d)).verdict)
     all_matched = VERDICT_MISMATCH not in verdicts
 
     # deterministic incomplete pair: D = {1, 2} is closed under the
@@ -610,13 +597,13 @@ def _reflectable_sets(build, p, m, rng, trials):
         yield _random_reflectable_set(f, rng)
 
 
-def _diagonal_forms(claim: ClaimId):
+def _diagonal_forms(claim: str):
     """x^(p^s + 1) for the s whose instance is this claim's, with e not in {None, 1}."""
     def family(build, p, m, rng, trials):
         f = get_field(p, m)
         for s in range(m):
             inst = build(f, ((s, 0, 1),))
-            if inst.claim is claim and inst.params["e"] not in (None, 1):
+            if inst.claim == claim and inst.params["e"] not in (None, 1):
                 yield inst
     return family
 
@@ -629,7 +616,7 @@ def _diagonal_forms(claim: ClaimId):
 class ClaimSpec:
     """Everything `verify`, `scan` and the CLI know about one claim."""
 
-    token: str  # the CLI token, also the key in CLAIMS
+    token: str  # the claim's one name: CLI token, CLAIMS key, report claim
     default_p: int  # p when none is given
     build: Callable[..., Instance] | None = None  # (field, arg) -> one instance
     fixed_p: bool = False  # refuse any p but default_p
@@ -664,23 +651,19 @@ CLAIMS = {spec.token: spec for spec in (
     ClaimSpec("thm2", 2, _split, parse_set=lambda f, s: _split_off_rest(s.defining_set(f))),
     ClaimSpec("cor3", 2, _complement, family=_reflectable_sets,
               parse_set=lambda f, s: s.defining_set(f), seeded="scan"),
-    ClaimSpec("cor4odd", 3, _quadratic, family=_diagonal_forms(ClaimId.COR4_QF_ODD),
+    ClaimSpec("cor4odd", 3, _quadratic, family=_diagonal_forms("cor4odd"),
               parse_set=lambda f, s: s.terms()),
-    ClaimSpec("cor4even", 3, _quadratic, family=_diagonal_forms(ClaimId.COR4_QF_EVEN),
+    ClaimSpec("cor4even", 3, _quadratic, family=_diagonal_forms("cor4even"),
               parse_set=lambda f, s: s.terms()),
     ClaimSpec("cor5", 2, _boolean_complement, fixed_p=True,
               family=_one_per_m(arg=spectra.tr_cubic_table), parse_set=lambda f, s: s.table(f)),
     ClaimSpec("thm3", 3, _half_orbit, fixed_p=True, param="h",
               family=lambda build, p, h, rng, trials: [build(None, h)] if h % 2 == 1 else []),
-    ClaimSpec("thm4", 2, _cubic_trace(ClaimId.THM4_ODD_M, True, 5, predict_cubic_trace_odd),
+    ClaimSpec("thm4", 2, _cubic_trace("thm4", True, 5, predict_cubic_trace_odd),
               fixed_p=True, family=_one_per_m(parity=1)),
-    ClaimSpec("thm5", 2, _cubic_trace(ClaimId.THM5_EVEN_M, False, 4, predict_cubic_trace_even),
+    ClaimSpec("thm5", 2, _cubic_trace("thm5", False, 4, predict_cubic_trace_even),
               fixed_p=True, family=_one_per_m(parity=0)),
 )}
-
-
-def _spec(claim: ClaimId | str) -> ClaimSpec:
-    return CLAIMS[claim.value if isinstance(claim, ClaimId) else claim]
 
 
 def _run(inst: Instance) -> TheoremReport:
@@ -700,33 +683,28 @@ def _run(inst: Instance) -> TheoremReport:
 
 
 def verify(claim, field=None, arg=None, *, seed: int = DEFAULT_SEED):
-    """One instance of a claim, with `field` and `arg` as its row takes
-    them: built, then run.  Rows with a sweep (thm1prop) return an
-    ExpansionPropertyReport."""
-    spec = _spec(claim)
+    """One instance of the claim with token `claim`, with `field` and `arg`
+    as its row takes them: built, then run.  Rows with a sweep (thm1prop)
+    return an ExpansionPropertyReport."""
+    spec = CLAIMS[claim]
     if spec.sweep is not None:
         return spec.sweep(field, seed)
     return _run(spec.build(field, arg))
 
 
 def scan(
-    claim: ClaimId | str,
-    *,
-    p: int | None = None,
-    m_values: tuple[int, ...] = (),
-    h_values: tuple[int, ...] = (),
-    trials: int = 100,
-    seed: int = DEFAULT_SEED,
+    claim: str, values, *, p: int | None = None, trials: int = 100, seed: int = DEFAULT_SEED
 ) -> list[TheoremReport]:
-    """One report per instance the claim's family builds inside the given ranges."""
-    spec = _spec(claim)
+    """One report per instance the claim's family builds for each value,
+    an m or an h as the row's `param` says."""
+    spec = CLAIMS[claim]
     if spec.family is None:
         raise ValueError(f"no scan family for {spec.token}")
     p = spec.field_p(p)
     rng = random.Random(seed)
     return [
         _run(inst)
-        for value in (h_values if spec.param == "h" else m_values)
+        for value in values
         for inst in spec.family(spec.build, p, value, rng, trials)
     ]
 

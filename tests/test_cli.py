@@ -208,6 +208,41 @@ def test_long_digit_ranges_and_tiny_cor3_fields_exit_three(capsys, argv, needle)
     assert needle in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--claim", "thm3", "--h=-3000000000..3"],
+    ["scan", "--claim", "thm3", "--h=-1..3"],
+    ["scan", "--claim", "thm3", "--h", "3,1,-1"],
+    ["scan", "--claim", "thm3", "--h", "0"],
+    ["scan", "--claim", "thm4", "--m", "0,5"],
+    ["scan", "--claim", "cor1", "--m=-2..3"],
+], ids=" ".join)
+def test_scan_values_below_one_exit_three_before_any_instance(capsys, monkeypatch, argv):
+    def boom(*args, **kwargs):
+        raise AssertionError("a scan started")
+
+    monkeypatch.setattr(cli.theorems, "scan", boom)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "is below 1" in err and "Traceback" not in err
+
+
+def test_verify_h_zero_is_a_hypothesis_report_not_a_usage_error(capsys):
+    # only a scan's list or range is refused below 1; one value is the claim's to judge
+    code, out, err = run(capsys, "verify", "--claim", "thm3", "--h", "0", "--format", "text")
+    assert code == 1 and err == ""
+    assert out == (
+        "claim thm3 {'p': 3, 'h': 0, 'm': 0}: hypothesis-not-met\n"
+        "  [FAIL] h-positive  h = 0\n"
+        "  [FAIL] h-odd  h = 0\n"
+    )
+    code, out, _ = run(capsys, "verify", "--claim", "thm3", "--h", "0")
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2f735006bae8019517fbec6f8be2179ad64e1f39c43f8ed7c6760ae8dab96f19"
+    )
+
+
 def test_weight_routes_past_their_bounds_exit_three(capsys, monkeypatch):
     def boom(*args):
         raise AssertionError("the gather started past its bound")

@@ -6,7 +6,6 @@ from dscodes import sets, theorems
 from dscodes.code import DefiningSet, WeightDistribution, build_code_weights
 from dscodes.field import get_field
 from dscodes.theorems import (
-    ClaimId,
     mirror_distribution,
     scan,
     scan_summary,
@@ -195,7 +194,7 @@ def test_complement_random_sweep():
 def test_quadratic_odd_rank_gold_form():
     f = get_field(3, 3)
     rep = theorems.verify("cor4odd", f, ((1, 0, 1),))  # x^{3+1}
-    assert rep.claim is ClaimId.COR4_QF_ODD
+    assert rep.claim == "cor4odd"
     assert rep.verdict == "match"
     assert rep.computed.n == 14 and rep.computed.k == 3
     assert dict(rep.computed.nonzero_items()) == {9: 26}
@@ -204,7 +203,7 @@ def test_quadratic_odd_rank_gold_form():
 def test_quadratic_even_rank_square_form():
     f = get_field(3, 2)
     rep = theorems.verify("cor4even", f, ((0, 0, 1),))  # x^2, 2-to-1
-    assert rep.claim is ClaimId.COR4_QF_EVEN
+    assert rep.claim == "cor4even"
     assert rep.verdict == "match"
 
 
@@ -213,7 +212,7 @@ def test_quadratic_even_rank_4_to_1_surfaces_mismatch():
     # engine must surface that rather than repair it
     f = get_field(3, 2)
     rep = theorems.verify("cor4even", f, ((1, 0, 1),))  # x^4 over GF(9)
-    assert rep.claim is ClaimId.COR4_QF_EVEN
+    assert rep.claim == "cor4even"
     assert rep.verdict == "mismatch"
     assert dict(rep.computed.nonzero_items()) == {4: 6, 6: 2}
     assert dict(rep.predicted.nonzero_items()) == {4: 4, 5: 4}
@@ -265,6 +264,18 @@ def test_boolean_complement_side_condition_fails_at_m4():
     from dscodes import spectra
 
     rep = theorems.verify("cor5", f, spectra.tr_cubic_table(f))
+    assert rep.verdict == "hypothesis-not-met"
+
+
+def test_boolean_complement_refuses_a_spectrum_that_attains_2nf():
+    import numpy as np
+
+    # a 5-element support in GF(16) whose spectrum takes 2 n_f = 10 off the origin
+    table = np.array([int(b) for b in "0001110010000010"])
+    rep = theorems.verify("cor5", get_field(2, 4), table)
+    checks = {c.name: (c.passed, c.detail) for c in rep.hypothesis_checks}
+    assert checks["spectrum-avoids-2nf"] == (False, "2 n_f = 10 is attained")
+    assert checks["spectrum-below-twice-zero-count"] == (True, "max transform 10, bound 22")
     assert rep.verdict == "hypothesis-not-met"
 
 
@@ -342,28 +353,28 @@ def test_cubic_trace_even_rejects_odd_m():
 
 
 def test_scan_cubic_trace_families():
-    odd = scan(ClaimId.THM4_ODD_M, m_values=tuple(range(3, 14)))
+    odd = scan("thm4", tuple(range(3, 14)))
     summary = scan_summary(odd)
     assert summary["total"] == 6  # odd m in 3..13
     assert summary["match"] == 5
     assert summary["hypothesis-not-met"] == 1  # m = 3 floor case
 
-    even = scan(ClaimId.THM5_EVEN_M, m_values=tuple(range(4, 13)))
+    even = scan("thm5", tuple(range(4, 13)))
     assert scan_summary(even) == {
         "total": 5, "match": 5, "mismatch": 0, "hypothesis-not-met": 0,
     }
 
 
 def test_scan_scaled_simplex_enumerates_subsets():
-    reports = scan(ClaimId.COR2_ONEWEIGHT_L, p=3, m_values=(2, 3))
+    reports = scan("cor2", (2, 3), p=3)
     assert len(reports) == 6  # 3 nonempty subsets of GF(3)* per m
     assert all(r.verdict == "match" for r in reports)
 
 
 def test_scan_quadratic_families():
-    odd = scan(ClaimId.COR4_QF_ODD, p=3, m_values=(3,))
+    odd = scan("cor4odd", (3,), p=3)
     assert odd and all(r.verdict == "match" for r in odd)
-    even = scan(ClaimId.COR4_QF_EVEN, p=3, m_values=(2,))
+    even = scan("cor4even", (2,), p=3)
     verdicts = {r.params["e"]: r.verdict for r in even}
     assert verdicts[2] == "match"
     assert verdicts[4] == "mismatch"
@@ -371,11 +382,11 @@ def test_scan_quadratic_families():
 
 def test_scan_rejects_unscannable_claim():
     with pytest.raises(ValueError):
-        scan(ClaimId.THM2_COMBINE, m_values=(4,))
+        scan("thm2", (4,))
 
 
 def test_scan_half_orbit_skips_even_h():
-    reports = scan(ClaimId.THM3_HKM, h_values=(1, 2))
+    reports = scan("thm3", (1, 2))
     assert len(reports) == 1
     assert reports[0].verdict == "match"
 
@@ -400,7 +411,7 @@ def _record_calls(monkeypatch, module, name):
 def test_cor3_scan_enumerates_base_and_complement_once(monkeypatch):
     weights = _record_calls(monkeypatch, theorems, "build_code_weights")
     built = _record_calls(monkeypatch, theorems, "_complement")
-    reports = scan("cor3", p=2, m_values=(4, 5), trials=25)
+    reports = scan("cor3", (4, 5), p=2, trials=25)
     rejected = sum(not inst.holds for inst in built)
     assert len(reports) == 50 and rejected > 0
     assert len(built) == len(reports) + rejected
@@ -410,7 +421,7 @@ def test_cor3_scan_enumerates_base_and_complement_once(monkeypatch):
 
 def test_cor4_scan_evaluates_each_form_once(monkeypatch):
     tables = _record_calls(monkeypatch, sets, "evaluate_quadratic_form")
-    reports = scan("cor4odd", p=3, m_values=(3, 4, 5))
+    reports = scan("cor4odd", (3, 4, 5), p=3)
     assert len(reports) == 8
     assert len(tables) == 3 + 4 + 5  # one form x^(3^s + 1) per s < m
 
@@ -423,7 +434,7 @@ def test_scan_runs_each_instance_before_building_the_next(monkeypatch):
             events.append(_name)
             return _original(*args)
         monkeypatch.setattr(module, name, logged)
-    reports = scan("cor2", p=5, m_values=(2,))
+    reports = scan("cor2", (2,), p=5)
     assert len(reports) == 15
     assert events == ["product_set", "build_code_weights"] * 15
 
@@ -452,7 +463,129 @@ def test_report_json_shape():
 
 
 def test_claim_tokens_are_stable():
-    assert {c.value for c in ClaimId} == {
-        "thm1", "cor1", "cor2", "thm2", "cor3", "cor4odd", "cor4even",
+    assert set(theorems.CLAIMS) == {
+        "thm1", "thm1prop", "cor1", "cor2", "thm2", "cor3", "cor4odd", "cor4even",
         "cor5", "thm3", "thm4", "thm5",
     }
+    assert all(token == spec.token for token, spec in theorems.CLAIMS.items())
+
+
+def _verify_cases():
+    """(token, field, arg, the claim its report names): one instance per
+    CLAIMS row, plus the cor4 forms verified under the other cor4 token."""
+    from dscodes import spectra
+
+    f9, f27, f32 = get_field(3, 2), get_field(3, 3), get_field(2, 5)
+    return [
+        ("thm1", f9, ((1, 2), sets.simplex_coset_reps(f9)), "thm1"),
+        ("thm1prop", f9, None, "thm1prop"),
+        ("cor1", f9, None, "cor1"),
+        ("cor2", f9, (1, 2), "cor2"),
+        ("thm2", f32, theorems._split_off_rest(sets.tr_cubic_set(f32)), "thm2"),
+        ("cor3", f32, sets.tr_cubic_set(f32), "cor3"),
+        ("cor4odd", f27, ((1, 0, 1),), "cor4odd"),
+        ("cor4even", f9, ((0, 0, 1),), "cor4even"),
+        # the form's rank picks the claim, whichever token it came in under
+        ("cor4odd", f9, ((0, 0, 1),), "cor4even"),
+        ("cor4even", f27, ((1, 0, 1),), "cor4odd"),
+        ("cor5", f32, spectra.tr_cubic_table(f32), "cor5"),
+        ("thm3", None, 1, "thm3"),
+        ("thm3", None, 0, "thm3"),
+        ("thm4", f32, None, "thm4"),
+        ("thm5", get_field(2, 4), None, "thm5"),
+    ]
+
+
+# (p, values) per scan family; cor4 over GF(9) and GF(81) builds forms of both ranks
+SCAN_CASES = {
+    "cor1": (3, (2, 3)),
+    "cor2": (3, (2,)),
+    "cor3": (2, (4,)),
+    "cor4odd": (3, (2, 3, 4)),
+    "cor4even": (3, (2, 3, 4)),
+    "cor5": (2, (4, 5)),
+    "thm3": (3, (-1, 1, 2)),
+    "thm4": (2, (3, 4, 5)),
+    "thm5": (2, (4, 5, 6)),
+}
+
+
+def test_every_report_names_a_claims_token():
+    cases = _verify_cases()
+    assert {token for token, *_ in cases} == set(theorems.CLAIMS)
+    for token, field, arg, claim in cases:
+        rep = theorems.verify(token, field, arg)
+        assert rep.to_json_dict()["claim"] == claim, token
+    assert set(SCAN_CASES) == {t for t, s in theorems.CLAIMS.items() if s.family}
+    for token, (p, values) in SCAN_CASES.items():
+        reports = scan(token, values, p=p, trials=3)
+        assert reports, token
+        # a scan family keeps only the instances that are its own claim's
+        assert {type(r.claim) for r in reports} == {str}
+        assert {r.to_json_dict()["claim"] for r in reports} == {token}
+
+
+# ----------------------------------------------------------------------
+# cor5 read off the spectrum as one array
+
+
+def _boolean_oracle(spectrum):
+    """predict_boolean_complement as a loop over w, one value at a time."""
+    f, n_f = spectrum.field, spectrum.n_f
+    counts = {0: 1}
+    for w in range(1, f.q):
+        wt, rem = divmod(2 * (f.q - n_f) - int(spectrum.values[w]), 4)
+        if rem:
+            raise ArithmeticError(f"weight formula not divisible by 4 at w = {w}")
+        if wt <= 0:
+            raise ArithmeticError(f"nonpositive predicted weight at w = {w}")
+        counts[wt] = counts.get(wt, 0) + 1
+    return WeightDistribution(p=2, m=f.m, n=f.q - n_f - 1, k=f.m, counts=counts)
+
+
+def test_boolean_prediction_matches_scalar_oracle():
+    import numpy as np
+
+    from dscodes import spectra
+
+    rng = random.Random(5)
+    seen = 0
+    for m in (4, 5, 6, 7):
+        f = get_field(2, m)
+        for _ in range(12):
+            table = np.array([0] + [rng.randint(0, 1) for _ in range(f.q - 1)])
+            spectrum = spectra.walsh_transform(f, table)
+            try:
+                expected = _boolean_oracle(spectrum)
+            except ArithmeticError as exc:
+                with pytest.raises(ArithmeticError, match=str(exc)):
+                    theorems.predict_boolean_complement(spectrum)
+                continue
+            got = theorems.predict_boolean_complement(spectrum)
+            assert got == expected
+            assert all(type(w) is int and type(a) is int for w, a in got.counts.items())
+            seen += 1
+    assert seen > 0
+
+
+@pytest.mark.parametrize("patch, message", [
+    # q = 32, n_f = 8: the weight at w is (48 - W(w)) / 4
+    ({3: 1, 5: 64}, "not divisible by 4 at w = 3"),
+    ({2: 64, 6: 1}, "nonpositive predicted weight at w = 2"),
+    ({4: 52, 6: 2}, "nonpositive predicted weight at w = 4"),
+])
+def test_boolean_prediction_names_the_first_bad_w(patch, message):
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    # a stand-in spectrum: only field, n_f and values are read
+    f = get_field(2, 5)
+    values = np.zeros(f.q, dtype=np.int64)
+    for w, v in patch.items():
+        values[w] = v
+    spectrum = SimpleNamespace(field=f, n_f=8, values=values)
+    with pytest.raises(ArithmeticError, match=message):
+        theorems.predict_boolean_complement(spectrum)
+    with pytest.raises(ArithmeticError, match=message):
+        _boolean_oracle(spectrum)
