@@ -347,32 +347,21 @@ def cmd_walsh(args):
 def cmd_ssreport(args):
     f = _field_for(args, args.p)
     ds = build_set(f, args.set)
-    minimal = None
-    skipped = None
-    # the minimal-codeword route builds the distribution from its own
-    # weight array, so the weight kernel runs once either way
     try:
-        if secretshare.minimal_scan_fits(f.p, f.m):
-            report, ratio = secretshare.minimal_codewords(ds)
-            minimal = report.to_json_dict()
-            k = report.k
-        else:
-            wd = build_code_weights(ds)
-            ratio = secretshare.ratio_check(wd)
-            k = wd.k
-            skipped = "enumeration bound exceeded"
+        report, ratio = secretshare.minimal_codewords(ds)
         if args.set == "trcubic":
             ratio = secretshare.with_cubic_trace_case(ratio, f.m)
     except ValueError as exc:  # no weight route fits, or no closed form below m = 4
         raise UsageError(str(exc)) from None
+    skipped = report.minimal_count is None
     payload = {
         "command": "ssreport",
         "p": f.p, "m": f.m,
         "set": {"selector": args.set, "label": ds.label, "n": ds.n},
-        "code": {"n": ds.n, "k": k},
+        "code": {"n": ds.n, "k": report.k},
         "ratio": ratio.to_json_dict(),
-        "minimal": minimal,
-        "minimal_skipped": skipped,
+        "minimal": None if skipped else report.to_json_dict(),
+        "minimal_skipped": "enumeration bound exceeded" if skipped else None,
     }
     return payload, EXIT_OK
 

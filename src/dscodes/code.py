@@ -185,25 +185,19 @@ def _weights_by_gather(f: Field, elements) -> np.ndarray:
     return weights
 
 
-def _weights_by_hyperplane_count(f: Field, elements) -> np.ndarray:
-    """Weights from N(u) = |D meet u-perp| for every coordinate vector u.
-
-    Tr is GF(p)-linear, so Tr(x d) = sum_i d_i Tr(x b_i), b_i the element
-    with code p^i, and the zero count of x is N(pi(x)) with
-    pi(x)_i = Tr(x b_i), a GF(p)-linear map of x the field holds as the
-    table `Field.PI`.  N comes from an exact int32 transform on a state
-    F[v, t] of q*p cells: F starts as the indicator of D at t = 0, and
-    step i replaces coordinate d_i by u_i through
-    F[..u_i.., t] = sum_{d_i} F[..d_i.., (t - d_i u_i) mod p],
-    so at the end F[u, t] = #{d in D : <d, u> = t}.  Every cell counts at
-    most n <= q <= 2^24 elements, so int32 cannot overflow.  Cost O(q*m*p^2).
+def hyperplane_counts(f: Field, vec, dtype) -> np.ndarray:
+    """F[u, t] = sum of vec[d] over the d with <d, u> = t, for every
+    coordinate vector u (indexed like an element code) and t in GF(p),
+    on a state of q*p cells of the given dtype.  F starts as vec at
+    t = 0, and step i replaces coordinate d_i by u_i through
+    F[..u_i.., t] = sum_{d_i} F[..d_i.., (t - d_i u_i) mod p].  Every cell
+    is a sum of entries of vec, so it stays exact while the sum of their
+    absolute values fits the dtype.  At p = 2, F[u, 0] - F[u, 1] is the
+    Walsh-Hadamard transform sum_d vec[d] (-1)^(d.u).  Cost O(q*m*p^2).
     """
     p, m, q = f.p, f.m, f.q
-    if q * p > TRANSFORM_MAX_CELLS:
-        raise ValueError(f"transform state of {q}*{p} cells exceeds TRANSFORM_MAX_CELLS")
-    n = len(elements)
-    state = np.zeros((q, p), dtype=np.int32)
-    state[:, 0] = np.bincount(np.asarray(elements, dtype=np.int64), minlength=q)
+    state = np.zeros((q, p), dtype=dtype)
+    state[:, 0] = vec
     for i in range(m):
         # code = sum_j d_j p^j, so in C order digit i sits on axis 1
         src = state.reshape(p ** (m - 1 - i), p, p**i, p)
@@ -214,7 +208,25 @@ def _weights_by_hyperplane_count(f: Field, elements) -> np.ndarray:
                 out[:, u, :, s:] += src[:, d, :, : p - s]
                 out[:, u, :, :s] += src[:, d, :, p - s :]
         state = out.reshape(q, p)
-    return n - state[f.PI, 0]
+    return state
+
+
+def _weights_by_hyperplane_count(f: Field, elements) -> np.ndarray:
+    """Weights from N(u) = |D meet u-perp| for every coordinate vector u.
+
+    Tr is GF(p)-linear, so Tr(x d) = sum_i d_i Tr(x b_i), b_i the element
+    with code p^i, and the zero count of x is N(pi(x)) with
+    pi(x)_i = Tr(x b_i), a GF(p)-linear map of x the field holds as the
+    table `Field.PI`.  N(u) = F[u, 0] of `hyperplane_counts` on the
+    indicator of D, on an int32 state of q*p cells: every cell counts at
+    most n <= q <= 2^24 elements, so int32 cannot overflow.
+    """
+    p, q = f.p, f.q
+    if q * p > TRANSFORM_MAX_CELLS:
+        raise ValueError(f"transform state of {q}*{p} cells exceeds TRANSFORM_MAX_CELLS")
+    n = len(elements)
+    counts = np.bincount(np.asarray(elements, dtype=np.int64), minlength=q)
+    return n - hyperplane_counts(f, counts, np.int32)[f.PI, 0]
 
 
 def _route(p: int, m: int, n: int):

@@ -7,14 +7,30 @@ The standard sufficient condition is w_min / w_max > (p-1)/p, compared
 here as exact rationals.
 
 Minimal codewords are counted from the weight array W[x] = wt(c_x)
-alone, with no codeword supports.  For codewords a and b,
-sum_{c in GF(p)} wt(b + c*a) >= (p-1)*wt(a), with equality iff
-supp(b) is inside supp(a) (Heng, Ding & Zhou, "Minimal linear codes
-over finite fields", FFA 54, 2018, Lemma 2.1).  The y whose support sits
-inside supp(c_x) form a subspace holding the kernel and GF(p)*x, so c_x
-is minimal iff exactly p^(m-k+1) values y pass (Ashikhmin & Barg,
-"Minimal vectors in linear codes", IEEE T-IT 44, 1998).  The test costs
-q*(q-1)/(p-1) gathers, bounded by MINIMAL_GATHER_BOUND before any work.
+alone, with no codeword supports.  Each projective class of x is
+settled by the first of three exact steps that applies:
+
+1. A certificate, O(q) at every p.  With k = dim<D>, c_x is minimal iff
+   D meet H_x spans the hyperplane H_x meet <D> of dimension k - 1
+   (Alfarano, Borello & Neri, AMC 2022).  D has (n - [0 in D]) - W[x]
+   nonzero points on H_x, and p^(k-2) of them cannot fit in a
+   (k-2)-space, so that many certify c_x.  k <= 1 is settled outright.
+2. At p = 2, weight-class correlations.  For codewords a and b,
+   sum_{c in GF(p)} wt(b + c*a) >= (p-1)*wt(a), with equality iff
+   supp(b) is inside supp(a) (Heng, Ding & Zhou, "Minimal linear codes
+   over finite fields", FFA 54, 2018, Lemma 2.1).  The y whose support
+   sits inside supp(c_x) form a subspace holding the kernel and GF(p)*x,
+   so c_x is minimal iff exactly p^(m-k+1) values y pass (Ashikhmin &
+   Barg, "Minimal vectors in linear codes", IEEE T-IT 44, 1998).  At
+   p = 2, y passes iff W[y] + W[y + x] = W[x], and the number that pass
+   is a sum of correlations of weight-class indicators, read off
+   Walsh-Hadamard spectra; the transforms' cells are bounded by
+   code.TRANSFORM_MAX_CELLS before any allocation.
+3. The same test by gathers, |rows|*q cells for the rows left, when p is
+   odd or the correlations exceed their cap, bounded by
+   MINIMAL_GATHER_BOUND on the field size.
+
+When classes are left that neither route fits, the count is skipped.
 """
 
 from __future__ import annotations
@@ -24,16 +40,19 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import code
 from .code import (
     DefiningSet,
     WeightDistribution,
     distribution_from_weights,
+    hyperplane_counts,
     weights_by_zero_count,
 )
 from .field import Field
 
-# bound on the gathers of the minimal-codeword test: 2^16, 3^10 and 83^3
-# fit, 2^17, 3^11 and 89^3 do not
+# bound on the field of the minimal-codeword gather, whose full scan makes
+# q*(q-1)/(p-1) gathers: 2^16, 3^10 and 83^3 fit, 2^17, 3^11 and 89^3 do
+# not.  Past it, classes the certificate or the correlations leave are skipped.
 MINIMAL_GATHER_BOUND = 1 << 32
 # gather cells per chunk of x rows; larger chunks raise the peak RSS, not the
 # speed.  Under the bound q/p <= 2^16, so a chunk holds at least one row.
@@ -115,12 +134,18 @@ def with_cubic_trace_case(report: RatioReport, m: int) -> RatioReport:
 
 @dataclass(frozen=True)
 class MinimalReport:
+    """Minimal-codeword count of a code; minimal_count is None when the
+    count was skipped, no route fitting its bound."""
+
     p: int
     n: int
     k: int
     total_nonzero: int
-    minimal_count: int
-    all_minimal: bool
+    minimal_count: int | None
+
+    @property
+    def all_minimal(self) -> bool | None:
+        return None if self.minimal_count is None else self.minimal_count == self.total_nonzero
 
     def to_json_dict(self) -> dict:
         return {
@@ -132,22 +157,21 @@ class MinimalReport:
 
 
 def minimal_scan_fits(p: int, m: int) -> bool:
-    """Whether the minimal-codeword test over GF(p^m) fits
-    MINIMAL_GATHER_BOUND: one gather per projective class of x, z-coset
-    and c in GF(p), q*(q-1)/(p-1) in all."""
+    """Whether the gather over GF(p^m) fits MINIMAL_GATHER_BOUND: one
+    gather per projective class of x, z-coset and c in GF(p),
+    q*(q-1)/(p-1) in all."""
     q = p**m
     return q * (q - 1) // (p - 1) <= MINIMAL_GATHER_BOUND
 
 
-def _minimal_classes(f: Field, weights: np.ndarray, kernel: int) -> int:
-    """Number of x outside the kernel, one per projective class
-    {c*x : c in GF(p)*}, whose codeword is minimal.
+def _gather_passes(f: Field, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """For x = alpha^s, s in rows, the number of y with supp(c_y) inside
+    supp(c_x), by |rows|*q gathers.
 
     y = x*z passes when sum_c W[x*(z + c)] = (p-1)*W[x].  Adding c in
     GF(p) changes only digit 0 of z, so one z per coset z + GF(p) is
     tested, all in log space: W[x*w] = wlog[log x + LOG[w]], and w = 0
-    reads a padded zero slot.  c_x is minimal iff exactly `kernel`
-    cosets pass, p^(m-k+1) values of y.
+    reads a padded zero slot.  A passing coset holds p passing y.
     """
     p, q = f.p, f.q
     classes = (q - 1) // (p - 1)
@@ -160,22 +184,146 @@ def _minimal_classes(f: Field, weights: np.ndarray, kernel: int) -> int:
     logz[0] = span
     cosets = np.arange(0, q, p)
     shifts = [logz[cosets + c] for c in range(p)]
-    target = (p - 1) * wlog[:classes]
-    passed = np.empty(classes, dtype=np.int64)
-    rows = _CHUNK_CELLS // len(cosets)
-    for lo in range(0, classes, rows):
-        hi = min(lo + rows, classes)
-        lx = np.arange(lo, hi)[:, None]
+    passed = np.empty(len(rows), dtype=np.int64)
+    chunk = _CHUNK_CELLS // len(cosets)
+    for lo in range(0, len(rows), chunk):
+        lx = rows[lo : lo + chunk, None]
         sums = np.take(wlog, lx + shifts[0])
         for shift in shifts[1:]:
             sums += np.take(wlog, lx + shift)
-        passed[lo:hi] = np.count_nonzero(sums == target[lo:hi, None], axis=1)
-    passed = passed[target != 0]
-    # the kernel plus GF(p)*x always passes
-    if passed.min() < kernel:
-        raise AssertionError("a codeword misses the kernel in its support test")
-    minimal = int(np.count_nonzero(passed == kernel))
-    if minimal % kernel:
+        passed[lo : lo + chunk] = np.count_nonzero(sums == (p - 1) * wlog[lx], axis=1)
+    return p * passed
+
+
+def _weight_pairs(levels: np.ndarray, targets) -> dict[int, list[tuple[int, int]]]:
+    """For each target weight t, the pairs 0 < a <= b of weights that
+    occur (levels) with a + b = t."""
+    occurs = np.zeros(levels[-1] + 1, dtype=bool)
+    occurs[levels] = True
+    pairs = {}
+    for t in targets:
+        low = levels[(levels > 0) & (2 * levels <= t)]
+        low = low[occurs[t - low]]
+        pairs[t] = [(a, t - a) for a in low.tolist()]
+    return pairs
+
+
+def _weights_read(pairs) -> list[int]:
+    """The weights whose spectra the correlations read."""
+    return sorted({w for plan in pairs.values() for pair in plan for w in pair})
+
+
+def _correlation_cells(q: int, rows: int, pairs) -> int:
+    """int32 cells the correlation over `rows` classes holds at its peak:
+    one int32 count per row, and when a spectrum is read, the peak of an
+    inverse transform on top.  That is one int32 spectrum of q cells per
+    weight read, the int64 S_t and the int64 state with its step output,
+    10*q, and the rows' codes, mask and the target's codes, under 5 per
+    row.  The readout after the last step, 6 cells per row of the
+    target, takes less than the 4*q cells of the step output it follows.
+    numpy's strided ufunc buffers, at most 192 KB whatever q, are apart."""
+    read = _weights_read(pairs)
+    return rows + (q * (len(read) + 10) + 5 * rows if read else 0)
+
+
+def _walsh(f: Field, vec, dtype, at=slice(None)) -> np.ndarray:
+    """The Walsh-Hadamard transform sum_d vec[d] (-1)^(d.u) at the codes
+    u in `at`, F[u, 0] - F[u, 1] of `hyperplane_counts`; its q*2 state
+    goes on return."""
+    state = hyperplane_counts(f, vec, dtype)
+    return state[at, 0] - state[at, 1]
+
+
+def _pair_sum(spectra: dict, plan, q: int) -> np.ndarray:
+    """S_t = sum over the ordered pairs of the plan of H_a * H_b, int64."""
+    s_t = np.zeros(q, dtype=np.int64)
+    for a, b in plan:
+        prod = np.multiply(spectra[a], spectra[b], dtype=np.int64)
+        if a != b:
+            prod *= 2
+        s_t += prod
+    return s_t
+
+
+def _correlation_passes(f: Field, weights: np.ndarray, rows: np.ndarray, pairs) -> np.ndarray:
+    """At p = 2: for x = alpha^s, s in rows, the number of y with
+    W[y] + W[y + x] = W[x], from Walsh-Hadamard spectra of weight classes.
+
+    With 1_a the indicator of {y : W[y] = a}, the number is the sum over
+    a + b = W[x] of corr_ab(x) = sum_y 1_a(y) 1_b(y + x).  The pairs with
+    a = 0 or b = 0 give 2*|kernel| for every x, as W[y + x] = W[x] for y
+    in the kernel.  The rest is (1/q) sum_u S_t(u) (-1)^(u.x) for
+    S_t = sum_{a+b=t} H_a H_b, H_a the Walsh-Hadamard transform of 1_a
+    (MacWilliams & Sloane, Ch. 2), by `_walsh`: one inverse transform per
+    target t with a pair.
+    Exact: |H_a| <= q, so the spectra are int32.  By Cauchy-Schwarz over
+    (u, a) and Parseval, sum_u |S_t(u)| <= sum_{u,a} H_a(u)^2 = q*q, the
+    classes partitioning GF(q); every cell of the inverse transform is a
+    signed partial sum of S_t, so int64 holds every value for q <= 2^31
+    without wraparound.  Refused with ValueError before any allocation
+    when `_correlation_cells` exceeds TRANSFORM_MAX_CELLS.
+    """
+    q = f.q
+    if _correlation_cells(q, len(rows), pairs) > code.TRANSFORM_MAX_CELLS:
+        raise ValueError("weight-class correlation exceeds TRANSFORM_MAX_CELLS")
+    # at most q values of y pass
+    passed = np.full(len(rows), 2 * np.count_nonzero(weights == 0), dtype=np.int32)
+    read = _weights_read(pairs)
+    if not read:
+        return passed
+    spectra = {a: _walsh(f, weights == a, np.int32) for a in read}
+    xs = f.EXP[rows]
+    for t, plan in pairs.items():
+        if plan:
+            at = weights[xs] == t
+            count, rem = np.divmod(_walsh(f, _pair_sum(spectra, plan, q), np.int64, xs[at]), q)
+            if rem.any():
+                raise ArithmeticError("a weight-class correlation is not divisible by q")
+            passed[at] += count
+    return passed
+
+
+def _certified_weight(p: int, k: int, points: int) -> int:
+    """The largest weight the certificate settles: x outside the kernel
+    with W[x] up to it has a minimal codeword.  With k = dim<D>, every
+    codeword is minimal when k <= 1, and no weight exceeds points.
+    Otherwise D has points - W[x] nonzero points on H_x, and p^(k-2) of
+    them cannot fit in a (k-2)-space, so they span H_x meet <D>."""
+    return points if k <= 1 else points - p ** (k - 2)
+
+
+def _minimal_classes(f: Field, weights: np.ndarray, k: int, points: int, levels) -> int | None:
+    """Number of x outside the kernel, one per projective class
+    {c*x : c in GF(p)*}, whose codeword is minimal; None when classes
+    are left that no route fits.
+
+    The certificate settles the classes up to `_certified_weight`.  The
+    rest count the y with supp(c_y) inside supp(c_x), by the
+    correlations at p = 2 when their cells fit TRANSFORM_MAX_CELLS, else
+    by the gather when the field fits MINIMAL_GATHER_BOUND; c_x is
+    minimal iff exactly p^(m-k+1) values of y pass.
+    """
+    p, q = f.p, f.q
+    w = weights[f.EXP[: (q - 1) // (p - 1)]]
+    bound = max(_certified_weight(p, k, points), 0)
+    minimal = int(np.count_nonzero(w <= bound) - np.count_nonzero(w == 0))
+    # every nonzero weight occurs on some class, W[c*x] being W[x]
+    targets = levels[levels > bound]
+    if targets.size:
+        rest = np.flatnonzero(w > bound)
+        pairs = _weight_pairs(levels, targets.tolist()) if p == 2 else None
+        if p == 2 and _correlation_cells(q, rest.size, pairs) <= code.TRANSFORM_MAX_CELLS:
+            passed = _correlation_passes(f, weights, rest, pairs)
+        elif minimal_scan_fits(p, f.m):
+            passed = _gather_passes(f, weights, rest)
+        else:
+            return None
+        kernel = p ** (f.m - k + 1)
+        # the kernel plus GF(p)*x always passes
+        if passed.min() < kernel:
+            raise AssertionError("a codeword misses the kernel in its support test")
+        minimal += int(np.count_nonzero(passed == kernel))
+    if minimal % p ** (f.m - k):
         raise AssertionError("minimal class count not divisible by the kernel size")
     return minimal
 
@@ -183,30 +331,28 @@ def _minimal_classes(f: Field, weights: np.ndarray, kernel: int) -> int:
 def minimal_codewords(ds: DefiningSet) -> tuple[MinimalReport, RatioReport]:
     """Count the minimal codewords from the weight array alone.
 
-    When the ratio criterion passes, every nonzero codeword must come
-    out minimal; a counterexample would break the scheme built on the
-    code, so it aborts with an error instead of a quiet report.  The
-    weight array is computed once and the distribution is read off it.
+    The weight array is computed once and the distribution and ratio are
+    read off it; the count is skipped (minimal_count None) when classes
+    are left that no route fits.  When the ratio criterion passes, every
+    nonzero codeword must come out minimal; a counterexample would break
+    the scheme built on the code, so it aborts with an error instead of
+    a quiet report.
     """
     f = ds.field
-    if not minimal_scan_fits(f.p, f.m):
-        raise ValueError(f"GF({f.p}^{f.m}) needs more gathers than MINIMAL_GATHER_BOUND")
     weights = weights_by_zero_count(f, ds.elements)
     wd = distribution_from_weights(ds, weights)
     ratio = ratio_check(wd)
-    kernel = f.p ** (f.m - wd.k)
-    classes = _minimal_classes(f, weights, kernel)
-    # minimal x come in p - 1 scalings and p^(m-k) kernel translates
-    minimal_count = classes // kernel * (f.p - 1)
     total = f.p**wd.k - 1
-    all_minimal = minimal_count == total
-    if ratio.passes and not all_minimal:
-        raise RuntimeError(
-            "ratio criterion passed but a non-minimal codeword exists; "
-            f"{total - minimal_count} of {total} codewords are covered"
-        )
-    report = MinimalReport(
-        p=f.p, n=ds.n, k=wd.k, total_nonzero=total,
-        minimal_count=minimal_count, all_minimal=all_minimal,
-    )
+    points = ds.n - int(ds.mask[0])  # nonzero elements of D
+    classes = _minimal_classes(f, weights, wd.k, points, np.array(sorted(wd.counts)))
+    minimal_count = None
+    if classes is not None:
+        # minimal x come in p - 1 scalings and p^(m-k) kernel translates
+        minimal_count = classes // f.p ** (f.m - wd.k) * (f.p - 1)
+        if ratio.passes and minimal_count != total:
+            raise RuntimeError(
+                "ratio criterion passed but a non-minimal codeword exists; "
+                f"{total - minimal_count} of {total} codewords are covered"
+            )
+    report = MinimalReport(p=f.p, n=ds.n, k=wd.k, total_nonzero=total, minimal_count=minimal_count)
     return report, ratio

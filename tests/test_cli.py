@@ -438,21 +438,36 @@ def test_ssreport_cubic_m8(capsys):
 
 
 def test_ssreport_skips_minimal_codewords_past_the_bound(capsys, monkeypatch):
+    # hkm:3 over GF(3^9): the certificate settles none of its 9841 classes
     def boom(*args):
-        raise AssertionError("minimal-codeword work started past the bound")
+        raise AssertionError("a gather started past the bound")
 
-    monkeypatch.setattr(secretshare, "_minimal_classes", boom)
+    argv = ("ssreport", "--p", "3", "--m", "9", "--set", "hkm:3")
+    monkeypatch.setattr(secretshare, "_gather_passes", boom)
     with pytest.raises(AssertionError, match="past the bound"):
-        cli.main(["ssreport", "--m", "8", "--set", "trcubic"])
+        cli.main(list(argv))
     capsys.readouterr()
     monkeypatch.setattr(secretshare, "MINIMAL_GATHER_BOUND", 1 << 10)
-    code, payload, _ = run_json(capsys, "ssreport", "--m", "8", "--set", "trcubic")
+    code, payload, _ = run_json(capsys, *argv)
     assert code == 0
     assert payload["minimal"] is None
     assert payload["minimal_skipped"] == "enumeration bound exceeded"
-    assert payload["ratio"]["raw_ratio"] == [48, 64]
-    assert payload["ratio"]["m_congruence_case"] == "m = 0 mod 8"
-    assert payload["code"]["k"] == 8
+    assert payload["ratio"]["raw_ratio"] == [2106, 2268]
+    assert payload["code"]["k"] == 9
+
+
+def test_ssreport_binary_minimal_codewords_run_past_the_gather_bound(capsys, monkeypatch):
+    def boom(*args):
+        raise AssertionError("a gather started past the bound")
+
+    monkeypatch.setattr(secretshare, "_gather_passes", boom)
+    monkeypatch.setattr(secretshare, "MINIMAL_GATHER_BOUND", 1 << 10)
+    code, payload, _ = run_json(capsys, "ssreport", "--m", "8", "--set", "trcubic")
+    assert code == 0
+    assert payload["minimal_skipped"] is None
+    assert payload["minimal"] == {
+        "p": 2, "n": 111, "k": 8, "total_nonzero": 255, "minimal_count": 255, "all_minimal": True,
+    }
 
 
 def test_thm2_requires_room_for_second_half(capsys):

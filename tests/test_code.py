@@ -20,6 +20,7 @@ from dscodes.code import (
     distribution_from_raw_histogram,
     dual_distance,
     griesmer_check,
+    hyperplane_counts,
     macwilliams_dual,
     pless_moments_check,
     summarize,
@@ -110,6 +111,16 @@ def test_transform_matches_gather_on_random_sets(p, m):
         a = _weights_by_hyperplane_count(f, elements)
         b = _weights_by_gather(f, elements)
         assert np.array_equal(a, b), (p, m, n)
+
+
+@pytest.mark.parametrize("m", [1, 3, 6])
+def test_hyperplane_counts_at_p2_give_the_walsh_hadamard_transform(m):
+    f = get_field(2, m)
+    vec = np.random.default_rng(m).integers(-(1 << 40), 1 << 40, f.q)
+    state = hyperplane_counts(f, vec, np.int64)
+    expected = [sum(int(vec[d]) * (-1) ** (u & d).bit_count() for d in range(f.q))
+                for u in range(f.q)]
+    assert (state[:, 0] - state[:, 1]).tolist() == expected
 
 
 def test_route_rule():

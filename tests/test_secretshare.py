@@ -3,14 +3,15 @@ import io
 import itertools
 import random
 import runpy
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dscodes import secretshare, sets
-from dscodes.code import DefiningSet, build_code_weights
+from dscodes import code, secretshare, sets
+from dscodes.code import DefiningSet, build_code_weights, weights_by_zero_count
 from dscodes.field import MAX_P, get_field, is_prime
 
 
@@ -112,6 +113,36 @@ def _minimal_by_support_scan(counts):
     return minimal_count
 
 
+def _forced_report(ds, gather):
+    """minimal_codewords with the certificate off and one route forced:
+    the gather when `gather`, else the correlations (p = 2 only)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(secretshare, "_certified_weight", lambda p, k, points: 0)
+        if gather:
+            mp.setattr(secretshare, "_correlation_cells", lambda *args: code.TRANSFORM_MAX_CELLS + 1)
+        else:
+            mp.setattr(secretshare, "minimal_scan_fits", lambda p, m: False)
+        return secretshare.minimal_codewords(ds)[0]
+
+
+def _check_routes(ds, k):
+    """Each route alone against the full gather, one row per projective
+    class outside the kernel: certified classes pass exactly p^(m-k+1)
+    values of y there, and at p = 2 the correlations count the same y."""
+    f = ds.field
+    weights = weights_by_zero_count(f, ds.elements)
+    rows = np.flatnonzero(weights[f.EXP[: (f.q - 1) // (f.p - 1)]])
+    full = secretshare._gather_passes(f, weights, rows)
+    w = weights[f.EXP[rows]]
+    certified = w <= secretshare._certified_weight(f.p, k, ds.n - int(ds.mask[0]))
+    assert np.all(full[certified] == f.p ** (f.m - k + 1))
+    if f.p == 2:
+        levels = np.flatnonzero(np.bincount(weights))
+        pairs = secretshare._weight_pairs(levels, np.unique(w).tolist())
+        assert np.array_equal(secretshare._correlation_passes(f, weights, rows, pairs), full)
+    return full, certified
+
+
 def _check_against_oracle(ds):
     report, _ = secretshare.minimal_codewords(ds)
     counts = _support_counts(ds, report.k)
@@ -119,6 +150,9 @@ def _check_against_oracle(ds):
     assert report.total_nonzero == sum(counts.values())
     assert report.minimal_count == minimal
     assert report.all_minimal == (minimal == report.total_nonzero)
+    _check_routes(ds, report.k)
+    for gather in (True, False) if ds.field.p == 2 else (True,):
+        assert _forced_report(ds, gather) == report
     return report
 
 
@@ -148,6 +182,79 @@ def test_minimal_count_matches_support_oracle_on_random_sets(p, m):
 def test_minimal_count_matches_support_oracle_on_cubic_trace_codes(m):
     report = _check_against_oracle(sets.tr_cubic_set(get_field(2, m)))
     assert report.all_minimal == (m != 5)
+
+
+@pytest.mark.parametrize("m", [13, 14])
+def test_routes_agree_with_the_full_gather_on_cubic_trace_codes(m):
+    # past the bitmask oracle's fields; m = 5..12 run through _check_against_oracle
+    ds = sets.tr_cubic_set(get_field(2, m))
+    full, _ = _check_routes(ds, m)
+    report, _ = secretshare.minimal_codewords(ds)
+    assert report.all_minimal and np.all(full == 2)
+    assert _forced_report(ds, gather=False) == report
+
+
+def test_correlations_match_the_gather_on_a_set_with_many_weights():
+    f = get_field(2, 10)
+    ds = DefiningSet(f, tuple(random.Random(12).sample(range(f.q), 40)))
+    weights = weights_by_zero_count(f, ds.elements)
+    levels = np.flatnonzero(np.bincount(weights))
+    pairs = secretshare._weight_pairs(levels, levels[1:].tolist())
+    assert len(levels) >= 15 and sum(map(len, pairs.values())) >= 30
+    report = _check_against_oracle(ds)
+    assert not report.all_minimal
+
+
+def _subspace(f, basis):
+    """Every GF(p)-combination of the basis elements."""
+    span = {0}
+    for v in basis:
+        span = {f.add(s, f.mul(c, v)) for s in span for c in range(f.p)}
+    return span
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (2, 6), (3, 3), (5, 3)])
+def test_certificate_boundary_stays_uncertified_and_non_minimal(p, m):
+    # D holds p^(k-2) - 1 nonzero points on H_1, all in a (k-2)-space V, and
+    # every element off H_1, so k = m and D meet H_1 spans V, not H_1
+    f = get_field(p, m)
+    on_h = [d for d in range(1, f.q) if f.trace(d) == 0]
+    basis = []
+    for d in on_h:
+        if len(basis) < m - 2 and d not in _subspace(f, basis):
+            basis.append(d)
+    span = _subspace(f, basis)
+    assert len(span) == p ** (m - 2)
+    off_h = {d for d in range(f.q) if f.trace(d) != 0}
+    ds = DefiningSet(f, tuple(sorted((span - {0}) | off_h)))
+    report = _check_against_oracle(ds)
+    assert report.k == m and not report.all_minimal
+    full, certified = _check_routes(ds, m)
+    # x = 1 is row 0, log 0
+    assert not certified[0]
+    assert full[0] > p ** (m - m + 1)
+
+
+@pytest.mark.parametrize("p,m,elements,minimal,total", [
+    (2, 4, (1,), 1, 1),  # k = 1
+    (3, 3, (5, 7), 2, 2),  # k = 1: 7 = 2*5 digit by digit
+    (2, 4, (1, 2), 2, 3),  # k = 2, (1, 1) covers (1, 0) and (0, 1)
+    (2, 4, (1, 2, 3), 3, 3),  # the k = 2 simplex code, all certified
+    (3, 3, (1, 3), 4, 8),  # k = 2, the full-support words cover the others
+])
+def test_minimal_count_at_dimension_one_and_two(p, m, elements, minimal, total, monkeypatch):
+    ds = DefiningSet(get_field(p, m), elements)
+    report = _check_against_oracle(ds)
+    assert report.k == (1 if total == p - 1 else 2)
+    assert (report.minimal_count, report.total_nonzero) == (minimal, total)
+    if report.k == 1:
+        # settled outright: neither route runs
+        def boom(*args):
+            raise AssertionError("a route ran at k = 1")
+
+        monkeypatch.setattr(secretshare, "_gather_passes", boom)
+        monkeypatch.setattr(secretshare, "_correlation_passes", boom)
+        assert secretshare.minimal_codewords(ds)[0] == report
 
 
 def test_minimal_count_matches_support_oracle_on_ternary_simplex():
@@ -218,13 +325,79 @@ def test_minimal_supports_scalar_closure():
 
 def test_minimal_codewords_refuses_past_bound_before_any_work(monkeypatch):
     def boom(*args):
-        raise AssertionError("work started past the bound")
+        raise AssertionError("a gather started")
 
+    f = get_field(3, 9)
+    ds = sets.hkm_set(3, f)
+    weights = weights_by_zero_count(f, ds.elements)
+    w = weights[f.EXP[: (f.q - 1) // 2]]
+    assert w.size == 9841 and w.min() > secretshare._certified_weight(3, 9, ds.n - int(ds.mask[0]))
+    monkeypatch.setattr(secretshare, "_gather_passes", boom)
+    with pytest.raises(AssertionError, match="a gather started"):
+        secretshare.minimal_codewords(ds)
     monkeypatch.setattr(secretshare, "MINIMAL_GATHER_BOUND", 1 << 10)
-    monkeypatch.setattr(secretshare, "weights_by_zero_count", boom)
-    monkeypatch.setattr(secretshare, "_minimal_classes", boom)
-    with pytest.raises(ValueError, match="MINIMAL_GATHER_BOUND"):
-        secretshare.minimal_codewords(sets.tr_cubic_set(get_field(2, 6)))
+    report, ratio = secretshare.minimal_codewords(ds)
+    assert report.minimal_count is None and report.all_minimal is None
+    assert (report.k, report.total_nonzero) == (9, 3**9 - 1)
+    assert ratio == secretshare.ratio_check(build_code_weights(ds))
+
+
+def test_correlation_refuses_past_the_cap_before_allocating(monkeypatch):
+    def boom(*args):
+        raise AssertionError("work started past the cap")
+
+    f = get_field(2, 8)
+    ds = DefiningSet(f, tuple(random.Random(3).sample(range(f.q), 12)))
+    weights = weights_by_zero_count(f, ds.elements)
+    rows = np.flatnonzero(weights[f.EXP[: f.q - 1]])
+    levels = np.flatnonzero(np.bincount(weights))
+    pairs = secretshare._weight_pairs(levels, levels[1:].tolist())
+    assert any(pairs.values())
+    monkeypatch.setattr(code, "TRANSFORM_MAX_CELLS", 1 << 10)
+    monkeypatch.setattr(secretshare, "hyperplane_counts", boom)
+    with pytest.raises(ValueError, match="TRANSFORM_MAX_CELLS"):
+        secretshare._correlation_passes(f, weights, rows, pairs)
+    # nor does any route start once the gather's bound is past too
+    monkeypatch.setattr(secretshare, "_gather_passes", boom)
+    monkeypatch.setattr(secretshare, "MINIMAL_GATHER_BOUND", 1 << 10)
+    report, _ = secretshare.minimal_codewords(ds)
+    assert report.minimal_count is None
+
+
+def test_correlation_peak_memory_is_within_its_cell_count():
+    f = get_field(2, 14)
+    ds = DefiningSet(f, tuple(random.Random(1).sample(range(f.q), 80)))
+    weights = weights_by_zero_count(f, ds.elements)
+    rows = np.flatnonzero(weights[f.EXP[: f.q - 1]])
+    levels = np.flatnonzero(np.bincount(weights))
+    pairs = secretshare._weight_pairs(levels, levels[1:].tolist())
+    cells = secretshare._correlation_cells(f.q, rows.size, pairs)
+    assert rows.size > f.q // 2 and cells > 12 * f.q
+    secretshare._correlation_passes(f, weights, rows, pairs)  # warm Field.PI and imports
+    tracemalloc.start()
+    try:
+        secretshare._correlation_passes(f, weights, rows, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # numpy reports its arrays to tracemalloc; its strided ufunc buffers
+    # take up to 192 KB whatever q, and a few KB are Python objects
+    assert 0.8 * 4 * cells < peak <= 4 * cells + (1 << 18)
+
+
+def test_ratio_pass_with_a_covered_codeword_aborts(monkeypatch):
+    # the cubic-trace code over GF(2^8) passes the ratio; a correlation
+    # that reports one extra passing y must abort, not report
+    real = secretshare._correlation_passes
+
+    def one_covered(*args):
+        passed = real(*args)
+        passed[0] += 2
+        return passed
+
+    monkeypatch.setattr(secretshare, "_correlation_passes", one_covered)
+    with pytest.raises(RuntimeError, match="1 of 255 codewords are covered"):
+        secretshare.minimal_codewords(sets.tr_cubic_set(get_field(2, 8)))
 
 
 def test_fixed_threshold_for_binary():
