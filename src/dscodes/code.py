@@ -9,8 +9,9 @@ hyperplane H_x = {d : Tr(x d) = 0}.
 Everything here is exact integer arithmetic.  One weight kernel,
 `weights_by_zero_count`, counts D on every hyperplane by one of two
 routes that a size rule (`_route`) picks: an int32 transform,
-O(q*m*p^2), or a gather of n int32 slices, O(q*n), which is also the
-oracle the tests check the transform against.  One dual layer, a
+O(q*m*p^2), or a gather that sums n rows of a uint8 window in blocks,
+O(q*n), which is also the oracle the tests check the transform
+against.  Both return int32 weights.  One dual layer, a
 Krawtchouk recurrence on Python big integers, yields the MacWilliams
 transform that the full dual, the dual distance and the power-moment
 checks all read.
@@ -158,28 +159,56 @@ class WeightDistribution:
 
 
 TRANSFORM_MAX_CELLS = 1 << 26  # int32 cells in the transform's largest array, 256 MB
-# fixed cost of one array operation of the transform, counted in cells:
-# about 5 us against 5 ns per cell, so it decides the route at small q
-TRANSFORM_CALL_CELLS = 1 << 10
-# cells the gather may touch, about 30 s at 2.4e9 cells/s (2-core x86 VM):
+# the time of one transform cell at p = 2, counted in gather cells; at odd
+# p a cell costs twice as much, its slice adds running in pieces shorter
+# than p.  Fitted on a (p, m, n) grid of both routes (CHANGES.md)
+TRANSFORM_CELL_COST = 42
+# fixed cost of one array operation of the transform, counted in its cells
+TRANSFORM_CALL_CELLS = 1 << 8
+# cells the gather may touch, about 7 s at 1e10 cells/s (2-core x86 VM):
 # simplex over GF(127^3), 3.3e10 cells, fits; its complement, 4.2e12, does not
 GATHER_MAX_CELLS = 1 << 36
+# uint8 cells the gather copies and sums in one numpy call, 512 KB: half
+# that was up to 25 % slower at q = 2^12..2^14, twice that raised peak RSS
+GATHER_BLOCK_CELLS = 1 << 19
+# the row length from which the gather adds rows one numpy call each: a
+# call costs about 1 us, the copy of 2^14 cells into a block about as much
+GATHER_ROW_CELLS = 1 << 14
 
 
 def _weights_by_gather(f: Field, elements) -> np.ndarray:
     """Weights by counting, for every x, the d with Tr(x d) = 0: q*n
-    cells in n contiguous int32 slice adds, O(q) memory.  The route for
-    small sets, and the oracle."""
+    uint8 cells summed in blocks of rows, O(q) memory.  The route for
+    small sets, and the oracle.
+
+    Row l of the window is the zero indicator of d = alpha^l over
+    x = alpha^s, s < q - 1.  A block of at most 255 rows is summed in
+    uint8, which is exact because each cell of the sum counts at most
+    255 zeros, and then added into the int32 counts.  Below
+    GATHER_ROW_CELLS a block is the rows of one fancy index, at most
+    GATHER_BLOCK_CELLS cells, summed in one numpy call; from there on
+    each row is added as a view, with no copy.
+    """
     q = f.q
     elements = np.asarray(elements, dtype=np.int64)
     logs = f.LOG[elements[elements != 0]]
-    # t0[t] = 1 iff Tr(alpha^t) = 0, doubled so s + log d never needs a mod:
-    # the zero indicator of x = alpha^s over d = alpha^l is t0[l : l + q - 1]
-    t0 = (f.TR[f.EXP] == 0).astype(np.int32)
+    # t0[t] = 1 iff Tr(alpha^t) = 0, doubled so s + log d never needs a mod,
+    # and row l of the window is t0[l : l + q - 1]
+    t0 = (f.TR[f.EXP] == 0).view(np.uint8)
+    win = np.ndarray((q - 1, q - 1), np.uint8, t0, 0, (1, 1))
+    win.setflags(write=False)
+    wide = q - 1 >= GATHER_ROW_CELLS
+    rows = 255 if wide else min(255, GATHER_BLOCK_CELLS // (q - 1))
     counts = np.zeros(q - 1, dtype=np.int32)
-    for lo in logs.tolist():
-        counts += t0[lo : lo + q - 1]
-    weights = np.zeros(q, dtype=np.int64)
+    for i in range(0, len(logs), rows):
+        if wide:
+            block = np.zeros(q - 1, dtype=np.uint8)
+            for lo in logs[i : i + rows].tolist():
+                block += win[lo]
+        else:
+            block = win[logs[i : i + rows]].sum(axis=0, dtype=np.uint8)
+        counts += block
+    weights = np.zeros(q, dtype=np.int32)
     # d = 0 has Tr(x d) = 0 for every x, so it never adds weight
     weights[f.EXP[: q - 1]] = len(logs) - counts
     return weights
@@ -224,25 +253,30 @@ def _weights_by_hyperplane_count(f: Field, elements) -> np.ndarray:
     p, q = f.p, f.q
     if q * p > TRANSFORM_MAX_CELLS:
         raise ValueError(f"transform state of {q}*{p} cells exceeds TRANSFORM_MAX_CELLS")
-    n = len(elements)
-    counts = np.bincount(np.asarray(elements, dtype=np.int64), minlength=q)
-    return n - hyperplane_counts(f, counts, np.int32)[f.PI, 0]
+    # int32: the indicator stays alive through every step of the transform
+    counts = np.bincount(np.asarray(elements, dtype=np.int64), minlength=q).astype(np.int32)
+    weights = hyperplane_counts(f, counts, np.int32)[f.PI, 0]
+    return np.subtract(len(elements), weights, out=weights)
 
 
 def _route(p: int, m: int, n: int):
     """The weight route for n elements of GF(p^m), q = p^m.
 
     The transform makes m*p^2 array operations over q cells, each also
-    costing TRANSFORM_CALL_CELLS; the gather touches q*n cells.  The
-    transform runs when it costs less and its state of q*p cells fits
-    TRANSFORM_MAX_CELLS, else the gather when its q*n cells fit
-    GATHER_MAX_CELLS, else ValueError before any allocation.  Past the
-    gather's bound a transform that fits is cheaper anyway (m*p < 512).
+    costing TRANSFORM_CALL_CELLS, at TRANSFORM_CELL_COST gather cells a
+    cell (twice that at odd p); the gather touches q*n cells.  A size is
+    refused with ValueError, before any allocation, only when it fits
+    neither the transform's state of q*p cells (TRANSFORM_MAX_CELLS) nor
+    the gather's q*n cells (GATHER_MAX_CELLS).  When it fits one, that
+    route runs; when it fits both, the one that costs less.
     """
     q = p**m
-    if m * p * p * (q + TRANSFORM_CALL_CELLS) < q * n and q * p <= TRANSFORM_MAX_CELLS:
+    transform_fits = q * p <= TRANSFORM_MAX_CELLS
+    gather_fits = q * n <= GATHER_MAX_CELLS
+    cost = TRANSFORM_CELL_COST * (1 if p == 2 else 2) * m * p * p * (q + TRANSFORM_CALL_CELLS)
+    if transform_fits and (not gather_fits or cost < q * n):
         return _weights_by_hyperplane_count
-    if q * n <= GATHER_MAX_CELLS:
+    if gather_fits:
         return _weights_by_gather
     raise ValueError(f"{n} elements of GF({p}^{m}) fit neither GATHER_MAX_CELLS"
                      " nor TRANSFORM_MAX_CELLS")

@@ -247,8 +247,10 @@ def test_weight_routes_past_their_bounds_exit_three(capsys, monkeypatch):
     def boom(*args):
         raise AssertionError("the gather started past its bound")
 
-    # GF(27) holds 13 simplex elements: a gather of 351 cells
+    # GF(27) holds 13 simplex elements: a gather of 351 cells, a transform
+    # state of 81
     monkeypatch.setattr("dscodes.code.GATHER_MAX_CELLS", 1 << 8)
+    monkeypatch.setattr("dscodes.code.TRANSFORM_MAX_CELLS", 1 << 6)
     monkeypatch.setattr("dscodes.code._weights_by_gather", boom)
     for argv in (
         ["code", "--p", "3", "--m", "3", "--set", "simplex"],
@@ -262,15 +264,29 @@ def test_weight_routes_past_their_bounds_exit_three(capsys, monkeypatch):
         assert "GATHER_MAX_CELLS" in err
 
 
+def test_a_transform_that_fits_runs_past_the_gathers_bound(capsys, monkeypatch):
+    def boom(*args):
+        raise AssertionError("the gather started past its bound")
+
+    argv = ("code", "--p", "3", "--m", "3", "--set", "simplex")
+    expected = run(capsys, *argv)
+    # 351 gather cells past the bound, a transform state of 81 within its own
+    monkeypatch.setattr("dscodes.code.GATHER_MAX_CELLS", 1 << 8)
+    monkeypatch.setattr("dscodes.code._weights_by_gather", boom)
+    assert run(capsys, *argv) == expected
+    assert expected[0] == 0
+
+
 def test_cor3_refuses_an_unfit_complement_before_enumerating(capsys, monkeypatch, tmp_path):
     def boom(*args):
         raise AssertionError("the base set was enumerated")
 
     # a base of 3 elements of GF(16) fits a 48-cell gather, its complement's
-    # 208 cells do not
+    # 208 cells do not, nor does a transform state of 32 cells
     table = tmp_path / "table.txt"
     table.write_text("1000000000000110\n")
     monkeypatch.setattr("dscodes.code.GATHER_MAX_CELLS", 1 << 6)
+    monkeypatch.setattr("dscodes.code.TRANSFORM_MAX_CELLS", 1 << 4)
     monkeypatch.setattr("dscodes.code._weights_by_gather", boom)
     code, out, err = run(capsys, "verify", "--claim", "cor3", "--m", "4", "--set", f"bool:{table}")
     assert code == 3

@@ -9,6 +9,7 @@ from dscodes.code import (
     DUAL_MAX_N,
     GATHER_MAX_CELLS,
     TRANSFORM_CALL_CELLS,
+    TRANSFORM_CELL_COST,
     TRANSFORM_MAX_CELLS,
     DefiningSet,
     WeightDistribution,
@@ -28,6 +29,7 @@ from dscodes.code import (
 )
 from dscodes.field import get_field
 from moduli import alternate_field, transport
+from test_field import _trace_by_definition
 
 # enumerators frozen after computing them by both enumeration routes;
 # every dual here has minimum distance exactly 3
@@ -113,6 +115,47 @@ def test_transform_matches_gather_on_random_sets(p, m):
         assert np.array_equal(a, b), (p, m, n)
 
 
+def _weights_by_definition(f, elements):
+    """wt(c_x) = #{d : Tr(x d) != 0}, each trace the sum of the Frobenius
+    conjugates, on the products x d of every unit x and d != 0."""
+    tr = np.array([_trace_by_definition(f, y) for y in range(f.q)])
+    logs = f.LOG[np.array([d for d in elements if d], dtype=np.int64)]
+    prods = f.EXP[(np.arange(f.q - 1)[:, None] + logs[None, :]) % (f.q - 1)]
+    weights = np.zeros(f.q, dtype=np.int64)
+    weights[f.EXP[: f.q - 1]] = np.count_nonzero(tr[prods], axis=1)
+    return weights
+
+
+# every supported p; the units of GF(2^10) put 511 zeros on each hyperplane,
+# past the 255 that one uint8 block may sum
+GATHER_FIELDS = [(2, 5), (2, 10), (3, 4), (5, 3), (7, 2), (11, 2)]
+
+
+@pytest.mark.parametrize("p,m", GATHER_FIELDS)
+def test_gather_blocks_match_both_oracles(monkeypatch, p, m):
+    f = get_field(p, m)
+    rng = random.Random(100 * p + m)
+    units = list(range(1, f.q))
+    cases = [
+        [0],  # no log left, so no block at all
+        rng.sample(range(f.q), rng.randint(2, f.q - 2)),
+        rng.sample(units, f.q - 2),
+        units,
+        [0] + units,
+    ]
+    for elements in cases:
+        expected = _weights_by_definition(f, elements)
+        assert np.array_equal(_weights_by_hyperplane_count(f, elements), expected)
+        # blocks of 255 rows, of 7 rows, and one row at a time by views
+        for block_cells, row_cells in ((1 << 19, 1 << 14), (7 * (f.q - 1), 1 << 14), (1 << 19, 1)):
+            with monkeypatch.context() as patch:
+                patch.setattr(code, "GATHER_BLOCK_CELLS", block_cells)
+                patch.setattr(code, "GATHER_ROW_CELLS", row_cells)
+                weights = _weights_by_gather(f, elements)
+            assert weights.dtype == np.int32
+            assert np.array_equal(weights, expected), (p, m, len(elements), block_cells, row_cells)
+
+
 @pytest.mark.parametrize("m", [1, 3, 6])
 def test_hyperplane_counts_at_p2_give_the_walsh_hadamard_transform(m):
     f = get_field(2, m)
@@ -124,20 +167,37 @@ def test_hyperplane_counts_at_p2_give_the_walsh_hadamard_transform(m):
 
 
 def test_route_rule():
+    # calibration points read off the (p, m, n) grid in CHANGES.md: the
+    # gather wins on every set of a small field, the transform from about
+    # TRANSFORM_CELL_COST * m * p^2 elements on at p = 2, twice that at odd p
     assert _route(2, 4, 11) is _weights_by_gather
+    assert _route(2, 11, 2048) is _weights_by_gather
+    assert _route(2, 16, 1024) is _weights_by_gather
+    assert _route(2, 16, 4096) is _weights_by_hyperplane_count
     assert _route(2, 16, 32511) is _weights_by_hyperplane_count
-    # fewer cells than the gather, but a state of 23^6 cells
-    assert 5 * 23**2 * (23**5 + TRANSFORM_CALL_CELLS) < 23**5 * 5000
+    assert _route(3, 12, 4096) is _weights_by_gather
+    assert _route(3, 12, 16384) is _weights_by_hyperplane_count
+    assert _route(5, 7, 12000) is _weights_by_gather
+    # a state of 23^6 cells does not fit, the gather's 23^5 * 5000 cells do
     assert 23**6 > TRANSFORM_MAX_CELLS and 23**5 * 5000 <= GATHER_MAX_CELLS
     assert _route(23, 5, 5000) is _weights_by_gather
     # neither the gather's 251^3 * 200000 cells nor a state of 251^4 cells fits
     assert 251**3 * 200000 > GATHER_MAX_CELLS and 251**4 > TRANSFORM_MAX_CELLS
     with pytest.raises(ValueError, match="GATHER_MAX_CELLS"):
         _route(251, 3, 200000)
-    # fewer cells than the gather (147 * 343 < 300 * 343), but 147 array
-    # operations, each with its fixed cost, on a field of 343 elements
+    # 147 array operations, each with its fixed cost, on a field of 343
+    # elements; and simplex over GF(7^5), 2801 of 16807 elements
     assert _route(7, 3, 300) is _weights_by_gather
-    assert _route(7, 5, 2801) is _weights_by_hyperplane_count
+    assert _route(7, 5, 2801) is _weights_by_gather
+
+
+def test_route_takes_a_transform_that_fits_past_the_gathers_bound():
+    # 7500 elements of GF(5^10): the transform costs more than the gather
+    # would, but only its state fits
+    q = 5**10
+    assert 2 * TRANSFORM_CELL_COST * 10 * 5**2 * (q + TRANSFORM_CALL_CELLS) > q * 7500
+    assert q * 7500 > GATHER_MAX_CELLS and q * 5 <= TRANSFORM_MAX_CELLS
+    assert _route(5, 10, 7500) is _weights_by_hyperplane_count
 
 
 def test_distribution_is_order_invariant():

@@ -137,7 +137,7 @@ def test_parseval_check_refuses_a_perturbed_spectrum():
 def test_parseval_check_refuses_values_that_wrap_an_int64_sum():
     f = get_field(2, 7)
     spectrum = spectra.walsh_transform(f, spectra.tr_cubic_table(f))
-    values = spectrum.values.copy()
+    values = spectrum.values.astype(np.int64)
     w = int(np.flatnonzero(values[1:] == 0)[0]) + 1
     values[w] = 1 << 32  # its square is 2^64, 0 in a wrapping int64 sum
     assert int(np.sum(values * values)) == f.q * f.q
