@@ -8,10 +8,12 @@ hyperplane H_x = {d : Tr(x d) = 0}.
 
 Everything here is exact integer arithmetic.  One weight kernel,
 `weights_by_zero_count`, counts D on every hyperplane by one of two
-routes that a size rule (`_route`) picks: an int32 transform,
-O(q*m*p^2), or a gather that sums n rows of a uint8 window in blocks,
-O(q*n), which is also the oracle the tests check the transform
-against.  Both return int32 weights.  One dual layer, a
+routes that a size rule (`_route`) picks: an int32 transform or a
+gather that sums n rows of a uint8 window in blocks, O(q*n), which is
+also the oracle the tests check the transform against.  The transform
+is an in-place Walsh-Hadamard butterfly at p = 2, O(q*m) on q cells,
+and a (p, q) state at odd p, O(q*m*p^2).  Both routes return int32
+weights.  One dual layer, a
 Krawtchouk recurrence on Python big integers, yields the MacWilliams
 transform that the full dual, the dual distance and the power-moment
 checks all read.
@@ -158,13 +160,15 @@ class WeightDistribution:
 # enumeration
 
 
-TRANSFORM_MAX_CELLS = 1 << 26  # int32 cells in the transform's largest array, 256 MB
-# the time of one transform cell at p = 2, counted in gather cells; at odd
-# p a cell costs twice as much, its slice adds running in pieces shorter
-# than p.  Fitted on a (p, m, n) grid of both routes (CHANGES.md)
-TRANSFORM_CELL_COST = 42
-# fixed cost of one array operation of the transform, counted in its cells
-TRANSFORM_CALL_CELLS = 1 << 8
+# bound on q*p: the int32 cells of one (p, q) state at odd p, 256 MB, two of
+# which a step holds; at p = 2 the butterfly holds q cells
+TRANSFORM_MAX_CELLS = 1 << 26
+# the time of one transform pass over q cells, counted per cell in gather
+# cells: m passes at p = 2, one per butterfly step, and m*p^2 at odd p, one
+# per slice pair.  Fitted on a (p, m, n) grid of both routes (CHANGES.md)
+TRANSFORM_CELL_COST = 16
+# fixed cost of one pass, counted in its cells
+TRANSFORM_CALL_CELLS = 1 << 12
 # cells the gather may touch, about 7 s at 1e10 cells/s (2-core x86 VM):
 # simplex over GF(127^3), 3.3e10 cells, fits; its complement, 4.2e12, does not
 GATHER_MAX_CELLS = 1 << 36
@@ -214,30 +218,72 @@ def _weights_by_gather(f: Field, elements) -> np.ndarray:
     return weights
 
 
+def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
+    """The Walsh-Hadamard transform sum_d vec[d] (-1)^(d.u) for every u,
+    in place on vec, a signed integer array of 2^m cells, which is returned.
+
+    Step i combines each pair of cells that differ in bit i of the code
+    into their sum and difference, the butterfly lo, hi <- lo + hi, lo - hi,
+    done as lo += hi, hi *= -2, hi += lo with no scratch (MacWilliams &
+    Sloane, Ch. 2; Fino & Algazi, IEEE T-C 25, 1976).  The arithmetic
+    wraps modulo 2^bits, so every value is exact whenever the true values
+    fit the dtype, that is while sum |vec[d]| does.  Cost O(q*m).
+    """
+    step = 1
+    while step < vec.size:
+        # code = sum_j d_j 2^j, so in C order bit i sits on axis 1
+        pairs = vec.reshape(-1, 2, step)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        lo += hi
+        hi *= -2
+        hi += lo
+        step *= 2
+    return vec
+
+
 def hyperplane_counts(f: Field, vec, dtype) -> np.ndarray:
-    """F[u, t] = sum of vec[d] over the d with <d, u> = t, for every
-    coordinate vector u (indexed like an element code) and t in GF(p),
-    on a state of q*p cells of the given dtype.  F starts as vec at
-    t = 0, and step i replaces coordinate d_i by u_i through
-    F[..u_i.., t] = sum_{d_i} F[..d_i.., (t - d_i u_i) mod p].  Every cell
-    is a sum of entries of vec, so it stays exact while the sum of their
-    absolute values fits the dtype.  At p = 2, F[u, 0] - F[u, 1] is the
-    Walsh-Hadamard transform sum_d vec[d] (-1)^(d.u).  Cost O(q*m*p^2).
+    """N[u] = sum of vec[d] over the d with <d, u> = 0, for every
+    coordinate vector u (indexed like an element code), on a state that
+    keeps one count per value t of <d, u>: the body for odd p.  At p = 2
+    the counts are (sum(vec) + W(u))/2 of `walsh_hadamard`, which is
+    cheaper; at odd p the characters are not integers.
+
+    Before step i, F[t, c] sums vec over the d that share the digits of
+    c from i up and have sum_{j<i} d_j u_j = t, u's digits being those of
+    c below i.  Step i replaces digit d_i by u_i through
+    F[t, ..u_i..] = sum_{d_i} F[(t - d_i u_i) mod p, ..d_i..].  The state
+    is laid out as (p, q), so every slice add runs over p^i contiguous
+    cells.  The first step reads vec as the only nonzero row, t = 0, and
+    the last keeps only row t = 0, so each of them adds about p*q cells,
+    against p^2*q for a step in between.  Every cell is a sum of entries
+    of vec, so it stays exact while the sum of their absolute values fits
+    the dtype.  Cost O(q*m*p^2); at most two states of p*q cells are held.
     """
     p, m, q = f.p, f.m, f.q
-    state = np.zeros((q, p), dtype=dtype)
-    state[:, 0] = vec
+    state = np.asarray(vec).reshape(1, q)
     for i in range(m):
-        # code = sum_j d_j p^j, so in C order digit i sits on axis 1
-        src = state.reshape(p ** (m - 1 - i), p, p**i, p)
-        out = np.zeros_like(src)
+        # code = sum_j d_j p^j, so in C order digit i sits on axis 2
+        src = state.reshape(len(state), p ** (m - 1 - i), p, p**i)
+        rows_in, rows_out = len(src), 1 if i == m - 1 else p
+        # from a full state, d = 0 (s = 0) writes every row of out first
+        copied = rows_in == p
+        out = (np.empty if copied else np.zeros)((rows_out, *src.shape[1:]), dtype=dtype)
         for u in range(p):
             for d in range(p):
-                s = d * u % p  # the second slice is empty when s = 0
-                out[:, u, :, s:] += src[:, d, :, : p - s]
-                out[:, u, :, :s] += src[:, d, :, p - s :]
-        state = out.reshape(q, p)
-    return state
+                if copied and d == 0:
+                    out[:, :, u] = src[:rows_out, :, 0]
+                    continue
+                s = d * u % p
+                # out[t] += src[(t - s) mod p] for every row t kept and read:
+                # t >= s reads row t - s, t < s reads row t - s + p
+                top = min(rows_out, s + rows_in)
+                if s < top:
+                    out[s:top, :, u] += src[: top - s, :, d]
+                top = min(s, rows_out, rows_in + s - p)
+                if top > 0:
+                    out[:top, :, u] += src[p - s : p - s + top, :, d]
+        state = out
+    return state.reshape(q)
 
 
 def _weights_by_hyperplane_count(f: Field, elements) -> np.ndarray:
@@ -246,34 +292,47 @@ def _weights_by_hyperplane_count(f: Field, elements) -> np.ndarray:
     Tr is GF(p)-linear, so Tr(x d) = sum_i d_i Tr(x b_i), b_i the element
     with code p^i, and the zero count of x is N(pi(x)) with
     pi(x)_i = Tr(x b_i), a GF(p)-linear map of x the field holds as the
-    table `Field.PI`.  N(u) = F[u, 0] of `hyperplane_counts` on the
-    indicator of D, on an int32 state of q*p cells: every cell counts at
-    most n <= q <= 2^24 elements, so int32 cannot overflow.
+    table `Field.PI`.  At p = 2, N(u) = (n + W(u))/2 for the
+    Walsh-Hadamard transform W of the indicator of D, in place on one
+    int32 array of q cells; at odd p, N is `hyperplane_counts` on the
+    indicator, two int32 states of at most q*p cells.  Every value is at
+    most n <= q <= 2^24 in absolute value, so int32 cannot overflow.
+    The elements must be distinct.
     """
-    p, q = f.p, f.q
+    p, q, n = f.p, f.q, len(elements)
     if q * p > TRANSFORM_MAX_CELLS:
         raise ValueError(f"transform state of {q}*{p} cells exceeds TRANSFORM_MAX_CELLS")
-    # int32: the indicator stays alive through every step of the transform
-    counts = np.bincount(np.asarray(elements, dtype=np.int64), minlength=q).astype(np.int32)
-    weights = hyperplane_counts(f, counts, np.int32)[f.PI, 0]
-    return np.subtract(len(elements), weights, out=weights)
+    # the butterfly works in place; the odd-p steps only read the indicator
+    indicator = np.zeros(q, dtype=np.int32 if p == 2 else np.uint8)
+    indicator[np.asarray(elements, dtype=np.int64)] = 1
+    if np.count_nonzero(indicator) != n:
+        raise ValueError("the weight transform needs distinct elements")
+    if p == 2:
+        zeros = walsh_hadamard(indicator)
+        zeros += n
+        zeros >>= 1
+    else:
+        zeros = hyperplane_counts(f, indicator, np.int32)
+    weights = zeros[f.PI]
+    return np.subtract(n, weights, out=weights)
 
 
 def _route(p: int, m: int, n: int):
     """The weight route for n elements of GF(p^m), q = p^m.
 
-    The transform makes m*p^2 array operations over q cells, each also
-    costing TRANSFORM_CALL_CELLS, at TRANSFORM_CELL_COST gather cells a
-    cell (twice that at odd p); the gather touches q*n cells.  A size is
+    The transform makes m passes over q cells at p = 2 and m*p^2 at odd
+    p, each also costing TRANSFORM_CALL_CELLS, at TRANSFORM_CELL_COST
+    gather cells a cell; the gather touches q*n cells.  A size is
     refused with ValueError, before any allocation, only when it fits
-    neither the transform's state of q*p cells (TRANSFORM_MAX_CELLS) nor
-    the gather's q*n cells (GATHER_MAX_CELLS).  When it fits one, that
-    route runs; when it fits both, the one that costs less.
+    neither the transform's q*p cells (TRANSFORM_MAX_CELLS) nor the
+    gather's q*n cells (GATHER_MAX_CELLS).  When it fits one, that route
+    runs; when it fits both, the one that costs less.
     """
     q = p**m
     transform_fits = q * p <= TRANSFORM_MAX_CELLS
     gather_fits = q * n <= GATHER_MAX_CELLS
-    cost = TRANSFORM_CELL_COST * (1 if p == 2 else 2) * m * p * p * (q + TRANSFORM_CALL_CELLS)
+    passes = m if p == 2 else m * p * p
+    cost = TRANSFORM_CELL_COST * passes * (q + TRANSFORM_CALL_CELLS)
     if transform_fits and (not gather_fits or cost < q * n):
         return _weights_by_hyperplane_count
     if gather_fits:

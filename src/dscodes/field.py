@@ -21,7 +21,8 @@ c*alpha^i (for c = alpha, the companion matrix of the modulus).  The
 multiplicative generator is the element of order p^m - 1 whose
 coordinate vector is lexicographically smallest, its order tested by
 matrix powers.  `Field.linear_map` applies a matrix over GF(p) to every
-element at once.  The trace table is the one-column map of the
+element at once: at p = 2 by XOR doubling, one numpy call per bit, and
+at odd p digit by digit.  The trace table is the one-column map of the
 Tr(alpha^i), each the trace of the matrix of alpha^i.  EXP walks its
 first b ~ sqrt(q) powers, then reads each block through x -> g^b * x.
 `Field.PI`, the kernel's map x -> (Tr(x alpha^j))_j, is built on first use.
@@ -36,6 +37,8 @@ import numpy as np
 
 MAX_Q = 1 << 24
 MAX_P = 251
+# int64 exponents `Field.power_table` holds at once, 2 MB
+POWER_BLOCK = 1 << 18
 
 
 def is_prime(n: int) -> bool:
@@ -173,11 +176,18 @@ class Field:
 
     def linear_map(self, mat) -> np.ndarray:
         """The int32 code of coords(x) @ mat mod p for every element code x.
-        Each output digit is a column filled by digit blocks: codes whose digit
+        At p = 2 the map is XOR-linear, so the codes from 2^i up are those
+        below 2^i XOR the code of mat[i]: one doubling per bit.  At odd p each
+        output digit is a column filled by digit blocks: codes whose digit
         i is d hold the column below p^i plus d*mat[i] mod p.  The top digit's
         blocks go straight into the output by Horner, out = out*p + column."""
         p, m, q = self.p, self.m, self.q
         out = np.zeros(q, dtype=np.int32)
+        if p == 2:
+            rows = (np.asarray(mat) % 2) @ (1 << np.arange(np.shape(mat)[1]))
+            for i, row in enumerate(rows.tolist()):
+                np.bitwise_xor(out[: 1 << i], row, out=out[1 << i : 2 << i])
+            return out
         col = np.zeros(q // p, dtype=np.uint8 if p < 128 else np.uint16)  # holds v + c < 2p
         steps = (np.arange(p)[:, None, None] * np.asarray(mat) % p).astype(col.dtype)
         for j in reversed(range(steps.shape[2])):
@@ -324,11 +334,12 @@ class Field:
         if e < 1:
             raise ValueError("power_table needs e >= 1")
         n = self.q - 1
-        t = np.arange(n, dtype=np.int64)
-        t *= e % n
-        t %= n
         out = np.zeros(self.q, dtype=self.EXP.dtype)
-        out[self.EXP[:n]] = self.EXP[t]
+        for lo in range(0, n, POWER_BLOCK):
+            t = np.arange(lo, min(lo + POWER_BLOCK, n), dtype=np.int64)
+            t *= e % n
+            t %= n
+            out[self.EXP[lo : lo + len(t)]] = self.EXP[t]
         return out
 
     # -- misc ----------------------------------------------------------

@@ -45,7 +45,7 @@ from .code import (
     DefiningSet,
     WeightDistribution,
     distribution_from_weights,
-    hyperplane_counts,
+    walsh_hadamard,
     weights_by_zero_count,
 )
 from .field import Field
@@ -215,23 +215,15 @@ def _weights_read(pairs) -> list[int]:
 
 def _correlation_cells(q: int, rows: int, pairs) -> int:
     """int32 cells the correlation over `rows` classes holds at its peak:
-    one int32 count per row, and when a spectrum is read, the peak of an
-    inverse transform on top.  That is one int32 spectrum of q cells per
-    weight read, the int64 S_t and the int64 state with its step output,
-    10*q, and the rows' codes, mask and the target's codes, under 5 per
-    row.  The readout after the last step, 6 cells per row of the
-    target, takes less than the 4*q cells of the step output it follows.
+    one int32 count per row, and when a spectrum is read, one int32
+    spectrum of q cells per weight read, the rows' codes and mask, under
+    2 per row, and the larger of two transients.  One is S_t in int64
+    with one int64 product, 4*q, which the in-place transform adds
+    nothing to.  The other is the readout of the target's rows, at most
+    6 per row: their int64 values with the int64 quotient and remainder.
     numpy's strided ufunc buffers, at most 192 KB whatever q, are apart."""
     read = _weights_read(pairs)
-    return rows + (q * (len(read) + 10) + 5 * rows if read else 0)
-
-
-def _walsh(f: Field, vec, dtype, at=slice(None)) -> np.ndarray:
-    """The Walsh-Hadamard transform sum_d vec[d] (-1)^(d.u) at the codes
-    u in `at`, F[u, 0] - F[u, 1] of `hyperplane_counts`; its q*2 state
-    goes on return."""
-    state = hyperplane_counts(f, vec, dtype)
-    return state[at, 0] - state[at, 1]
+    return rows + (q * len(read) + 2 * rows + max(4 * q, 6 * rows) if read else 0)
 
 
 def _pair_sum(spectra: dict, plan, q: int) -> np.ndarray:
@@ -254,8 +246,8 @@ def _correlation_passes(f: Field, weights: np.ndarray, rows: np.ndarray, pairs) 
     a = 0 or b = 0 give 2*|kernel| for every x, as W[y + x] = W[x] for y
     in the kernel.  The rest is (1/q) sum_u S_t(u) (-1)^(u.x) for
     S_t = sum_{a+b=t} H_a H_b, H_a the Walsh-Hadamard transform of 1_a
-    (MacWilliams & Sloane, Ch. 2), by `_walsh`: one inverse transform per
-    target t with a pair.
+    (MacWilliams & Sloane, Ch. 2), by `code.walsh_hadamard`: one inverse
+    transform per target t with a pair, in place on S_t.
     Exact: |H_a| <= q, so the spectra are int32.  By Cauchy-Schwarz over
     (u, a) and Parseval, sum_u |S_t(u)| <= sum_{u,a} H_a(u)^2 = q*q, the
     classes partitioning GF(q); every cell of the inverse transform is a
@@ -271,12 +263,12 @@ def _correlation_passes(f: Field, weights: np.ndarray, rows: np.ndarray, pairs) 
     read = _weights_read(pairs)
     if not read:
         return passed
-    spectra = {a: _walsh(f, weights == a, np.int32) for a in read}
+    spectra = {a: walsh_hadamard((weights == a).astype(np.int32)) for a in read}
     xs = f.EXP[rows]
     for t, plan in pairs.items():
         if plan:
             at = weights[xs] == t
-            count, rem = np.divmod(_walsh(f, _pair_sum(spectra, plan, q), np.int64, xs[at]), q)
+            count, rem = np.divmod(walsh_hadamard(_pair_sum(spectra, plan, q))[xs[at]], q)
             if rem.any():
                 raise ArithmeticError("a weight-class correlation is not divisible by q")
             passed[at] += count

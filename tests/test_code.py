@@ -25,6 +25,7 @@ from dscodes.code import (
     macwilliams_dual,
     pless_moments_check,
     summarize,
+    walsh_hadamard,
     weights_by_zero_count,
 )
 from dscodes.field import get_field
@@ -101,17 +102,25 @@ def test_two_enumeration_routes_agree(catalog_with_weights):
         assert np.array_equal(weights_by_zero_count(ds.field, ds.elements), b), ds
 
 
-ORACLE_FIELDS = [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(1, 12) if p**m <= 1 << 11]
+# every small field, m = 1 included, where the odd-p transform runs only
+# its last step; then fields where the route picks the transform
+TRANSFORM_FIELDS = [(2, 14), (3, 9), (5, 6), (7, 5)]
+ORACLE_FIELDS = [
+    (p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(1, 12) if p**m <= 1 << 11
+] + TRANSFORM_FIELDS
 
 
 @pytest.mark.parametrize("p,m", ORACLE_FIELDS)
 def test_transform_matches_gather_on_random_sets(p, m):
     f = get_field(p, m)
     rng = random.Random(1000 * p + m)
+    if (p, m) in TRANSFORM_FIELDS:
+        assert _route(p, m, f.q) is _weights_by_hyperplane_count
     for n in sorted({1, f.q, rng.randint(1, f.q), rng.randint(1, f.q)}):
         elements = rng.sample(range(f.q), n)
         a = _weights_by_hyperplane_count(f, elements)
         b = _weights_by_gather(f, elements)
+        assert a.dtype == np.int32
         assert np.array_equal(a, b), (p, m, n)
 
 
@@ -158,26 +167,52 @@ def test_gather_blocks_match_both_oracles(monkeypatch, p, m):
 
 @pytest.mark.parametrize("m", [1, 3, 6])
 def test_hyperplane_counts_at_p2_give_the_walsh_hadamard_transform(m):
-    f = get_field(2, m)
-    vec = np.random.default_rng(m).integers(-(1 << 40), 1 << 40, f.q)
-    state = hyperplane_counts(f, vec, np.int64)
-    expected = [sum(int(vec[d]) * (-1) ** (u & d).bit_count() for d in range(f.q))
-                for u in range(f.q)]
-    assert (state[:, 0] - state[:, 1]).tolist() == expected
+    # at p = 2 the hyperplane counts are (sum + W(u))/2 of the butterfly's W
+    vec = np.random.default_rng(m).integers(-(1 << 40), 1 << 40, 1 << m)
+    expected = [sum(int(vec[d]) * (-1) ** (u & d).bit_count() for d in range(1 << m))
+                for u in range(1 << m)]
+    spectrum = walsh_hadamard(vec.copy())
+    assert spectrum.dtype == np.int64
+    assert spectrum.tolist() == expected
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (3, 4), (5, 1), (5, 3), (7, 1), (7, 2)])
+def test_hyperplane_counts_at_odd_p_match_the_brute_force_sum(p, m):
+    # at m = 1 the one step both reads a single row and keeps a single row
+    f = get_field(p, m)
+    vec = np.random.default_rng(p * 10 + m).integers(-(1 << 40), 1 << 40, f.q)
+    digits = np.arange(f.q)[:, None] // p ** np.arange(m) % p
+    on_plane = digits @ digits.T % p == 0  # <u, d> = 0
+    expected = [sum(int(vec[d]) for d in np.flatnonzero(row)) for row in on_plane]
+    counts = hyperplane_counts(f, vec, np.int64)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == expected
+
+
+def test_transform_refuses_repeated_elements():
+    # the gather counts a repeat twice; the transform's indicator cannot
+    f = get_field(3, 2)
+    with pytest.raises(ValueError, match="distinct"):
+        _weights_by_hyperplane_count(f, [1, 2, 1])
 
 
 def test_route_rule():
     # calibration points read off the (p, m, n) grid in CHANGES.md: the
     # gather wins on every set of a small field, the transform from about
-    # TRANSFORM_CELL_COST * m * p^2 elements on at p = 2, twice that at odd p
+    # TRANSFORM_CELL_COST * m elements on at p = 2 and
+    # TRANSFORM_CELL_COST * m * p^2 at odd p, more where q is not far above
+    # TRANSFORM_CALL_CELLS
     assert _route(2, 4, 11) is _weights_by_gather
-    assert _route(2, 11, 2048) is _weights_by_gather
-    assert _route(2, 16, 1024) is _weights_by_gather
+    assert _route(2, 11, 256) is _weights_by_gather
+    assert _route(2, 11, 2048) is _weights_by_hyperplane_count
+    assert _route(2, 16, 256) is _weights_by_gather
+    assert _route(2, 16, 1024) is _weights_by_hyperplane_count
     assert _route(2, 16, 4096) is _weights_by_hyperplane_count
     assert _route(2, 16, 32511) is _weights_by_hyperplane_count
-    assert _route(3, 12, 4096) is _weights_by_gather
-    assert _route(3, 12, 16384) is _weights_by_hyperplane_count
-    assert _route(5, 7, 12000) is _weights_by_gather
+    assert _route(3, 12, 1024) is _weights_by_gather
+    assert _route(3, 12, 4096) is _weights_by_hyperplane_count
+    assert _route(5, 7, 2048) is _weights_by_gather
+    assert _route(5, 7, 12000) is _weights_by_hyperplane_count
     # a state of 23^6 cells does not fit, the gather's 23^5 * 5000 cells do
     assert 23**6 > TRANSFORM_MAX_CELLS and 23**5 * 5000 <= GATHER_MAX_CELLS
     assert _route(23, 5, 5000) is _weights_by_gather
@@ -185,19 +220,20 @@ def test_route_rule():
     assert 251**3 * 200000 > GATHER_MAX_CELLS and 251**4 > TRANSFORM_MAX_CELLS
     with pytest.raises(ValueError, match="GATHER_MAX_CELLS"):
         _route(251, 3, 200000)
-    # 147 array operations, each with its fixed cost, on a field of 343
-    # elements; and simplex over GF(7^5), 2801 of 16807 elements
+    # 147 passes, each with its fixed cost, on a field of 343 elements;
+    # simplex over GF(7^5), 2801 of 16807 elements; and 8192 of them
     assert _route(7, 3, 300) is _weights_by_gather
     assert _route(7, 5, 2801) is _weights_by_gather
+    assert _route(7, 5, 8192) is _weights_by_hyperplane_count
 
 
 def test_route_takes_a_transform_that_fits_past_the_gathers_bound():
-    # 7500 elements of GF(5^10): the transform costs more than the gather
+    # 15000 elements of GF(13^6): the transform costs more than the gather
     # would, but only its state fits
-    q = 5**10
-    assert 2 * TRANSFORM_CELL_COST * 10 * 5**2 * (q + TRANSFORM_CALL_CELLS) > q * 7500
-    assert q * 7500 > GATHER_MAX_CELLS and q * 5 <= TRANSFORM_MAX_CELLS
-    assert _route(5, 10, 7500) is _weights_by_hyperplane_count
+    q = 13**6
+    assert TRANSFORM_CELL_COST * 6 * 13**2 * (q + TRANSFORM_CALL_CELLS) > q * 15000
+    assert q * 15000 > GATHER_MAX_CELLS and q * 13 <= TRANSFORM_MAX_CELLS
+    assert _route(13, 6, 15000) is _weights_by_hyperplane_count
 
 
 def test_distribution_is_order_invariant():

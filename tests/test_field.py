@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dscodes import field
 from dscodes.field import (
     MAX_Q,
     Field,
@@ -287,9 +288,12 @@ def test_vector_helpers_match_scalar_ops(f):
             assert int(vec[x]) == f.mul(c, x)
 
 
-def test_power_table_matches_scalar_pow(f):
-    for e in (1, 2, 3, f.p + 1, f.q - 1, f.q, 2 * f.q):
-        assert f.power_table(e).tolist() == [f.pow(x, e) for x in range(f.q)], e
+def test_power_table_matches_scalar_pow(f, monkeypatch):
+    # one block, and blocks of 3 exponents, which q - 1 need not divide
+    for block in (field.POWER_BLOCK, 3):
+        monkeypatch.setattr(field, "POWER_BLOCK", block)
+        for e in (1, 2, 3, f.p + 1, f.q - 1, f.q, 2 * f.q):
+            assert f.power_table(e).tolist() == [f.pow(x, e) for x in range(f.q)], (block, e)
 
 
 def test_power_table_refuses_nonpositive_exponents():

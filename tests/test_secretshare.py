@@ -354,7 +354,7 @@ def test_correlation_refuses_past_the_cap_before_allocating(monkeypatch):
     pairs = secretshare._weight_pairs(levels, levels[1:].tolist())
     assert any(pairs.values())
     monkeypatch.setattr(code, "TRANSFORM_MAX_CELLS", 1 << 10)
-    monkeypatch.setattr(secretshare, "hyperplane_counts", boom)
+    monkeypatch.setattr(secretshare, "walsh_hadamard", boom)
     with pytest.raises(ValueError, match="TRANSFORM_MAX_CELLS"):
         secretshare._correlation_passes(f, weights, rows, pairs)
     # nor does any route start once the gather's bound is past too
