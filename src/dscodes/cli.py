@@ -4,7 +4,8 @@ Subcommands: field, code, verify, scan, expsum, walsh, ssreport.  All
 output is deterministic: the same invocation always produces the same
 bytes, so runs can be diffed or committed as fixtures.  Exit codes: 0
 success, 1 a claim's hypotheses were not met, 2 a claim was falsified
-(prediction and construction disagree), 3 usage error.
+(prediction and construction disagree), 3 usage error; ssreport exits
+0 or 3 only.
 """
 
 from __future__ import annotations
@@ -563,11 +564,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
-        # a passed criterion whose guaranteed consequence failed on
-        # enumeration is a falsification, not a crash
-        print(f"falsified: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -10,25 +10,30 @@ Minimal codewords are counted from the weight array W[x] = wt(c_x)
 alone, with no codeword supports.  Each projective class of x is
 settled by the first of three exact steps that applies:
 
-1. A certificate, O(q) at every p.  With k = dim<D>, c_x is minimal iff
-   D meet H_x spans the hyperplane H_x meet <D> of dimension k - 1
-   (Alfarano, Borello & Neri, AMC 2022).  D has (n - [0 in D]) - W[x]
-   nonzero points on H_x, and p^(k-2) of them cannot fit in a
-   (k-2)-space, so that many certify c_x.  k <= 1 is settled outright.
+1. One weight threshold, O(q) at every p.  Were supp(c_y) inside
+   supp(c_x) with c_y not a multiple of c_x, the p - 1 codewords
+   c_x - c*c_y, c in GF(p)*, would be nonzero with weights summing to
+   (p-1)*W[x] - wt(c_y) (Heng, Ding & Zhou, "Minimal linear codes over
+   finite fields", FFA 54, 2018, Lemma 2.1); so c_x is minimal whenever
+   (p-1)*W[x] < p*w_min, the per-class form of the Ashikhmin & Barg
+   condition ("Minimal vectors in linear codes", IEEE T-IT 44, 1998).
+   With k = dim<D> >= 2, c_x is also minimal iff D meet H_x spans the
+   hyperplane H_x meet <D> of dimension k - 1 (Alfarano, Borello & Neri,
+   AMC 2022).  D has (n - [0 in D]) - W[x] nonzero points on H_x, and
+   p^(k-2) of them cannot fit in a (k-2)-space, so that many certify c_x.
+   When the ratio criterion passes, every class is settled here.
 2. At p = 2, weight-class correlations.  For codewords a and b,
    sum_{c in GF(p)} wt(b + c*a) >= (p-1)*wt(a), with equality iff
-   supp(b) is inside supp(a) (Heng, Ding & Zhou, "Minimal linear codes
-   over finite fields", FFA 54, 2018, Lemma 2.1).  The y whose support
+   supp(b) is inside supp(a) (the same lemma).  The y whose support
    sits inside supp(c_x) form a subspace holding the kernel and GF(p)*x,
-   so c_x is minimal iff exactly p^(m-k+1) values y pass (Ashikhmin &
-   Barg, "Minimal vectors in linear codes", IEEE T-IT 44, 1998).  At
+   so c_x is minimal iff exactly p^(m-k+1) values y pass.  At
    p = 2, y passes iff W[y] + W[y + x] = W[x], and the number that pass
    is a sum of correlations of weight-class indicators, read off
    Walsh-Hadamard spectra; the transforms' cells are bounded by
    code.TRANSFORM_MAX_CELLS before any allocation.
 3. The same test by gathers, |rows|*q cells for the rows left, when p is
    odd or the correlations exceed their cap, bounded by
-   MINIMAL_GATHER_BOUND on the field size.
+   MINIMAL_GATHER_BOUND on those cells.
 
 When classes are left that neither route fits, the count is skipped.
 """
@@ -50,12 +55,12 @@ from .code import (
 )
 from .field import Field
 
-# bound on the field of the minimal-codeword gather, whose full scan makes
-# q*(q-1)/(p-1) gathers: 2^16, 3^10 and 83^3 fit, 2^17, 3^11 and 89^3 do
-# not.  Past it, classes the certificate or the correlations leave are skipped.
+# bound on the cells of the minimal-codeword gather, |rows|*q for the rows
+# the threshold leaves: the 65,535 classes of a sparse set over GF(2^16)
+# fit and take about 10 s.  Past it, the classes are skipped.
 MINIMAL_GATHER_BOUND = 1 << 32
 # gather cells per chunk of x rows; larger chunks raise the peak RSS, not the
-# speed.  Under the bound q/p <= 2^16, so a chunk holds at least one row.
+# speed.  A chunk holds at least one row.
 _CHUNK_CELLS = 1 << 16
 
 
@@ -156,14 +161,6 @@ class MinimalReport:
         }
 
 
-def minimal_scan_fits(p: int, m: int) -> bool:
-    """Whether the gather over GF(p^m) fits MINIMAL_GATHER_BOUND: one
-    gather per projective class of x, z-coset and c in GF(p),
-    q*(q-1)/(p-1) in all."""
-    q = p**m
-    return q * (q - 1) // (p - 1) <= MINIMAL_GATHER_BOUND
-
-
 def _gather_passes(f: Field, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """For x = alpha^s, s in rows, the number of y with supp(c_y) inside
     supp(c_x), by |rows|*q gathers.
@@ -176,16 +173,16 @@ def _gather_passes(f: Field, weights: np.ndarray, rows: np.ndarray) -> np.ndarra
     p, q = f.p, f.q
     classes = (q - 1) // (p - 1)
     span = classes + q - 2  # largest log x + LOG[w], plus one
-    # int32: a sum of p weights is at most p*q, and p <= field.MAX_P = 251
-    # with the bound keeps p*q below 2^26 (test_gather_bound_keeps_sums_in_int32)
-    wlog = np.zeros(span + classes, dtype=np.int32)
+    # a sum of p weights is at most p*max(W)
+    wide = p * int(weights.max()) >= 1 << 31
+    wlog = np.zeros(span + classes, dtype=np.int64 if wide else np.int32)
     wlog[:span] = weights[f.EXP[:span]]
-    logz = f.LOG.astype(np.int64)
+    logz = f.LOG.copy()  # int32, as span + classes < 2^26
     logz[0] = span
     cosets = np.arange(0, q, p)
     shifts = [logz[cosets + c] for c in range(p)]
     passed = np.empty(len(rows), dtype=np.int64)
-    chunk = _CHUNK_CELLS // len(cosets)
+    chunk = max(_CHUNK_CELLS // len(cosets), 1)
     for lo in range(0, len(rows), chunk):
         lx = rows[lo : lo + chunk, None]
         sums = np.take(wlog, lx + shifts[0])
@@ -275,13 +272,15 @@ def _correlation_passes(f: Field, weights: np.ndarray, rows: np.ndarray, pairs) 
     return passed
 
 
-def _certified_weight(p: int, k: int, points: int) -> int:
-    """The largest weight the certificate settles: x outside the kernel
-    with W[x] up to it has a minimal codeword.  With k = dim<D>, every
-    codeword is minimal when k <= 1, and no weight exceeds points.
-    Otherwise D has points - W[x] nonzero points on H_x, and p^(k-2) of
-    them cannot fit in a (k-2)-space, so they span H_x meet <D>."""
-    return points if k <= 1 else points - p ** (k - 2)
+def _certified_weight(p: int, k: int, points: int, w_min: int) -> int:
+    """The largest weight the threshold settles: x outside the kernel
+    with W[x] up to it has a minimal codeword.  By weight, every x with
+    (p-1)*W[x] < p*w_min; at k <= 1 that is every x outside the kernel.
+    By spanning, at k >= 2: D has points - W[x] nonzero points on H_x,
+    and p^(k-2) of them cannot fit in a (k-2)-space, so they span
+    H_x meet <D>."""
+    by_weight = (p * w_min - 1) // (p - 1)
+    return max(by_weight, points - p ** (k - 2)) if k >= 2 else by_weight
 
 
 def _minimal_classes(f: Field, weights: np.ndarray, k: int, points: int, levels) -> int | None:
@@ -289,24 +288,24 @@ def _minimal_classes(f: Field, weights: np.ndarray, k: int, points: int, levels)
     {c*x : c in GF(p)*}, whose codeword is minimal; None when classes
     are left that no route fits.
 
-    The certificate settles the classes up to `_certified_weight`.  The
+    The threshold settles the classes up to `_certified_weight`.  The
     rest count the y with supp(c_y) inside supp(c_x), by the
     correlations at p = 2 when their cells fit TRANSFORM_MAX_CELLS, else
-    by the gather when the field fits MINIMAL_GATHER_BOUND; c_x is
-    minimal iff exactly p^(m-k+1) values of y pass.
+    by the gather when its |rows|*q cells fit MINIMAL_GATHER_BOUND; c_x
+    is minimal iff exactly p^(m-k+1) values of y pass.
     """
     p, q = f.p, f.q
-    w = weights[f.EXP[: (q - 1) // (p - 1)]]
-    bound = max(_certified_weight(p, k, points), 0)
-    minimal = int(np.count_nonzero(w <= bound) - np.count_nonzero(w == 0))
-    # every nonzero weight occurs on some class, W[c*x] being W[x]
+    # levels[0] is the kernel's weight 0
+    bound = _certified_weight(p, k, points, int(levels[1]))
+    # W[c*x] = W[x], so each class holds p - 1 values of x
+    minimal = int(np.count_nonzero(weights <= bound) - np.count_nonzero(weights == 0)) // (p - 1)
     targets = levels[levels > bound]
     if targets.size:
-        rest = np.flatnonzero(w > bound)
+        rest = np.flatnonzero(weights[f.EXP[: (q - 1) // (p - 1)]] > bound)
         pairs = _weight_pairs(levels, targets.tolist()) if p == 2 else None
         if p == 2 and _correlation_cells(q, rest.size, pairs) <= code.TRANSFORM_MAX_CELLS:
             passed = _correlation_passes(f, weights, rest, pairs)
-        elif minimal_scan_fits(p, f.m):
+        elif rest.size * q <= MINIMAL_GATHER_BOUND:
             passed = _gather_passes(f, weights, rest)
         else:
             return None
@@ -325,10 +324,9 @@ def minimal_codewords(ds: DefiningSet) -> tuple[MinimalReport, RatioReport]:
 
     The weight array is computed once and the distribution and ratio are
     read off it; the count is skipped (minimal_count None) when classes
-    are left that no route fits.  When the ratio criterion passes, every
-    nonzero codeword must come out minimal; a counterexample would break
-    the scheme built on the code, so it aborts with an error instead of
-    a quiet report.
+    are left that no route fits.  When the ratio criterion passes, the
+    threshold settles every class, so every nonzero codeword is counted
+    minimal.
     """
     f = ds.field
     weights = weights_by_zero_count(f, ds.elements)
@@ -341,10 +339,5 @@ def minimal_codewords(ds: DefiningSet) -> tuple[MinimalReport, RatioReport]:
     if classes is not None:
         # minimal x come in p - 1 scalings and p^(m-k) kernel translates
         minimal_count = classes // f.p ** (f.m - wd.k) * (f.p - 1)
-        if ratio.passes and minimal_count != total:
-            raise RuntimeError(
-                "ratio criterion passed but a non-minimal codeword exists; "
-                f"{total - minimal_count} of {total} codewords are covered"
-            )
     report = MinimalReport(p=f.p, n=ds.n, k=wd.k, total_nonzero=total, minimal_count=minimal_count)
     return report, ratio

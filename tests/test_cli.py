@@ -454,35 +454,41 @@ def test_ssreport_cubic_m8(capsys):
 
 
 def test_ssreport_skips_minimal_codewords_past_the_bound(capsys, monkeypatch):
-    # hkm:3 over GF(3^9): the certificate settles none of its 9841 classes
+    # qf:0,1,1 over GF(5^4): the threshold leaves 26 classes, 26*625 gather cells
     def boom(*args):
         raise AssertionError("a gather started past the bound")
 
-    argv = ("ssreport", "--p", "3", "--m", "9", "--set", "hkm:3")
+    argv = ("ssreport", "--p", "5", "--m", "4", "--set", "qf:0,1,1")
     monkeypatch.setattr(secretshare, "_gather_passes", boom)
+    monkeypatch.setattr(secretshare, "MINIMAL_GATHER_BOUND", 26 * 625)
     with pytest.raises(AssertionError, match="past the bound"):
         cli.main(list(argv))
     capsys.readouterr()
-    monkeypatch.setattr(secretshare, "MINIMAL_GATHER_BOUND", 1 << 10)
+    monkeypatch.setattr(secretshare, "MINIMAL_GATHER_BOUND", 26 * 625 - 1)
     code, payload, _ = run_json(capsys, *argv)
     assert code == 0
     assert payload["minimal"] is None
     assert payload["minimal_skipped"] == "enumeration bound exceeded"
-    assert payload["ratio"]["raw_ratio"] == [2106, 2268]
-    assert payload["code"]["k"] == 9
+    assert payload["ratio"]["raw_ratio"] == [80, 100]
+    assert payload["code"]["k"] == 4
 
 
-def test_ssreport_binary_minimal_codewords_run_past_the_gather_bound(capsys, monkeypatch):
+def test_ssreport_binary_minimal_codewords_run_past_the_gather_bound(capsys, monkeypatch, tmp_path):
+    # 20 points of GF(2^8): the threshold leaves the classes of weight past 9
+    # to the correlations; 215 is the support scan's count
     def boom(*args):
         raise AssertionError("a gather started past the bound")
 
+    path = tmp_path / "sparse.hex"
+    path.write_text(format(sum(1 << b for b in random.Random(8).sample(range(256), 20)), "x"))
     monkeypatch.setattr(secretshare, "_gather_passes", boom)
     monkeypatch.setattr(secretshare, "MINIMAL_GATHER_BOUND", 1 << 10)
-    code, payload, _ = run_json(capsys, "ssreport", "--m", "8", "--set", "trcubic")
+    code, payload, _ = run_json(capsys, "ssreport", "--m", "8", "--set", f"bool:{path}")
     assert code == 0
     assert payload["minimal_skipped"] is None
+    assert payload["ratio"]["raw_ratio"] == [5, 17]
     assert payload["minimal"] == {
-        "p": 2, "n": 111, "k": 8, "total_nonzero": 255, "minimal_count": 255, "all_minimal": True,
+        "p": 2, "n": 20, "k": 8, "total_nonzero": 255, "minimal_count": 215, "all_minimal": False,
     }
 
 

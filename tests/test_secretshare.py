@@ -12,7 +12,7 @@ import pytest
 
 from dscodes import code, secretshare, sets
 from dscodes.code import DefiningSet, build_code_weights, weights_by_zero_count
-from dscodes.field import MAX_P, get_field, is_prime
+from dscodes.field import Field, get_field
 
 
 def cubic_ratio(m):
@@ -114,27 +114,28 @@ def _minimal_by_support_scan(counts):
 
 
 def _forced_report(ds, gather):
-    """minimal_codewords with the certificate off and one route forced:
+    """minimal_codewords with the threshold off and one route forced:
     the gather when `gather`, else the correlations (p = 2 only)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(secretshare, "_certified_weight", lambda p, k, points: 0)
+        mp.setattr(secretshare, "_certified_weight", lambda *args: 0)
         if gather:
             mp.setattr(secretshare, "_correlation_cells", lambda *args: code.TRANSFORM_MAX_CELLS + 1)
         else:
-            mp.setattr(secretshare, "minimal_scan_fits", lambda p, m: False)
+            mp.setattr(secretshare, "MINIMAL_GATHER_BOUND", 0)
         return secretshare.minimal_codewords(ds)[0]
 
 
 def _check_routes(ds, k):
     """Each route alone against the full gather, one row per projective
-    class outside the kernel: certified classes pass exactly p^(m-k+1)
-    values of y there, and at p = 2 the correlations count the same y."""
+    class outside the kernel: the classes the weight threshold certifies
+    pass exactly p^(m-k+1) values of y there, and at p = 2 the
+    correlations count the same y."""
     f = ds.field
     weights = weights_by_zero_count(f, ds.elements)
     rows = np.flatnonzero(weights[f.EXP[: (f.q - 1) // (f.p - 1)]])
     full = secretshare._gather_passes(f, weights, rows)
     w = weights[f.EXP[rows]]
-    certified = w <= secretshare._certified_weight(f.p, k, ds.n - int(ds.mask[0]))
+    certified = w <= secretshare._certified_weight(f.p, k, ds.n - int(ds.mask[0]), int(w.min()))
     assert np.all(full[certified] == f.p ** (f.m - k + 1))
     if f.p == 2:
         levels = np.flatnonzero(np.bincount(weights))
@@ -327,18 +328,21 @@ def test_minimal_codewords_refuses_past_bound_before_any_work(monkeypatch):
     def boom(*args):
         raise AssertionError("a gather started")
 
-    f = get_field(3, 9)
-    ds = sets.hkm_set(3, f)
+    f = get_field(5, 4)
+    ds, _ = sets.quadratic_form_image(f, ((0, 1, 1),))
     weights = weights_by_zero_count(f, ds.elements)
-    w = weights[f.EXP[: (f.q - 1) // 2]]
-    assert w.size == 9841 and w.min() > secretshare._certified_weight(3, 9, ds.n - int(ds.mask[0]))
+    w = weights[f.EXP[: (f.q - 1) // 4]]
+    bound = secretshare._certified_weight(5, 4, ds.n - int(ds.mask[0]), int(w[w > 0].min()))
+    # the threshold leaves 26 classes: 26*625 gather cells
+    assert np.count_nonzero(w > bound) == 26
     monkeypatch.setattr(secretshare, "_gather_passes", boom)
+    monkeypatch.setattr(secretshare, "MINIMAL_GATHER_BOUND", 26 * 625)
     with pytest.raises(AssertionError, match="a gather started"):
         secretshare.minimal_codewords(ds)
-    monkeypatch.setattr(secretshare, "MINIMAL_GATHER_BOUND", 1 << 10)
+    monkeypatch.setattr(secretshare, "MINIMAL_GATHER_BOUND", 26 * 625 - 1)
     report, ratio = secretshare.minimal_codewords(ds)
     assert report.minimal_count is None and report.all_minimal is None
-    assert (report.k, report.total_nonzero) == (9, 3**9 - 1)
+    assert (report.k, report.total_nonzero) == (4, 5**4 - 1)
     assert ratio == secretshare.ratio_check(build_code_weights(ds))
 
 
@@ -385,21 +389,6 @@ def test_correlation_peak_memory_is_within_its_cell_count():
     assert 0.8 * 4 * cells < peak <= 4 * cells + (1 << 18)
 
 
-def test_ratio_pass_with_a_covered_codeword_aborts(monkeypatch):
-    # the cubic-trace code over GF(2^8) passes the ratio; a correlation
-    # that reports one extra passing y must abort, not report
-    real = secretshare._correlation_passes
-
-    def one_covered(*args):
-        passed = real(*args)
-        passed[0] += 2
-        return passed
-
-    monkeypatch.setattr(secretshare, "_correlation_passes", one_covered)
-    with pytest.raises(RuntimeError, match="1 of 255 codewords are covered"):
-        secretshare.minimal_codewords(sets.tr_cubic_set(get_field(2, 8)))
-
-
 def test_fixed_threshold_for_binary():
     r = cubic_ratio(6)
     assert r.p == 2
@@ -421,23 +410,22 @@ def test_ratio_check_without_family_flag():
     assert r.ratio == Fraction(1, 1)
 
 
-def test_caps_are_exported():
+@pytest.mark.parametrize("p,m", [(3, 12), (251, 3)])
+def test_gather_is_bounded_by_its_cells_and_sums_past_int32_in_int64(p, m):
+    # the bound is on |rows|*q cells, whatever the field
     assert secretshare.MINIMAL_GATHER_BOUND == 1 << 32
-    for p, m in ((2, 16), (3, 10), (83, 3)):
-        assert secretshare.minimal_scan_fits(p, m)
-    for p, m in ((2, 17), (3, 11), (89, 3)):
-        assert not secretshare.minimal_scan_fits(p, m)
-
-
-def test_gather_bound_keeps_sums_in_int32():
-    # the test sums p weights of at most q each in int32
-    largest = 0
-    for p in filter(is_prime, range(2, MAX_P + 1)):
-        m = 1
-        while secretshare.minimal_scan_fits(p, m):
-            largest = max(largest, p * p**m)
-            m += 1
-    assert largest < 1 << 31
+    # x = 1: the coset GF(p) passes, W[0] + (p-1)*A = (p-1)*A.  The coset
+    # z + GF(p) has p weights B with p*B = (p-1)*A + 2^32, so it passes
+    # too if the sums wrap in int32.  At GF(3^12) a row has q/p > 2^16 cells
+    f = Field(p, m)
+    a = (1 << 32) % p
+    b = ((1 << 32) + (p - 1) * a) // p
+    assert p * b == (p - 1) * a + (1 << 32) and b < 1 << 31 <= p * b
+    weights = np.zeros(f.q, dtype=np.int32)
+    weights[1:p] = a
+    weights[p : 2 * p] = b
+    passed = secretshare._gather_passes(f, weights, np.array([0]))
+    assert passed.tolist() == [p]
 
 
 def test_share_ratio_sweep_counts_minimal_codewords_over_the_whole_range():
