@@ -5,13 +5,16 @@ output is deterministic: the same invocation always produces the same
 bytes, so runs can be diffed or committed as fixtures.  Exit codes: 0
 success, 1 a claim's hypotheses were not met, 2 a claim was falsified
 (prediction and construction disagree), 3 usage error; ssreport exits
-0 or 3 only.
+0 or 3 only.  JSON output is exactly the bytes of
+`json.dumps(payload, indent=2, sort_keys=True) + "\n"`: the C encoder
+writes it compact and `_indented` inserts the indentation.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -399,9 +402,57 @@ def _csv_rows(payload):
     return rows
 
 
+def _breaks(s: str) -> tuple[np.ndarray, np.ndarray]:
+    """Where `indent=2` puts a line break into s, the C encoder's output
+    with `separators=(",", ": ")`, and the length of each break ("\\n"
+    and the next line's indent): one after each opener and comma and one
+    before each closer, none inside `[]` or `{}`, and none inside strings.
+    With `ensure_ascii` s is ASCII, and once `\\\\` and `\\"` are blanked
+    every quote left delimits a string, so the structural characters are
+    those at even quote parity."""
+    b = np.frombuffer(s.replace("\\\\", "..").replace('\\"', "..").encode("ascii"), np.uint8)
+    folded = b & 0xDF  # "[" and "{" differ in bit 5 only, as do "]" and "}"
+    mask = b == 34
+    mask |= b == 44
+    mask |= folded == 91
+    mask |= folded == 93
+    idx = np.flatnonzero(mask)
+    ch = b[idx]
+    quote = ch == 34
+    outside = ~(quote | np.logical_xor.accumulate(quote))
+    idx, ch = idx[outside], ch[outside] & 0xDF
+    opener, closer = ch == 91, ch == 93
+    depth = np.cumsum(opener, dtype=np.int32) - np.cumsum(closer, dtype=np.int32)
+    live = np.ones(idx.size, dtype=bool)
+    empty = opener[:-1] & closer[1:] & (idx[1:] == idx[:-1] + 1)
+    live[:-1] &= ~empty
+    live[1:] &= ~empty
+    return (idx + 1 - closer)[live], 2 * depth[live] + 1
+
+
+def _indented(s: str) -> np.ndarray:
+    """The bytes of `indent=2` text and a final "\\n" from s, the C
+    encoder's compact output.  s and every array but the result are freed
+    on return, before the caller makes the str: a lower peak RSS."""
+    at, pad = _breaks(s)  # 0 < at < len(s)
+    n = len(s)
+    size = n + int(pad.sum()) + 1
+    # where each character of s lands: one step per character plus the pad before it
+    dest = np.ones(n, dtype=np.int32 if size < 2**31 else np.int64)
+    dest[0] = 0
+    dest[at] += pad
+    np.cumsum(dest, out=dest)
+    out = np.full(size, ord(" "), dtype=np.uint8)
+    out[dest] = np.frombuffer(s.encode("ascii"), np.uint8)
+    out[dest[at] - pad] = ord("\n")
+    out[-1] = ord("\n")
+    return out
+
+
 def render(payload, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if fmt == "json":  # json.dumps(payload, indent=2, sort_keys=True) + "\n", byte for byte
+        text = _indented(json.dumps(payload, sort_keys=True, separators=(",", ": ")))
+        return str(text.data, "ascii")
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -538,6 +589,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built on first use, once per process; parse_args stores nothing on it
 def build_parser() -> _Parser:
     parser = _Parser(prog="dscodes", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

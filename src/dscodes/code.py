@@ -361,7 +361,8 @@ def distribution_from_weights(ds: DefiningSet, weights: np.ndarray) -> WeightDis
     W[x] = wt(c_x) over all q values of x."""
     if ds.n == 0:
         raise ValueError("defining set is empty")
-    hist = np.bincount(weights, minlength=ds.n + 1)
+    hist = np.zeros(ds.n + 1, dtype=np.int64)
+    np.add.at(hist, weights, 1)  # no q-cell copy, unlike bincount's cast to intp
     return distribution_from_raw_histogram(ds.field, ds.n, hist)
 
 

@@ -9,6 +9,7 @@ import runpy
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from dscodes import cli, field, secretshare
@@ -308,6 +309,77 @@ def test_cli_parity(tmp_path, row):
     code, out = parity.run_row(row["argv"], tmp_path)
     assert code == row["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == row["sha256"]
+
+
+def test_one_parser_serves_every_parity_row_in_reverse(tmp_path, monkeypatch):
+    # one process, rows in reverse: a value one row left on the cached parser
+    # would change a later row's exit code or stdout
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        for row in reversed(PARITY_ROWS):
+            code, out = parity.run_row(row["argv"], tmp_path)
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert (code, digest) == (row["exit"], row["sha256"]), parity.row_id(row)
+    finally:
+        cli.build_parser.cache_clear()  # drop the parser built by counting_init
+    assert built.count("dscodes") == 1
+
+
+_AWKWARD_STRINGS = (
+    "", '"', "\\", '\\"', '"\\', "\\\\", "[]{},:", "a, b: c", '{"k": [1]}', "]}", "[{",
+    "line\nbreak\ttab", "\x00\x1f", "é", "\u2603 snow", "\U0001d11e", '\\"[,',
+)
+
+
+def _random_payload(rng, depth):
+    kind = rng.randrange(8 if depth else 5)  # containers only while depth is left
+    if kind == 0:
+        return "".join(rng.choice(_AWKWARD_STRINGS) for _ in range(rng.randrange(4)))
+    if kind == 1:
+        return rng.choice((0, -1, 7, 2**70, -(10**30), rng.randrange(-10**9, 10**9)))
+    if kind == 2:
+        return rng.choice((True, False))
+    if kind == 3:
+        return None
+    if kind == 4:
+        return rng.choice(([], {}))
+    size = rng.randrange(1, 5)
+    if kind == 5:
+        return [_random_payload(rng, depth - 1) for _ in range(size)]
+    keys = (rng.choice(_AWKWARD_STRINGS) + str(i) for i in range(size))
+    return {key: _random_payload(rng, depth - 1) for key in keys}
+
+
+def _stdlib_json(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    0, -5, 2**80, True, False, None, "", "plain", '"[{,:}]"', "\\", "é\n", [], {},
+    [[]], [{}], {"a": {}}, {"a": []}, [[], {}, [[{}]]], {"": {"": [[], {}]}},
+], ids=repr)
+def test_json_render_matches_stdlib_indent_on_edge_payloads(payload):
+    assert cli.render(payload, "json") == _stdlib_json(payload)
+
+
+def test_json_render_matches_stdlib_indent_on_random_payloads():
+    rng = random.Random(18)
+    for _ in range(400):
+        payload = _random_payload(rng, rng.randrange(1, 6))
+        assert cli.render(payload, "json") == _stdlib_json(payload), payload
+
+
+def test_json_render_refuses_numpy_scalars():
+    with pytest.raises(TypeError):
+        cli.render({"command": "code", "n": [1, np.int64(3)]}, "json")
 
 
 def test_property_claim_is_seeded_and_deterministic(capsys):
