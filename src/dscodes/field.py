@@ -9,22 +9,27 @@ arrays) so that enumeration kernels elsewhere reduce to gathers.
 Construction is deterministic.  The modulus is the lexicographically
 smallest monic irreducible of degree m over GF(p), coefficient vectors
 compared constant term first; for m >= 2 the search starts at constant
-term 1, since every candidate with constant term 0 is divisible by X.
-Irreducibility is Rabin's test on the companion matrix C of the candidate:
-C^(p^m) = C, and C^(p^(m/r)) - C has full rank over GF(p) for every prime
-r | m.  An explicit modulus override is accepted for compatibility with
-tables built elsewhere, and is itself checked for irreducibility.
+term 1, since every candidate with constant term 0 is divisible by X, and
+refuses a candidate with a root in GF(p) before any matrix work.
+Irreducibility is Rabin's test: X^(p^m) = X mod f, and
+gcd(X^(p^(m/r)) - X, f) = 1 for every prime r | m, the X^(p^k) read off
+one chain of Frobenius steps and the gcd by Euclid.  An explicit modulus
+override is accepted for compatibility with tables built elsewhere, and
+is itself checked for irreducibility.
 
 Every table comes from one mechanism: the m x m matrix over GF(p) of
 x -> c*x on coordinate rows, whose row i holds the coordinates of
-c*alpha^i (for c = alpha, the companion matrix of the modulus).  The
-multiplicative generator is the element of order p^m - 1 whose
-coordinate vector is lexicographically smallest, its order tested by
-matrix powers.  `Field.linear_map` applies a matrix over GF(p) to every
-element at once: at p = 2 by XOR doubling, one numpy call per bit, and
-at odd p digit by digit.  The trace table is the one-column map of the
-Tr(alpha^i), each the trace of the matrix of alpha^i.  EXP walks its
-first b ~ sqrt(q) powers, then reads each block through x -> g^b * x.
+c*alpha^i, the sum of c_i C^i over the powers of the companion matrix C,
+which are built once per field.  The multiplicative generator is the
+element of order p^m - 1 whose coordinate vector is lexicographically
+smallest, its order tested on one chain of squarings of its matrix.
+`Field.linear_map` applies a matrix over GF(p) to every element at once:
+at p = 2 by XOR doubling, one numpy call per bit, and at odd p as the
+sum mod p of two digit-column tables of about sqrt(q) entries.  The trace
+table is the one-column map of the Tr(alpha^i), each the trace of C^i.
+EXP walks the coordinates of its first b ~ sqrt(q) powers by doubling,
+then reads each block of b through the table of x -> g^b * x, which is
+then refilled as LOG in blocks of `TABLE_BLOCK` cells.
 `Field.PI`, the kernel's map x -> (Tr(x alpha^j))_j, is built on first use.
 """
 
@@ -39,6 +44,9 @@ MAX_Q = 1 << 24
 MAX_P = 251
 # int64 exponents `Field.power_table` holds at once, 2 MB
 POWER_BLOCK = 1 << 18
+# cells one step of a table build writes at once: a LOG scatter, an odd-p
+# chunk of `Field.linear_map`
+TABLE_BLOCK = 1 << 14
 
 
 def is_prime(n: int) -> bool:
@@ -86,13 +94,15 @@ def rank_mod_p(a, p: int) -> int:
 
 
 def _matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    r = np.eye(len(a), dtype=np.int64)
-    while e:
+    """a^e mod p for e >= 1, with no squaring past the top bit of e."""
+    r = None
+    while True:
         if e & 1:
-            r = r @ a % p
-        a = a @ a % p
+            r = a if r is None else r @ a % p
         e >>= 1
-    return r
+        if not e:
+            return r
+        a = a @ a % p
 
 
 def _companion(f: tuple[int, ...], p: int) -> np.ndarray:
@@ -108,17 +118,74 @@ def _lex_vector(k: int, p: int, m: int) -> list[int]:
     return [(k // p**i) % p for i in range(m - 1, -1, -1)]
 
 
+def _has_root(f: tuple[int, ...], p: int) -> bool:
+    """Whether f vanishes at some a in GF(p), by Horner at each a."""
+    for a in range(p):
+        v = 0
+        for c in reversed(f):
+            v = (v * a + c) % p
+        if not v:
+            return True
+    return False
+
+
+def _coprime(u, f, p: int) -> bool:
+    """gcd(u, f) = 1 over GF(p), by Euclid on coefficient lists."""
+    a, b = [c % p for c in f], [int(c) % p for c in u]
+    while True:
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            return len(a) == 1  # the gcd is a, a unit iff it is a constant
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):  # a <- a mod b, one leading term at a time
+            c = a.pop() * inv % p
+            for i, bj in enumerate(b[:-1], len(a) - len(b) + 1):
+                a[i] = (a[i] - c * bj) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+
+
+def _digit_columns(rows: np.ndarray, p: int) -> np.ndarray:
+    """Entry (j, x): digit j of coords(x) @ rows mod p, for every x < p^k,
+    k = len(rows).  The entries whose digit i is d are those below p^i plus
+    d * rows[i]; a sum v < 2p reduces as min(v, v - p) in unsigned arithmetic."""
+    k, n = rows.shape
+    dtype = np.uint8 if p < 128 else np.uint16
+    cols = np.zeros((n, p**k), dtype=dtype)
+    steps = (rows[..., None] * np.arange(1, p) % p).astype(dtype)  # (k, n, p - 1)
+    for i in range(k):
+        blocks = cols[:, : p ** (i + 1)].reshape(n, p, p**i)
+        np.add(blocks[:, :1], steps[i, :, :, None], out=blocks[:, 1:])
+        np.minimum(blocks[:, 1:], blocks[:, 1:] - dtype(p), out=blocks[:, 1:])
+    return cols
+
+
 def poly_is_irreducible(f: tuple[int, ...], p: int) -> bool:
     """Rabin's test: the monic f of degree m >= 1 is irreducible iff
-    X^(p^m) = X mod f and X^(p^(m/r)) - X is a unit mod f for each prime
-    r | m; on the companion matrix C, a unit is a full-rank C^(p^(m/r)) - C."""
+    X^(p^m) = X mod f and gcd(X^(p^(m/r)) - X, f) = 1 for each prime r | m.
+    The chain X^(p^k) is one Frobenius step x -> x^p a link, a vec-mat
+    product with the matrix whose row i holds the coordinates of X^(ip).
+    At m >= 2 a candidate with a root in GF(p) is refused first, before
+    any matrix work; for prime m that is exactly the gcd condition."""
     m = len(f) - 1
     if m < 1 or f[-1] != 1:
         return False
-    c = _companion(f, p)
-    if not np.array_equal(_matpow(c, p**m, p), c):
+    if m >= 2 and _has_root(f, p):
         return False
-    return all(rank_mod_p(_matpow(c, p ** (m // r), p) - c, p) == m for r in prime_factors(m))
+    c = _companion(f, p)
+    step = _matpow(c, p, p)  # x -> X^p * x
+    frob = [np.eye(m, dtype=np.int64)[0]]
+    for _ in range(m - 1):
+        frob.append(frob[-1] @ step % p)
+    frob = np.array(frob)
+    chain = [c[0]]  # the coordinates of X, X^p, X^(p^2), ...
+    for _ in range(m):
+        chain.append(chain[-1] @ frob % p)
+    if not np.array_equal(chain[m], chain[0]):
+        return False
+    return all(_coprime(chain[m // r] - chain[0], f, p) for r in prime_factors(m))
 
 
 def iter_irreducible_moduli(p: int, m: int):
@@ -130,6 +197,7 @@ def iter_irreducible_moduli(p: int, m: int):
             yield f
 
 
+@functools.cache
 def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     return next(iter_irreducible_moduli(p, m))
 
@@ -137,16 +205,21 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
 # ----------------------------------------------------------------------
 
 
+def _check_parameters(p: int, m: int) -> None:
+    """The ValueError for a p or m that no Field accepts, before any power."""
+    if not (2 <= p <= MAX_P) or not is_prime(p):
+        raise ValueError(f"p must be a prime in [2, {MAX_P}], got {p}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if m > MAX_Q.bit_length() or p**m > MAX_Q:  # m first: no power past the cap
+        raise ValueError(f"q = {p}^{m} exceeds the table cap 2^24")
+
+
 class Field:
     """GF(p^m).  Treat as immutable; share freely across threads."""
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None):
-        if not (2 <= p <= MAX_P) or not is_prime(p):
-            raise ValueError(f"p must be a prime in [2, {MAX_P}], got {p}")
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
-        if m > MAX_Q.bit_length() or p**m > MAX_Q:  # m first: no power past the cap
-            raise ValueError(f"q = {p}^{m} exceeds the table cap 2^24")
+        _check_parameters(p, m)
         self.p = p
         self.m = m
         self.q = p**m
@@ -159,28 +232,33 @@ class Field:
             if not poly_is_irreducible(modulus, p):
                 raise ValueError(f"modulus override {modulus} is reducible over GF({p})")
         self.modulus = modulus
-        self._alpha = _companion(modulus, p)  # the matrix of x -> alpha*x
+        # alpha^0 .. alpha^(2m-1) as coordinate rows are those of I and of C^m,
+        # so the window of m rows from i is C^i, the matrix of x -> alpha^i * x;
+        # construction reads them, a built field keeps only its tables
+        hankel = np.vstack([np.eye(m, dtype=np.int64), _matpow(_companion(modulus, p), m, p)])
+        self._alpha_powers = hankel[np.add.outer(np.arange(m), np.arange(m))]
         self.generator = self._find_generator()
         self._build_trace_table()
         self._build_log_tables()
+        del self._alpha_powers
 
     # -- construction helpers ------------------------------------------
 
     def _matrix(self, c: int) -> np.ndarray:
-        """Matrix of x -> c*x on coordinate rows: row i holds the coordinates
-        of c*alpha^i, so coords(c*x) = coords(x) @ M mod p."""
-        rows = [np.array(self.coords(c), dtype=np.int64)]
-        for _ in range(self.m - 1):
-            rows.append(rows[-1] @ self._alpha % self.p)
-        return np.array(rows)
+        """Matrix of x -> c*x on coordinate rows, sum_i c_i C^i: row i holds
+        the coordinates of c*alpha^i, so coords(c*x) = coords(x) @ M mod p."""
+        m = self.m
+        flat = np.array(self.coords(c)) @ self._alpha_powers.reshape(m, m * m)
+        return (flat % self.p).reshape(m, m)
 
     def linear_map(self, mat) -> np.ndarray:
         """The int32 code of coords(x) @ mat mod p for every element code x.
         At p = 2 the map is XOR-linear, so the codes from 2^i up are those
-        below 2^i XOR the code of mat[i]: one doubling per bit.  At odd p each
-        output digit is a column filled by digit blocks: codes whose digit
-        i is d hold the column below p^i plus d*mat[i] mod p.  The top digit's
-        blocks go straight into the output by Horner, out = out*p + column."""
+        below 2^i XOR the code of mat[i]: one doubling per bit.  At odd p
+        x = x_hi * p^h + x_lo with h = ceil(m/2): the output digits of x_lo
+        and of x_hi * p^h are digit columns of about sqrt(q) entries each
+        (`_digit_columns`), and each chunk of codes is their sum mod p,
+        combined by Horner, out = out*p + digit."""
         p, m, q = self.p, self.m, self.q
         out = np.zeros(q, dtype=np.int32)
         if p == 2:
@@ -188,45 +266,65 @@ class Field:
             for i, row in enumerate(rows.tolist()):
                 np.bitwise_xor(out[: 1 << i], row, out=out[1 << i : 2 << i])
             return out
-        col = np.zeros(q // p, dtype=np.uint8 if p < 128 else np.uint16)  # holds v + c < 2p
-        steps = (np.arange(p)[:, None, None] * np.asarray(mat) % p).astype(col.dtype)
-        for j in reversed(range(steps.shape[2])):
-            for i in range(m - 1):
-                blocks = col[: p ** (i + 1)].reshape(p, p**i)
-                np.add(blocks[0], steps[1:, i, j, None], out=blocks[1:])
-                blocks[1:] %= p
-            out *= p
-            for row in out.reshape(p, q // p):  # p steps of mat[m - 1] bring col back
-                row += col
-                col += steps[1, m - 1, j]
-                col %= p
+        mat, h = np.asarray(mat) % p, (m + 1) // 2
+        lo, hi = _digit_columns(mat[:h], p), _digit_columns(mat[h:], p)
+        n, width = lo.shape
+        codes = out.reshape(-1, width)  # row x_hi holds the codes x_hi * p^h + x_lo
+        chunk = max(1, TABLE_BLOCK // (n * width))
+        for r in range(0, len(codes), chunk):
+            digits = lo[:, None, :] + hi[:, r : r + chunk, None]
+            np.minimum(digits, digits - lo.dtype.type(p), out=digits)
+            block = codes[r : r + chunk]
+            for j in reversed(range(n)):
+                block *= p
+                block += digits[j]
         return out
 
     def _find_generator(self) -> int:
+        # g^e = 1 is read off the first row of M^e, M the matrix of g; every
+        # cofactor e = (q-1)/r multiplies rows of one chain of squarings M^(2^j)
         p, m, q = self.p, self.m, self.q
         cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
-        eye = np.eye(m, dtype=np.int64)
+        one = np.eye(m, dtype=np.int64)[0]
         for k in range(1, q):
             cand = sum(c * p**i for i, c in enumerate(_lex_vector(k, p, m)))
-            mat = self._matrix(cand)
-            if not any(np.array_equal(_matpow(mat, e, p), eye) for e in cofactors):
+            squares = [self._matrix(cand)]
+            for _ in range(max(cofactors, default=1).bit_length() - 1):
+                squares.append(squares[-1] @ squares[-1] % p)
+            for e in cofactors:
+                row = one
+                for j, sq in enumerate(squares):
+                    if e >> j & 1:
+                        row = row @ sq % p
+                if np.array_equal(row, one):
+                    break
+            else:
                 return cand
         raise AssertionError("no multiplicative generator found")
 
     def _build_log_tables(self):
-        # the first b powers walked one product at a time, then EXP[t + b] = g^b * EXP[t]
+        # The coordinate rows of g^0 .. g^b by doubling, rows[n : 2n] = rows[:n] @ G^n,
+        # b = isqrt(q - 1); then EXP[t + b] = g^b * EXP[t], block by block through
+        # the table of x -> g^b * x, whose array is refilled as LOG afterwards.
         p, m, q = self.p, self.m, self.q
         exp = np.empty(2 * (q - 1), dtype=np.int32)
         gen, pw, b = self._matrix(self.generator), p ** np.arange(m), math.isqrt(q - 1)
-        row = np.eye(m, dtype=np.int64)[0]  # the coordinates of 1
-        for t in range(b):
-            exp[t], row = row @ pw, row @ gen % p
-        log = self.linear_map(self._matrix(int(row @ pw)))  # x -> g^b * x, LOG once EXP is done
+        rows = np.zeros((b + 1, m), dtype=np.int64)
+        rows[0, 0] = 1  # the coordinates of 1
+        n, step = 1, gen
+        while n <= b:
+            k = min(n, b + 1 - n)
+            np.remainder(rows[:k] @ step, p, out=rows[n : n + k])
+            n += k
+            if n <= b:
+                step = step @ step % p
+        exp[:b] = rows[:b] @ pw
+        log = self.linear_map(self._matrix(int(rows[b] @ pw)))  # x -> g^b * x
         for lo in range(b, q - 1, b):  # the last block spills into the half copied below
             exp[lo : lo + b] = log[exp[lo - b : lo]]
         log.fill(-1)
-        for lo in range(0, q - 1, b):
-            hi = min(lo + b, q - 1)
+        for lo in range(0, q - 1, TABLE_BLOCK):
+            hi = min(lo + TABLE_BLOCK, q - 1)
             log[exp[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
         if log[0] != -1 or np.count_nonzero(log < 0) != 1:
             raise AssertionError("generator order is below q - 1")
@@ -239,14 +337,11 @@ class Field:
         self.LOG = log
 
     def _build_trace_table(self):
-        # Tr(alpha^i) is the trace of the matrix of alpha^i
-        p, m, q = self.p, self.m, self.q
-        basis, power = [], np.eye(m, dtype=np.int64)
-        for _ in range(m):
-            basis.append(int(np.trace(power)) % p)
-            power = power @ self._alpha % p
-        self.tr_basis = tuple(basis)
-        tr = self.linear_map(np.array(basis)[:, None])
+        # Tr(alpha^i) is the trace of C^i, the matrix of alpha^i
+        p, q = self.p, self.q
+        basis = np.trace(self._alpha_powers, axis1=1, axis2=2) % p
+        self.tr_basis = tuple(basis.tolist())
+        tr = self.linear_map(basis[:, None])
         counts = np.zeros(p, dtype=np.int64)
         np.add.at(counts, tr, 1)  # no q-sized temporary, unlike bincount's cast to intp
         if not np.all(counts == q // p):
@@ -361,6 +456,12 @@ _cached_field = functools.lru_cache(maxsize=None)(Field)
 
 
 def get_field(p: int, m: int, modulus=None) -> Field:
-    """Memoised GF(p^m) context, deterministic for fixed inputs.  The
-    modulus is normalised first, so an omitted one and None share one entry."""
-    return _cached_field(p, m, None if modulus is None else tuple(modulus))
+    """Memoised GF(p^m) context, deterministic for fixed inputs.  The cache
+    is keyed on the concrete modulus, coefficients reduced mod p: an omitted
+    modulus, None and any spelling of the default share one entry."""
+    _check_parameters(p, m)
+    if modulus is not None:
+        modulus = tuple(int(c) % p for c in modulus)
+        if modulus == smallest_irreducible(p, m):
+            modulus = None
+    return _cached_field(p, m, modulus)

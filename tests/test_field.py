@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -6,15 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dscodes import field
+from dscodes.code import DefiningSet
 from dscodes.field import (
+    MAX_P,
     MAX_Q,
     Field,
     get_field,
+    is_prime,
     iter_irreducible_moduli,
     poly_is_irreducible,
     rank_mod_p,
     smallest_irreducible,
 )
+from dscodes.sets import union_disjoint
 from moduli import alternate_field
 
 FIELDS = [(2, 1), (2, 4), (2, 5), (3, 1), (3, 3), (5, 2), (7, 2)]
@@ -243,6 +248,40 @@ def test_get_field_omitted_and_none_modulus_share_one_entry():
     assert get_field(2, 3, [1, 1, 0, 1]) is get_field(2, 3, (1, 1, 0, 1))
 
 
+def test_get_field_keys_on_the_concrete_modulus():
+    # the default modulus of GF(2^3) is X^3 + X^2 + 1, (1, 0, 1, 1) constant term first
+    f = get_field(2, 3)
+    assert f.modulus == (1, 0, 1, 1)
+    for spelling in (None, (1, 0, 1, 1), [1, 0, 1, 1], (3, 2, 1, 1), np.array([1, 0, 1, 1])):
+        assert get_field(2, 3, spelling) is f, spelling
+    assert get_field(2, 3, (1, 1, 0, 1)) is not f
+    # DefiningSet.__eq__ and union_disjoint compare fields by identity
+    a = DefiningSet(f, [1, 2])
+    b = DefiningSet(get_field(2, 3, (1, 0, 1, 1)), [3])
+    assert union_disjoint(a, b).elements.tolist() == sorted(a.elements.tolist() + [3])
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((4, 2), "p must be a prime"),
+        ((4, 2, (1, 1, 1)), "p must be a prime"),
+        ((0, 2, (1, 1, 1)), "p must be a prime"),
+        ((2, 0, (1,)), "m must be >= 1"),
+        ((2, 25, (1,) * 26), "exceeds the table cap"),
+        ((2, 3, (1, 0, 1)), "monic of degree m"),
+        ((2, 3, (1, 0, 1, 0)), "monic of degree m"),
+        ((2, 2, (1, 0, 1)), "reducible"),
+        ((3, 2, (1, 2, 1)), "reducible"),
+    ],
+)
+def test_get_field_refuses_what_field_refuses(args, message):
+    with pytest.raises(ValueError, match=message):
+        Field(*args)
+    with pytest.raises(ValueError, match=message):
+        get_field(*args)
+
+
 def test_alternate_field_uses_different_modulus():
     f = get_field(2, 4)
     g = alternate_field(f)
@@ -386,6 +425,54 @@ def test_tables_match_sequential_walk_under_override(p, m):
         f = Field(p, m, modulus)
         assert f.modulus == modulus
         _assert_tables_match_walk(f)
+
+
+# sha256 of repr((modulus, generator)) and the EXP, LOG and TR bytes, recorded
+# from tables built by walking the first powers one product at a time
+TABLE_DIGESTS = {
+    (2, 13): "1b7219ab5e51dd19087ffbd304f700926162095fc0f7096ff1e9b369f03b3850",
+    (2, 14): "4b97a002a136fdeb28a550359eaf5aa41f349e391704e09590eab64253c7f5c7",
+    (2, 17): "b9eb867aa1ab2c8b78462aaa9bf0ca66640b387361fc4cb188c7cdf1c4d92900",
+    (3, 9): "a01b9869bf0d2d0fb46430ebc01ccb1847d12cbcc25e3fb77b2488943aa5d6b1",
+    (3, 11): "3a84c2bc191f4d7ef726be688f3c5d243401a6e2ac2341ca30104bb505dd54fa",
+    (5, 6): "fb844b9d9cd0418daf1c4cd5a6b25d4458d4c55678c3ef45f9c264946a9cec5c",
+    (7, 5): "912dcaa0c1916d0003157aa73c762a45bb48a31f024f1b3e0b7c8106b6dac7fd",
+    (251, 2): "61eb9e55c1a833881ca424214fe8d4f13a9d2df8187605e306bb57bd194dfa2d",
+}
+
+
+@pytest.mark.parametrize("p, m", TABLE_DIGESTS, ids=lambda v: str(v))
+def test_tables_past_the_walk_oracle_match_recorded_digests(p, m):
+    f = Field(p, m)
+    digest = hashlib.sha256(repr((f.modulus, f.generator)).encode())
+    for table, dtype in ((f.EXP, "<i4"), (f.LOG, "<i4"), (f.TR, "u1")):
+        digest.update(table.astype(dtype).tobytes())
+    assert digest.hexdigest() == TABLE_DIGESTS[p, m]
+
+
+def _mobius(n):
+    mu, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    return -mu if n > 1 else mu
+
+
+GAUSS_FIELDS = [
+    (p, m) for p in range(2, MAX_P + 1) if is_prime(p) for m in range(1, 11) if p**m <= 1 << 10
+]
+
+
+@pytest.mark.parametrize("p, m", GAUSS_FIELDS, ids=lambda v: str(v))
+def test_moduli_count_is_gauss_count(p, m):
+    # (1/m) sum_{d | m} mu(d) p^(m/d) monic irreducibles of degree m; for m >= 2
+    # none has c_0 = 0, and the root prefilter must drop none of them
+    want = sum(_mobius(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
+    assert sum(1 for _ in iter_irreducible_moduli(p, m)) == want
 
 
 def _apply(f, mat):
