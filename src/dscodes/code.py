@@ -22,41 +22,40 @@ checks all read.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .field import Field
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DefiningSet:
     """A multiplicity-free set of field elements with a provenance label.
 
-    Held twice over, both read-only: `mask`, a q-byte membership mask
-    indexed by element code, and `elements`, the members as an int64
-    array in canonical order: 0 first when present, then ascending
-    discrete log.  That order is exp-table order, so the array is read
-    off the mask in O(q) with no sort.  The code built from the set does
-    not depend on the order; the canonical form makes serialisation
-    deterministic.  Two sets are equal when they share the field and the
-    elements.
+    Held as `mask`, a read-only q-byte membership mask indexed by element
+    code, with `n` its number of members.  `elements`, the members as a
+    read-only ascending int64 array, is read off the mask on first use
+    and kept.  The code built from the set does not depend on any order
+    of its members.  Two sets are equal when they share the field and
+    the mask; the label is provenance only.
     """
 
     field: Field
-    elements: np.ndarray
-    label: str = dc_field(default="")
-    mask: np.ndarray = dc_field(init=False, repr=False)
+    mask: np.ndarray
+    label: str
+    n: int
 
-    def __post_init__(self):
-        q = self.field.q
+    def __init__(self, field: Field, elements, label: str = ""):
+        q = field.q
         try:
-            elems = np.asarray(self.elements, dtype=np.int64)
+            elems = np.asarray(elements, dtype=np.int64)
         except OverflowError:
-            raise ValueError(f"defining set {self.label!r} has an element outside GF({q})") from None
+            raise ValueError(f"defining set {label!r} has an element outside GF({q})") from None
         if elems.ndim != 1:
-            raise ValueError(f"defining set {self.label!r} must be a flat sequence of elements")
+            raise ValueError(f"defining set {label!r} must be a flat sequence of elements")
         # range first: a negative code would index the mask from the end
         bad = elems[(elems < 0) | (elems >= q)]
         if bad.size:
@@ -64,27 +63,36 @@ class DefiningSet:
         mask = np.zeros(q, dtype=bool)
         mask[elems] = True
         if np.count_nonzero(mask) != elems.size:
-            raise ValueError(f"defining set {self.label!r} has repeated elements")
-        units = self.field.EXP[: q - 1]
-        ordered = units[mask[units]].astype(np.int64)
-        if mask[0]:
-            ordered = np.concatenate(([0], ordered))
-        mask.setflags(write=False)
-        ordered.setflags(write=False)
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "elements", ordered)
+            raise ValueError(f"defining set {label!r} has repeated elements")
+        self._hold(field, mask, label)
 
-    @property
-    def n(self) -> int:
-        return len(self.elements)
+    @classmethod
+    def from_mask(cls, field: Field, mask, label: str = "") -> DefiningSet:
+        """The set of the codes x with mask[x] true, held as a copy of mask."""
+        ds = cls.__new__(cls)
+        ds._hold(field, np.array(mask, dtype=bool), label)
+        return ds
+
+    def _hold(self, field, mask, label):
+        if mask.shape != (field.q,):
+            raise ValueError(f"set {label!r}: mask of shape {mask.shape}, not ({field.q},)")
+        mask.setflags(write=False)
+        # past the frozen __setattr__, as cached_property writes `elements`
+        vars(self).update(field=field, mask=mask, label=label, n=int(np.count_nonzero(mask)))
+
+    @cached_property
+    def elements(self) -> np.ndarray:
+        elements = np.flatnonzero(self.mask)
+        elements.setflags(write=False)
+        return elements
 
     def __eq__(self, other):
         if not isinstance(other, DefiningSet):
             return NotImplemented
-        return self.field is other.field and np.array_equal(self.elements, other.elements)
+        return self.field is other.field and np.array_equal(self.mask, other.mask)
 
     def __hash__(self):
-        return hash((self.field, self.elements.tobytes()))
+        return hash((self.field, self.mask.tobytes()))
 
     def __repr__(self):
         return f"DefiningSet({self.label or 'unlabeled'}, n={self.n})"
@@ -180,7 +188,7 @@ GATHER_BLOCK_CELLS = 1 << 19
 GATHER_ROW_CELLS = 1 << 14
 
 
-def _weights_by_gather(f: Field, elements) -> np.ndarray:
+def _weights_by_gather(ds: DefiningSet) -> np.ndarray:
     """Weights by counting, for every x, the d with Tr(x d) = 0: q*n
     uint8 cells summed in blocks of rows, O(q) memory.  The route for
     small sets, and the oracle.
@@ -193,9 +201,9 @@ def _weights_by_gather(f: Field, elements) -> np.ndarray:
     GATHER_BLOCK_CELLS cells, summed in one numpy call; from there on
     each row is added as a view, with no copy.
     """
-    q = f.q
-    elements = np.asarray(elements, dtype=np.int64)
-    logs = f.LOG[elements[elements != 0]]
+    f, q = ds.field, ds.field.q
+    # logs of the nonzero members: n reads of LOG, not q of the mask in exp order
+    logs = f.LOG[np.flatnonzero(ds.mask[1:]) + 1]
     # t0[t] = 1 iff Tr(alpha^t) = 0, doubled so s + log d never needs a mod,
     # and row l of the window is t0[l : l + q - 1]
     t0 = (f.TR[f.EXP] == 0).view(np.uint8)
@@ -286,33 +294,27 @@ def hyperplane_counts(f: Field, vec, dtype) -> np.ndarray:
     return state.reshape(q)
 
 
-def _weights_by_hyperplane_count(f: Field, elements) -> np.ndarray:
+def _weights_by_hyperplane_count(ds: DefiningSet) -> np.ndarray:
     """Weights from N(u) = |D meet u-perp| for every coordinate vector u.
 
     Tr is GF(p)-linear, so Tr(x d) = sum_i d_i Tr(x b_i), b_i the element
     with code p^i, and the zero count of x is N(pi(x)) with
     pi(x)_i = Tr(x b_i), a GF(p)-linear map of x the field holds as the
     table `Field.PI`.  At p = 2, N(u) = (n + W(u))/2 for the
-    Walsh-Hadamard transform W of the indicator of D, in place on one
-    int32 array of q cells; at odd p, N is `hyperplane_counts` on the
-    indicator, two int32 states of at most q*p cells.  Every value is at
+    Walsh-Hadamard transform W of the mask of D, in place on one int32
+    copy of q cells; at odd p, N is `hyperplane_counts` on the mask read
+    as uint8, two int32 states of at most q*p cells.  Every value is at
     most n <= q <= 2^24 in absolute value, so int32 cannot overflow.
-    The elements must be distinct.
     """
-    p, q, n = f.p, f.q, len(elements)
+    f, n, p, q = ds.field, ds.n, ds.field.p, ds.field.q
     if q * p > TRANSFORM_MAX_CELLS:
         raise ValueError(f"transform state of {q}*{p} cells exceeds TRANSFORM_MAX_CELLS")
-    # the butterfly works in place; the odd-p steps only read the indicator
-    indicator = np.zeros(q, dtype=np.int32 if p == 2 else np.uint8)
-    indicator[np.asarray(elements, dtype=np.int64)] = 1
-    if np.count_nonzero(indicator) != n:
-        raise ValueError("the weight transform needs distinct elements")
     if p == 2:
-        zeros = walsh_hadamard(indicator)
+        zeros = walsh_hadamard(ds.mask.astype(np.int32))
         zeros += n
         zeros >>= 1
     else:
-        zeros = hyperplane_counts(f, indicator, np.int32)
+        zeros = hyperplane_counts(f, ds.mask.view(np.uint8), np.int32)
     weights = zeros[f.PI]
     return np.subtract(n, weights, out=weights)
 
@@ -341,10 +343,10 @@ def _route(p: int, m: int, n: int):
                      " nor TRANSFORM_MAX_CELLS")
 
 
-def weights_by_zero_count(f: Field, elements) -> np.ndarray:
+def weights_by_zero_count(ds: DefiningSet) -> np.ndarray:
     """Weight of the codeword for every x, indexed by element code: n
-    minus the number of d in elements with Tr(x d) = 0."""
-    return _route(f.p, f.m, len(elements))(f, elements)
+    minus the number of d in ds with Tr(x d) = 0."""
+    return _route(ds.field.p, ds.field.m, ds.n)(ds)
 
 
 def build_code_weights(ds: DefiningSet) -> WeightDistribution:
@@ -353,7 +355,7 @@ def build_code_weights(ds: DefiningSet) -> WeightDistribution:
     Enumerates all q codewords, then divides the raw histogram by the
     kernel size p^(m-k); the division must be exact or the run aborts.
     """
-    return distribution_from_weights(ds, weights_by_zero_count(ds.field, ds.elements))
+    return distribution_from_weights(ds, weights_by_zero_count(ds))
 
 
 def distribution_from_weights(ds: DefiningSet, weights: np.ndarray) -> WeightDistribution:

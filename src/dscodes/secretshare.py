@@ -329,7 +329,7 @@ def minimal_codewords(ds: DefiningSet) -> tuple[MinimalReport, RatioReport]:
     minimal.
     """
     f = ds.field
-    weights = weights_by_zero_count(f, ds.elements)
+    weights = weights_by_zero_count(ds)
     wd = distribution_from_weights(ds, weights)
     ratio = ratio_check(wd)
     total = f.p**wd.k - 1

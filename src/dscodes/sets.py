@@ -7,8 +7,8 @@ functions, the ternary set cut out by Tr(x + x^l) with the Kasami-type
 exponent l = 3^(2h) - 3^h + 1 over GF(3^(3h)), and the binary set cut
 out by Tr(x^3 + x).
 
-The family constructors are a few array operations over GF(q), on
-membership masks and element arrays.
+The family constructors are a few array operations over GF(q) that end
+in a membership mask.
 """
 
 from __future__ import annotations
@@ -41,18 +41,17 @@ def product_set(e_digits, ds: DefiningSet) -> tuple[DefiningSet, bool]:
     hit = np.zeros(f.q, dtype=bool)
     for e in e_digits:
         hit[f.scalar_mul_vec(e, ds.elements)] = True
-    prods = np.flatnonzero(hit)
-    complete = prods.size == len(e_digits) * ds.n
     label = f"product E={{{','.join(map(str, e_digits))}}} of {ds.label or 'set'}"
-    return DefiningSet(f, prods, label=label), complete
+    prods = DefiningSet.from_mask(f, hit, label=label)
+    return prods, prods.n == len(e_digits) * ds.n
 
 
 def complement(ds: DefiningSet) -> DefiningSet:
     """GF(q) minus the set.  Contains 0 whenever the set does not."""
-    rest = np.flatnonzero(~ds.mask)
-    if not rest.size:
+    rest = ~ds.mask
+    if not rest.any():
         raise ValueError("complement is empty")
-    return DefiningSet(ds.field, rest, label=f"complement-of:{ds.label or 'set'}")
+    return DefiningSet.from_mask(ds.field, rest, label=f"complement-of:{ds.label or 'set'}")
 
 
 def union_disjoint(a: DefiningSet, b: DefiningSet) -> DefiningSet:
@@ -61,10 +60,8 @@ def union_disjoint(a: DefiningSet, b: DefiningSet) -> DefiningSet:
     overlap = np.flatnonzero(a.mask & b.mask)
     if overlap.size:
         raise ValueError(f"sets overlap in {overlap.tolist()}")
-    return DefiningSet(
-        a.field,
-        np.flatnonzero(a.mask | b.mask),
-        label=f"union({a.label or 'a'}, {b.label or 'b'})",
+    return DefiningSet.from_mask(
+        a.field, a.mask | b.mask, label=f"union({a.label or 'a'}, {b.label or 'b'})"
     )
 
 
@@ -104,10 +101,10 @@ def _fibers(table) -> dict:
 
 def form_image(f: Field, table, label: str) -> DefiningSet:
     """Nonzero values the table takes on GF(q)*."""
-    image = np.flatnonzero(np.bincount(table[1:], minlength=f.q)[1:]) + 1
-    if not image.size:
+    image = np.concatenate(([False], np.bincount(table[1:], minlength=f.q)[1:] > 0))
+    if not image.any():
         raise ValueError("form vanishes on all of GF(q)*")
-    return DefiningSet(f, image, label=label)
+    return DefiningSet.from_mask(f, image, label=label)
 
 
 def quadratic_form_image(f: Field, terms) -> tuple[DefiningSet, dict]:
@@ -154,10 +151,10 @@ def boolean_support(f: Field, table) -> DefiningSet:
     table = np.asarray(table, dtype=np.int64)
     if table.shape != (f.q,) or not np.all((table == 0) | (table == 1)):
         raise ValueError("truth table must be q bits")
-    support = np.flatnonzero(table)
-    if not support.size:
+    n_f = int(table.sum())
+    if not n_f:
         raise ValueError("function is identically zero")
-    return DefiningSet(f, support, label=f"bool-support n_f={len(support)}")
+    return DefiningSet.from_mask(f, table, label=f"bool-support n_f={n_f}")
 
 
 def hkm_exponent(h: int) -> int:
@@ -186,5 +183,5 @@ def tr_cubic_set(f: Field) -> DefiningSet:
         raise ValueError("field must be GF(2^m) with m >= 2")
     zero = f.TR[f.power_table(3) ^ np.arange(f.q, dtype=np.int32)] == 0
     zero[0] = False
-    return DefiningSet(f, np.flatnonzero(zero), label=f"trcubic m={f.m}")
+    return DefiningSet.from_mask(f, zero, label=f"trcubic m={f.m}")
 

@@ -15,7 +15,7 @@ import functools
 
 import numpy as np
 
-from .code import weights_by_zero_count
+from .code import DefiningSet, weights_by_zero_count
 from .field import Field
 
 
@@ -185,11 +185,11 @@ def walsh_transform(f: Field, table) -> WalshSpectrum:
     table = np.asarray(table, dtype=np.int64)
     if table.shape != (f.q,) or not np.all((table == 0) | (table == 1)):
         raise ValueError("truth table must be q bits")
-    support = np.flatnonzero(table)
-    values = 4 * weights_by_zero_count(f, support) - 2 * len(support)
+    support = DefiningSet.from_mask(f, table)
+    values = 4 * weights_by_zero_count(support) - 2 * support.n
     values[0] += f.q
     values.setflags(write=False)
-    return WalshSpectrum(f, values, len(support))
+    return WalshSpectrum(f, values, support.n)
 
 
 def tr_cubic_table(f: Field) -> np.ndarray:

@@ -334,10 +334,10 @@ def _split(field, arg) -> Instance:
 def _split_off_rest(first: DefiningSet) -> tuple[DefiningSet, DefiningSet]:
     """The two halves of thm2 from its first: the rest of the units."""
     f = first.field
-    rest = np.flatnonzero(~first.mask[1:]) + 1
-    if not rest.size:
+    rest = np.concatenate(([False], ~first.mask[1:]))
+    if not rest.any():
         raise ValueError("the first half covers every unit; nothing is left")
-    return first, DefiningSet(f, rest, label="rest-of-units")
+    return first, DefiningSet.from_mask(f, rest, label="rest-of-units")
 
 
 def _complement(field, base: DefiningSet) -> Instance:
@@ -439,9 +439,9 @@ def _boolean_complement(field: Field, table) -> Instance:
             f"max transform {top}, bound {2 * (q - n_f)}",
         )
     )
-    els = np.flatnonzero(table[1:] == 0) + 1
+    zeros = np.concatenate(([False], table[1:] == 0))
     inst.predict = lambda: predict_boolean_complement(spectrum)
-    inst.construct = lambda: DefiningSet(field, els, label=f"bool-zeros n_f={n_f}")
+    inst.construct = lambda: DefiningSet.from_mask(field, zeros, label=f"bool-zeros n_f={n_f}")
     return inst
 
 

@@ -188,8 +188,8 @@ def test_criterion_09_structural_property_suites(catalog_with_weights):
         assert pless_moments_check(wd).ok, ds
         if f.q <= 1 << 10:
             assert np.array_equal(
-                _weights_by_hyperplane_count(f, ds.elements),
-                _weights_by_gather(f, ds.elements),
+                _weights_by_hyperplane_count(ds),
+                _weights_by_gather(ds),
             ), ds
         shuffled = list(ds.elements)
         rng.shuffle(shuffled)

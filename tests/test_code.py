@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from dscodes import code, sets
+from dscodes import code, sets, spectra
 from dscodes.code import (
     DUAL_MAX_N,
     GATHER_MAX_CELLS,
@@ -29,6 +29,7 @@ from dscodes.code import (
     weights_by_zero_count,
 )
 from dscodes.field import get_field
+from dscodes.secretshare import minimal_codewords
 from moduli import alternate_field, transport
 from test_field import _trace_by_definition
 
@@ -96,10 +97,10 @@ def test_two_enumeration_routes_agree(catalog_with_weights):
     # the size rule sends most of these small sets to the gather, so
     # both routes are called directly
     for ds, wd in catalog_with_weights:
-        a = _weights_by_hyperplane_count(ds.field, ds.elements)
-        b = _weights_by_gather(ds.field, ds.elements)
+        a = _weights_by_hyperplane_count(ds)
+        b = _weights_by_gather(ds)
         assert np.array_equal(a, b), ds
-        assert np.array_equal(weights_by_zero_count(ds.field, ds.elements), b), ds
+        assert np.array_equal(weights_by_zero_count(ds), b), ds
 
 
 # every small field, m = 1 included, where the odd-p transform runs only
@@ -117,9 +118,9 @@ def test_transform_matches_gather_on_random_sets(p, m):
     if (p, m) in TRANSFORM_FIELDS:
         assert _route(p, m, f.q) is _weights_by_hyperplane_count
     for n in sorted({1, f.q, rng.randint(1, f.q), rng.randint(1, f.q)}):
-        elements = rng.sample(range(f.q), n)
-        a = _weights_by_hyperplane_count(f, elements)
-        b = _weights_by_gather(f, elements)
+        ds = DefiningSet(f, rng.sample(range(f.q), n))
+        a = _weights_by_hyperplane_count(ds)
+        b = _weights_by_gather(ds)
         assert a.dtype == np.int32
         assert np.array_equal(a, b), (p, m, n)
 
@@ -154,13 +155,14 @@ def test_gather_blocks_match_both_oracles(monkeypatch, p, m):
     ]
     for elements in cases:
         expected = _weights_by_definition(f, elements)
-        assert np.array_equal(_weights_by_hyperplane_count(f, elements), expected)
+        ds = DefiningSet(f, elements)
+        assert np.array_equal(_weights_by_hyperplane_count(ds), expected)
         # blocks of 255 rows, of 7 rows, and one row at a time by views
         for block_cells, row_cells in ((1 << 19, 1 << 14), (7 * (f.q - 1), 1 << 14), (1 << 19, 1)):
             with monkeypatch.context() as patch:
                 patch.setattr(code, "GATHER_BLOCK_CELLS", block_cells)
                 patch.setattr(code, "GATHER_ROW_CELLS", row_cells)
-                weights = _weights_by_gather(f, elements)
+                weights = _weights_by_gather(ds)
             assert weights.dtype == np.int32
             assert np.array_equal(weights, expected), (p, m, len(elements), block_cells, row_cells)
 
@@ -187,13 +189,6 @@ def test_hyperplane_counts_at_odd_p_match_the_brute_force_sum(p, m):
     counts = hyperplane_counts(f, vec, np.int64)
     assert counts.dtype == np.int64
     assert counts.tolist() == expected
-
-
-def test_transform_refuses_repeated_elements():
-    # the gather counts a repeat twice; the transform's indicator cannot
-    f = get_field(3, 2)
-    with pytest.raises(ValueError, match="distinct"):
-        _weights_by_hyperplane_count(f, [1, 2, 1])
 
 
 def test_route_rule():
@@ -394,12 +389,21 @@ def test_defining_set_validation():
     with pytest.raises(ValueError):
         DefiningSet(f, ((1, 2), (3, 4)))
     ds = DefiningSet(f, (3, 1, 0, 2))
-    assert ds.elements[0] == 0  # canonical order: 0 first, then by dlog
+    assert ds.elements.tolist() == [0, 1, 2, 3]
+    # a mask is held as a copy, and only a flat mask of q cells is taken
+    mask = np.zeros(f.q, dtype=bool)
+    mask[[1, 2]] = True
+    ds = DefiningSet.from_mask(f, mask)
+    mask[3] = True
+    assert ds == DefiningSet(f, (1, 2)) and ds.n == 2
+    for bad in (np.zeros(f.q - 1, bool), np.zeros((1, f.q), bool), np.zeros((f.q, 1), bool), True):
+        with pytest.raises(ValueError, match="shape"):
+            DefiningSet.from_mask(f, bad)
 
 
 def _canonical_by_sort(f, elements):
-    """Oracle for the canonical order: 0 first, then a sort by discrete log."""
-    return sorted(set(elements), key=lambda e: -1 if e == 0 else int(f.LOG[e]))
+    """Oracle for the order of `elements`: ascending codes."""
+    return sorted(set(elements))
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
@@ -413,11 +417,11 @@ def test_canonical_elements_match_sort_oracle(p):
             ds = DefiningSet(f, els)
             assert ds.elements.dtype == np.int64
             assert ds.elements.tolist() == _canonical_by_sort(f, els), (p, m)
-            assert np.flatnonzero(ds.mask).tolist() == sorted(els), (p, m)
+            assert ds.n == len(els) and ds.mask[els].all(), (p, m)
         m += 1
 
 
-def test_defining_set_is_read_only_and_compares_by_value():
+def test_defining_set_is_read_only_and_compares_by_value(code_catalog):
     f = get_field(3, 3)
     a = DefiningSet(f, (5, 0, 1), label="a")
     b = DefiningSet(f, np.array([1, 5, 0]), label="b")
@@ -430,6 +434,39 @@ def test_defining_set_is_read_only_and_compares_by_value():
         a.elements[0] = 2
     with pytest.raises(ValueError):
         a.mask[0] = False
+    # both constructors give the same set, whichever form it is read from
+    for ds in code_catalog:
+        f = ds.field
+        for other in (DefiningSet.from_mask(f, ds.mask), DefiningSet(f, ds.elements)):
+            assert other == ds and hash(other) == hash(ds), ds
+        assert ds.elements.dtype == np.int64 and np.all(np.diff(ds.elements) > 0), ds
+        assert not ds.elements.flags.writeable and not ds.mask.flags.writeable, ds
+
+
+def test_pipeline_never_builds_the_element_array(monkeypatch):
+    # the constructors, the kernel, the summary, the minimal-codeword count
+    # and the Walsh spectrum read the mask; `elements` is derived only when
+    # read, so none of them leaves it behind on a set it saw or made
+    made = []
+    from_mask = DefiningSet.from_mask
+
+    def record(*args, **kwargs):
+        made.append(from_mask(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(DefiningSet, "from_mask", record)
+    f = get_field(2, 10)
+    table = spectra.tr_cubic_table(f)
+    cubic = sets.tr_cubic_set(f)
+    built = [cubic, sets.complement(cubic), sets.boolean_support(f, table),
+             sets.hkm_set(1, get_field(3, 3))]
+    for ds in built:
+        summarize(ds, build_code_weights(ds))
+        minimal_codewords(ds)
+    spectra.walsh_transform(f, table)
+    assert len(made) == 4  # the walsh support besides the three built above
+    for ds in built + made:
+        assert "elements" not in vars(ds), ds
 
 
 def test_weight_distribution_validation():

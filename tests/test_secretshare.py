@@ -131,7 +131,7 @@ def _check_routes(ds, k):
     pass exactly p^(m-k+1) values of y there, and at p = 2 the
     correlations count the same y."""
     f = ds.field
-    weights = weights_by_zero_count(f, ds.elements)
+    weights = weights_by_zero_count(ds)
     rows = np.flatnonzero(weights[f.EXP[: (f.q - 1) // (f.p - 1)]])
     full = secretshare._gather_passes(f, weights, rows)
     w = weights[f.EXP[rows]]
@@ -198,7 +198,7 @@ def test_routes_agree_with_the_full_gather_on_cubic_trace_codes(m):
 def test_correlations_match_the_gather_on_a_set_with_many_weights():
     f = get_field(2, 10)
     ds = DefiningSet(f, tuple(random.Random(12).sample(range(f.q), 40)))
-    weights = weights_by_zero_count(f, ds.elements)
+    weights = weights_by_zero_count(ds)
     levels = np.flatnonzero(np.bincount(weights))
     pairs = secretshare._weight_pairs(levels, levels[1:].tolist())
     assert len(levels) >= 15 and sum(map(len, pairs.values())) >= 30
@@ -330,7 +330,7 @@ def test_minimal_codewords_refuses_past_bound_before_any_work(monkeypatch):
 
     f = get_field(5, 4)
     ds, _ = sets.quadratic_form_image(f, ((0, 1, 1),))
-    weights = weights_by_zero_count(f, ds.elements)
+    weights = weights_by_zero_count(ds)
     w = weights[f.EXP[: (f.q - 1) // 4]]
     bound = secretshare._certified_weight(5, 4, ds.n - int(ds.mask[0]), int(w[w > 0].min()))
     # the threshold leaves 26 classes: 26*625 gather cells
@@ -352,7 +352,7 @@ def test_correlation_refuses_past_the_cap_before_allocating(monkeypatch):
 
     f = get_field(2, 8)
     ds = DefiningSet(f, tuple(random.Random(3).sample(range(f.q), 12)))
-    weights = weights_by_zero_count(f, ds.elements)
+    weights = weights_by_zero_count(ds)
     rows = np.flatnonzero(weights[f.EXP[: f.q - 1]])
     levels = np.flatnonzero(np.bincount(weights))
     pairs = secretshare._weight_pairs(levels, levels[1:].tolist())
@@ -371,7 +371,7 @@ def test_correlation_refuses_past_the_cap_before_allocating(monkeypatch):
 def test_correlation_peak_memory_is_within_its_cell_count():
     f = get_field(2, 14)
     ds = DefiningSet(f, tuple(random.Random(1).sample(range(f.q), 80)))
-    weights = weights_by_zero_count(f, ds.elements)
+    weights = weights_by_zero_count(ds)
     rows = np.flatnonzero(weights[f.EXP[: f.q - 1]])
     levels = np.flatnonzero(np.bincount(weights))
     pairs = secretshare._weight_pairs(levels, levels[1:].tolist())

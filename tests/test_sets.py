@@ -241,12 +241,12 @@ def test_embedding_root_respects_minimal_polynomial(gf16):
 
 # ----------------------------------------------------------------------
 # the array constructors against the scalar code they replaced, kept
-# here as oracles: every set is compared in canonical order, so order
+# here as oracles: every set is compared in ascending order, so order
 # and membership are checked together
 
 
 def _canonical(f, elements):
-    return sorted(set(elements), key=lambda e: -1 if e == 0 else int(f.LOG[e]))
+    return sorted(set(elements))
 
 
 def _product_oracle(e_digits, ds):
