@@ -1,23 +1,25 @@
 """Command line frontend.
 
-Subcommands: field, code, verify, scan, expsum, walsh, ssreport.  All
-output is deterministic: the same invocation always produces the same
-bytes, so runs can be diffed or committed as fixtures.  Exit codes: 0
-success, 1 a claim's hypotheses were not met, 2 a claim was falsified
-(prediction and construction disagree), 3 usage error; ssreport exits
-0 or 3 only.  JSON output is exactly the bytes of
-`json.dumps(payload, indent=2, sort_keys=True) + "\n"`: the C encoder
+Subcommands: field, code, verify, scan, expsum, walsh, ssreport, each with
+the flags of its `_COMMANDS` row (listed by `<command> -h`), written as
+`--flag value` or `--flag=value` and never abbreviated; the last of a
+repeated flag wins.  All output is deterministic: the same invocation
+always produces the same bytes, so runs can be diffed or committed as
+fixtures.  Exit codes: 0 success or help, 1 a claim's hypotheses were not
+met, 2 a claim was falsified (prediction and construction disagree), 3
+usage error; ssreport exits 0 or 3 only.  JSON output is exactly the bytes
+of `json.dumps(payload, indent=2, sort_keys=True) + "\\n"`: the C encoder
 writes it compact and `_indented` inserts the indentation.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
-import functools
 import io
 import json
+import re
 import sys
+import types
 
 import numpy as np
 
@@ -41,11 +43,6 @@ _VERDICT_EXIT = {
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would sys.exit(2); keep 3 for usage
-        raise UsageError(message)
 
 
 # ----------------------------------------------------------------------
@@ -564,16 +561,17 @@ def _render_text(payload) -> str:
 
 
 _FLAGS = {
-    "--p": dict(type=int, default=2, help="base field characteristic (claims: their own default)"),
+    "--p": dict(type=int, default=2, help="base field characteristic (default {default})"),
     "--m": dict(help="extension degree (scan: range A..B or list)"),
     "--h": dict(help="half-orbit family parameter"),
     "--set": dict(help="set selector"),
-    "--claim": dict(choices=tuple(theorems.CLAIMS), help="claim token"),
+    "--claim": dict(choices=" ".join(theorems.CLAIMS), help="claim token: {choices}"),
     "--field-poly": dict(help="modulus coefficients, constant first, comma separated"),
     "--seed": dict(type=int, help="random seed of thm1prop (verify) and cor3 (scan)"),
-    "--max-q": dict(type=int, default=DEFAULT_MAX_Q),
-    "--a": dict(type=int, default=1, help="first sum argument"),
-    "--b": dict(type=int, default=1, help="second sum argument"),
+    "--max-q": dict(type=int, default=DEFAULT_MAX_Q, help="largest field size (default {default})"),
+    "--a": dict(type=int, default=1, help="first sum argument (default {default})"),
+    "--b": dict(type=int, default=1, help="second sum argument (default {default})"),
+    "--format": dict(default="json", help="output format: {choices} (default {default})"),
 }
 
 # subcommand: (function, required flags, the other flags it reads, --format choices)
@@ -589,27 +587,56 @@ _COMMANDS = {
 }
 
 
-@functools.cache  # built on first use, once per process; parse_args stores nothing on it
-def build_parser() -> _Parser:
-    parser = _Parser(prog="dscodes", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, required, optional, formats) in _COMMANDS.items():
-        cmd = sub.add_parser(name, allow_abbrev=False)
-        cmd.set_defaults(fn=fn)
-        for flag in required.split():
-            cmd.add_argument(flag, required=True, **_FLAGS[flag])
-        for flag in optional.split():
-            cmd.add_argument(flag, **_FLAGS[flag])
-        cmd.add_argument("--format", choices=formats.split(), default="json")
-        if required == "--claim":
-            cmd.set_defaults(p=None)  # without --p a claim takes its own default p
-    return parser
+def parse_args(argv) -> types.SimpleNamespace | None:
+    """The command word, then its flags in any order, as a namespace of the
+    command, its function and each flag it reads (at its default when not
+    given) and nothing else; after printing the usage, -h or --help gives None."""
+    command, *words = argv or [""]
+    if command in ("-h", "--help"):
+        print(f"usage: dscodes {{{','.join(_COMMANDS)}}} [-h]\n\n{__doc__}", end="")
+        return None
+    if command not in _COMMANDS:
+        raise UsageError(f"{command!r} is no command; the commands are {', '.join(_COMMANDS)}")
+    fn, required, optional, formats = _COMMANDS[command]
+    specs = {flag: dict(_FLAGS[flag]) for flag in f"{required} {optional} --format".split()}
+    specs["--format"]["choices"] = formats
+    if required == "--claim":  # without --p a claim takes its own default p
+        specs["--p"].update(default=None, help="base field characteristic (default: the claim's)")
+    values = {flag: spec.get("default") for flag, spec in specs.items()}
+    words = iter(words)
+    for word in words:
+        if word in ("-h", "--help"):
+            print(f"usage: dscodes {command} [--flag value | --flag=value ...]")
+            print(*(f"  {f:<13} {s['help'].format(**s)}" + " (required)" * (f in required.split())
+                    for f, s in specs.items()), sep="\n")
+            return None
+        flag, eq, value = word.partition("=")
+        if flag not in specs:
+            raise UsageError(f"{command} does not take {word!r}")
+        # the next word (a missing one reads as "--"), unless it names a flag:
+        # a dash and more, no space, not a negative number
+        if not eq and re.match(r"-(?!\d+$|\d*\.\d+$)[^ ]+$", value := next(words, "--")):
+            raise UsageError(f"{flag} expects a value")
+        spec = specs[flag]
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            raise UsageError(f"{flag} takes an integer, not {value!r}") from None
+        if "choices" in spec and value not in spec["choices"].split():
+            raise UsageError(f"{flag} is one of {spec['choices']}, not {value!r}")
+        values[flag] = value
+    for flag in required.split():
+        if values[flag] is None:
+            raise UsageError(f"{command} needs {flag}")
+    fields = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+    return types.SimpleNamespace(command=command, fn=fn, **fields)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:  # -h or --help
+            return EXIT_OK
         payload, code = args.fn(args)
         sys.stdout.write(render(payload, args.format))
         return code

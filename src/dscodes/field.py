@@ -129,21 +129,25 @@ def _has_root(f: tuple[int, ...], p: int) -> bool:
     return False
 
 
-def _coprime(u, f, p: int) -> bool:
-    """gcd(u, f) = 1 over GF(p), by Euclid on coefficient lists."""
-    a, b = [c % p for c in f], [int(c) % p for c in u]
+def _resultant(f, u, p: int) -> int:
+    """Res(f, u) over GF(p), by Euclid on coefficient lists:
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r), r = a mod b.
+    It is 0 iff gcd(f, u) != 1; for monic f it is the norm of u, the
+    determinant of x -> u*x on GF(p)[X]/(f)."""
+    a, b, res = [c % p for c in f], [int(c) % p for c in u], 1
     while True:
         while b and not b[-1]:
             b.pop()
-        if not b:
-            return len(a) == 1  # the gcd is a, a unit iff it is a constant
-        inv = pow(b[-1], -1, p)
+        if len(b) < 2:  # a common factor (b = 0) or a constant
+            return res * pow(b[0], len(a) - 1, p) % p if b else 0
+        deg_a, inv = len(a) - 1, pow(b[-1], -1, p)
         while len(a) >= len(b):  # a <- a mod b, one leading term at a time
             c = a.pop() * inv % p
             for i, bj in enumerate(b[:-1], len(a) - len(b) + 1):
                 a[i] = (a[i] - c * bj) % p
             while a and not a[-1]:
                 a.pop()
+        res = res * (-1) ** (deg_a * (len(b) - 1)) * pow(b[-1], deg_a + 1 - len(a), p) % p
         a, b = b, a
 
 
@@ -185,7 +189,7 @@ def poly_is_irreducible(f: tuple[int, ...], p: int) -> bool:
         chain.append(chain[-1] @ frob % p)
     if not np.array_equal(chain[m], chain[0]):
         return False
-    return all(_coprime(chain[m // r] - chain[0], f, p) for r in prime_factors(m))
+    return all(_resultant(f, chain[m // r] - chain[0], p) for r in prime_factors(m))
 
 
 def iter_irreducible_moduli(p: int, m: int):
@@ -282,12 +286,17 @@ class Field:
 
     def _find_generator(self) -> int:
         # g^e = 1 is read off the first row of M^e, M the matrix of g; every
-        # cofactor e = (q-1)/r multiplies rows of one chain of squarings M^(2^j)
+        # cofactor e = (q-1)/r multiplies rows of one chain of squarings M^(2^j),
+        # but for r | p - 1 c^e is N(c)^((p-1)/r), which needs no chain
         p, m, q = self.p, self.m, self.q
         cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
+        norm_cofactors = [(p - 1) // r for r in prime_factors(p - 1)]  # none at p = 2
         one = np.eye(m, dtype=np.int64)[0]
         for k in range(1, q):
             cand = sum(c * p**i for i, c in enumerate(_lex_vector(k, p, m)))
+            norm = _resultant(self.modulus, self.coords(cand), p) if p > 2 else 1
+            if any(pow(norm, e, p) == 1 for e in norm_cofactors):
+                continue
             squares = [self._matrix(cand)]
             for _ in range(max(cofactors, default=1).bit_length() - 1):
                 squares.append(squares[-1] @ squares[-1] % p)

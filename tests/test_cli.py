@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -80,22 +81,25 @@ def test_verify_mismatch_exits_two(capsys):
     assert payload["report"]["first_diff"]["w"] == 4
 
 
+USAGE_ERROR_ARGV = [
+    ["verify", "--claim", "nosuch", "--m", "5"],
+    ["code", "--p", "2", "--m", "4", "--set", "nosuch"],
+    ["code", "--p", "2", "--m", "40", "--set", "simplex"],
+    ["verify", "--m", "5"],
+    ["ssreport", "--m", "6", "--set", "trcubic", "--format", "csv"],
+    ["nosuchcommand"],
+    ["code", "--p", "2", "--m", "4", "--set", "simplex", "--format", "bogus"],
+    ["field", "--m", "abc"],
+    ["field", "--m", "3..x"],
+    ["scan", "--claim", "thm4", "--m", "5..a"],
+    ["code", "--p", "2", "--m", "4", "--set", "simplex", "--threads", "2"],
+    ["code", "--p", "2", "--m", "4"],
+    ["ssreport", "--m", "3", "--set", "trcubic"],
+]
+
+
 def test_usage_errors_exit_three(capsys):
-    for argv in (
-        ["verify", "--claim", "nosuch", "--m", "5"],
-        ["code", "--p", "2", "--m", "4", "--set", "nosuch"],
-        ["code", "--p", "2", "--m", "40", "--set", "simplex"],
-        ["verify", "--m", "5"],
-        ["ssreport", "--m", "6", "--set", "trcubic", "--format", "csv"],
-        ["nosuchcommand"],
-        ["code", "--p", "2", "--m", "4", "--set", "simplex", "--format", "bogus"],
-        ["field", "--m", "abc"],
-        ["field", "--m", "3..x"],
-        ["scan", "--claim", "thm4", "--m", "5..a"],
-        ["code", "--p", "2", "--m", "4", "--set", "simplex", "--threads", "2"],
-        ["code", "--p", "2", "--m", "4"],
-        ["ssreport", "--m", "3", "--set", "trcubic"],
-    ):
+    for argv in USAGE_ERROR_ARGV:
         code, out, err = run(capsys, *argv)
         assert code == 3, argv
         assert err != ""
@@ -311,26 +315,116 @@ def test_cli_parity(tmp_path, row):
     assert hashlib.sha256(out.encode()).hexdigest() == row["sha256"]
 
 
-def test_one_parser_serves_every_parity_row_in_reverse(tmp_path, monkeypatch):
-    # one process, rows in reverse: a value one row left on the cached parser
+def test_every_parity_row_in_reverse_in_one_process(tmp_path):
+    # one process, rows in reverse: a value one row left behind in the module
     # would change a later row's exit code or stdout
-    built = []
-    init = cli._Parser.__init__
+    for row in reversed(PARITY_ROWS):
+        code, out = parity.run_row(row["argv"], tmp_path)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest) == (row["exit"], row["sha256"]), parity.row_id(row)
 
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
-    cli.build_parser.cache_clear()
+class _Refused(Exception):
+    pass
+
+
+class _OracleParser(argparse.ArgumentParser):
+    def error(self, message):  # argparse would exit 2
+        raise _Refused(message)
+
+
+def _argparse_oracle():
+    """An argparse tree from `cli._COMMANDS` and `cli._FLAGS`, with no
+    abbreviations at any level: the parser `cli.parse_args` stands in for."""
+    parser = _OracleParser(prog="dscodes", allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, required, optional, formats) in cli._COMMANDS.items():
+        cmd = sub.add_parser(name, allow_abbrev=False)
+        cmd.set_defaults(fn=fn)
+        for flag in f"{required} {optional} --format".split():
+            kwargs = {k: v for k, v in cli._FLAGS[flag].items() if k != "help"}
+            if "choices" in kwargs or flag == "--format":
+                kwargs["choices"] = (formats if flag == "--format" else kwargs["choices"]).split()
+            cmd.add_argument(flag, required=flag in required.split(), **kwargs)
+        if required == "--claim":
+            cmd.set_defaults(p=None)
+    return parser
+
+
+def _outcome(parse, argv):
+    """("ok", namespace dict), ("help", None) or ("refused", None)."""
+    out = io.StringIO()
     try:
-        for row in reversed(PARITY_ROWS):
-            code, out = parity.run_row(row["argv"], tmp_path)
-            digest = hashlib.sha256(out.encode()).hexdigest()
-            assert (code, digest) == (row["exit"], row["sha256"]), parity.row_id(row)
-    finally:
-        cli.build_parser.cache_clear()  # drop the parser built by counting_init
-    assert built.count("dscodes") == 1
+        with contextlib.redirect_stdout(out):
+            args = parse(list(argv))
+    except (cli.UsageError, _Refused):
+        return "refused", None
+    except SystemExit as exc:  # argparse's -h
+        assert exc.code == 0
+        args = None
+    if args is None:
+        assert out.getvalue().startswith("usage: dscodes")
+        return "help", None
+    return "ok", vars(args)
+
+
+def _generated_argv():
+    """Each flag in both spellings after each command's base invocation,
+    repeated flags, negative numbers, a missing value, unknown flags, -h and
+    --.  How argparse reads a -- next to a flag's value or before the
+    command word differs between Python versions, so each -- here comes
+    after the command and has a stray word after it."""
+    for cmd, base in BASE_ARGV.items():
+        for flag, value in {**FLAG_VALUES, "--format": "text"}.items():
+            yield base + [flag, value]
+            yield base + [f"{flag}={value}"]
+            yield base + [flag, value, flag, "4"]
+            yield base + [f"{flag}=bogus", f"{flag}={value}"]
+            yield base + [flag, "-3"]
+            yield base + [f"{flag}=-1.5"]
+            yield base + [flag]
+            yield [cmd, flag, *base[1:]]
+        yield base + ["--m", "-x y"]
+        yield base + ["--m", "-", "--m", ""]
+        yield base + ["--m", "-.5", "--m", "-0"]
+        yield base + ["--bogus", "1"]
+        yield base + ["-m", "3"]
+        yield base + ["--ma", "8"]
+        yield base + ["--m", "3", "extra"]
+        yield base + ["--", "x"]
+        yield [cmd, "--", *base[1:], "x"]
+        yield base + ["-h"]
+        yield [cmd, "--help", "--bogus"]
+        yield base + ["--max-q", "x", "-h"]
+        yield base + ["--help=x"]
+        yield base + ["--m", "-h"]
+    yield from (["-h"], ["--help"], ["--he"], [], ["nosuch", "-h"])
+
+
+ORACLE_ARGV = (
+    [[a.format(table="table.txt") for a in row["argv"]] for row in PARITY_ROWS]
+    + USAGE_ERROR_ARGV
+    + list(_generated_argv())
+)
+
+
+def test_flag_parser_agrees_with_argparse_from_the_same_tables():
+    oracle = _argparse_oracle()
+    seen = set()
+    for argv in ORACLE_ARGV:
+        want = _outcome(oracle.parse_args, argv)
+        assert _outcome(cli.parse_args, argv) == want, argv
+        seen.add(want[0])
+    assert seen == {"ok", "help", "refused"}
+
+
+def test_help_prints_usage_to_stdout_and_exits_zero(capsys):
+    for argv in (["--help"], ["-h"]) + tuple([cmd, "-h"] for cmd in cli._COMMANDS):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out.startswith("usage: dscodes"), argv
+        for flag in FLAGS_READ.get(argv[0], ()):
+            assert f"\n  {flag} " in out, (argv, flag)
 
 
 _AWKWARD_STRINGS = (

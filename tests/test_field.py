@@ -518,3 +518,46 @@ def test_non_primitive_generator_is_refused(monkeypatch):
         monkeypatch.setattr(Field, "_find_generator", lambda self, g=g: g)
         with pytest.raises(AssertionError, match="order"):
             Field(3, 2)
+
+
+DEFAULT_FIELDS_TO_2_16 = [
+    (p, m) for p in range(2, MAX_P + 1) if is_prime(p) for m in range(1, 17) if p**m <= 1 << 16
+]
+
+
+def test_norm_prefilter_keeps_the_generator_of_the_unfiltered_search():
+    # the unfiltered search returns the first candidate, coordinates in
+    # lexicographic order with c_0 compared first, whose discrete log is a
+    # unit mod q - 1: read that candidate off each field's tables
+    for p, m in DEFAULT_FIELDS_TO_2_16:
+        f = Field(p, m)
+        for g in itertools.product(range(p), repeat=m):
+            code = sum(c * p**i for i, c in enumerate(g))
+            if code and math.gcd(int(f.LOG[code]), f.q - 1) == 1:
+                break
+        assert f.generator == code, (p, m)
+
+
+def _leibniz_det(rows, p):
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total % p
+
+
+@pytest.mark.parametrize(
+    "p, m", [(3, 1), (3, 3), (5, 2), (7, 3), (13, 2), (251, 2), (3, 7), (2, 5)]
+)
+def test_resultant_is_the_norm_and_the_multiplication_determinant(p, m):
+    # N(c) = c^((q-1)/(p-1)), a constant of GF(p) whose code is its value,
+    # and the determinant of x -> c*x, whose row i holds coords(c * X^i)
+    f = get_field(p, m)
+    rng = np.random.default_rng(p * 100 + m)
+    for c in rng.integers(0, f.q, 40).tolist():
+        norm = field._resultant(f.modulus, f.coords(c), p)
+        assert norm == f.pow(c, (f.q - 1) // (p - 1)) if c else norm == 0
+        if m <= 3:
+            rows = [f.coords(f.mul(c, p**i)) for i in range(m)]
+            assert norm == _leibniz_det(rows, p), c
