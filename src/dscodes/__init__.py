@@ -19,6 +19,7 @@ from .code import (
     macwilliams_dual,
     pless_moments_check,
     summarize,
+    weight_distributions,
 )
 from .field import Field, get_field
 from .secretshare import MinimalReport, RatioReport, minimal_codewords, ratio_check
@@ -46,6 +47,7 @@ __all__ = [
     "scan_summary",
     "summarize",
     "walsh_transform",
+    "weight_distributions",
     "weil_sum",
 ]
 

@@ -576,14 +576,14 @@ _FLAGS = {
 
 # subcommand: (function, required flags, the other flags it reads, --format choices)
 _COMMANDS = {
-    "field": (cmd_field, "", "--p --m --field-poly --max-q", "json text"),
-    "code": (cmd_code, "--set", "--p --m --field-poly --max-q", "json csv text"),
+    "field": (cmd_field, "--m", "--p --field-poly --max-q", "json text"),
+    "code": (cmd_code, "--m --set", "--p --field-poly --max-q", "json csv text"),
     "verify": (cmd_verify, "--claim", "--p --m --h --set --field-poly --seed --max-q",
                "json csv text"),
     "scan": (cmd_scan, "--claim", "--p --m --h --seed --max-q", "json csv text"),
-    "expsum": (cmd_expsum, "", "--m --field-poly --max-q --a --b", "json text"),
-    "walsh": (cmd_walsh, "", "--m --field-poly --max-q --set", "json text"),
-    "ssreport": (cmd_ssreport, "--set", "--p --m --field-poly --max-q", "json text"),
+    "expsum": (cmd_expsum, "--m", "--field-poly --max-q --a --b", "json text"),
+    "walsh": (cmd_walsh, "--m", "--field-poly --max-q --set", "json text"),
+    "ssreport": (cmd_ssreport, "--m --set", "--p --field-poly --max-q", "json text"),
 }
 
 

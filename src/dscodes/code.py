@@ -6,21 +6,25 @@ in GF(p).  The weight of the codeword for x is n minus the number of
 indices with Tr(x d_i) = 0, that is n minus |D meet H_x| for the
 hyperplane H_x = {d : Tr(x d) = 0}.
 
-Everything here is exact integer arithmetic.  One weight kernel,
-`weights_by_zero_count`, counts D on every hyperplane by one of two
-routes that a size rule (`_route`) picks: an int32 transform or a
-gather that sums n rows of a uint8 window in blocks, O(q*n), which is
-also the oracle the tests check the transform against.  The transform
-is an in-place Walsh-Hadamard butterfly at p = 2, O(q*m) on q cells,
-and a (p, q) state at odd p, O(q*m*p^2).  Both routes return int32
-weights.  One dual layer, a
-Krawtchouk recurrence on Python big integers, yields the MacWilliams
-transform that the full dual, the dual distance and the power-moment
-checks all read.
+Everything here is exact integer arithmetic.  One weight kernel counts
+each set of a batch over one field on every hyperplane, by one of two
+routes that a size rule (`_route`) picks for the whole batch: an int32
+transform or a gather that sums n rows of a uint8 window in blocks,
+O(q*n) a set, which is also the oracle the tests check the transform
+against.  The transform is an in-place Walsh-Hadamard butterfly at
+p = 2, O(q*m) on q cells a set, and a (p, q) state at odd p,
+O(q*m*p^2).  Both routes return int32 weights in their own order of x.
+`weight_distributions` histograms them in that order with one bincount
+a chunk, and `build_code_weights` is its batch of one; only
+`weights_by_zero_count`, for the readers that index by x, puts them in
+x-order.  One dual layer, a Krawtchouk recurrence on Python big
+integers, yields the MacWilliams transform that the full dual, the dual
+distance and the power-moment checks all read.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,9 +66,10 @@ class DefiningSet:
             raise ValueError(f"element {int(bad[0])} outside GF({q})")
         mask = np.zeros(q, dtype=bool)
         mask[elems] = True
-        if np.count_nonzero(mask) != elems.size:
+        n = int(np.count_nonzero(mask))
+        if n != elems.size:
             raise ValueError(f"defining set {label!r} has repeated elements")
-        self._hold(field, mask, label)
+        self._hold(field, mask, label, n)
 
     @classmethod
     def from_mask(cls, field: Field, mask, label: str = "") -> DefiningSet:
@@ -73,12 +78,14 @@ class DefiningSet:
         ds._hold(field, np.array(mask, dtype=bool), label)
         return ds
 
-    def _hold(self, field, mask, label):
+    def _hold(self, field, mask, label, n=None):
         if mask.shape != (field.q,):
             raise ValueError(f"set {label!r}: mask of shape {mask.shape}, not ({field.q},)")
         mask.setflags(write=False)
+        if n is None:
+            n = int(np.count_nonzero(mask))
         # past the frozen __setattr__, as cached_property writes `elements`
-        vars(self).update(field=field, mask=mask, label=label, n=int(np.count_nonzero(mask)))
+        vars(self).update(field=field, mask=mask, label=label, n=n)
 
     @cached_property
     def elements(self) -> np.ndarray:
@@ -186,60 +193,90 @@ GATHER_BLOCK_CELLS = 1 << 19
 # the row length from which the gather adds rows one numpy call each: a
 # call costs about 1 us, the copy of 2^14 cells into a block about as much
 GATHER_ROW_CELLS = 1 << 14
+# cells of one chunk of a batch, p*q a set (one set a chunk past it), and
+# the most cells the histogram counts by bincount, through an 8 MB intp copy
+BATCH_CELLS = 1 << 20
 
 
-def _weights_by_gather(ds: DefiningSet) -> np.ndarray:
-    """Weights by counting, for every x, the d with Tr(x d) = 0: q*n
-    uint8 cells summed in blocks of rows, O(q) memory.  The route for
-    small sets, and the oracle.
+def _masks(sets) -> np.ndarray:
+    """The sets' masks as one (len(sets), q) bool array, a view for one set."""
+    return sets[0].mask[None] if len(sets) == 1 else np.array([ds.mask for ds in sets])
 
-    Row l of the window is the zero indicator of d = alpha^l over
-    x = alpha^s, s < q - 1.  A block of at most 255 rows is summed in
-    uint8, which is exact because each cell of the sum counts at most
-    255 zeros, and then added into the int32 counts.  Below
-    GATHER_ROW_CELLS a block is the rows of one fancy index, at most
-    GATHER_BLOCK_CELLS cells, summed in one numpy call; from there on
-    each row is added as a view, with no copy.
+
+def _weights_by_gather(sets) -> np.ndarray:
+    """Weights of sets of one field by counting, for every x, the d with
+    Tr(x d) = 0: q*n uint8 cells a set, summed in blocks of rows.  The
+    route for small sets, and the oracle.  Row b of the (len(sets), q)
+    int32 result holds set b's weight at x = 0 in column 0 and at
+    x = alpha^s in column 1 + s.
+
+    Row l < q - 1 of the window is the zero indicator of d = alpha^l
+    over x = alpha^s, s < q - 1, and in a batch of more than one set row
+    2(q - 1) is all ones, the indicator of d = 0.  Each set's logs are
+    padded with that row to the longest in the batch, so every set counts
+    `width` rows and its weight is width minus its count: d = 0 never
+    adds weight.  A block of at
+    most 255 rows a set is summed in uint8, which is exact because each
+    cell of the sum counts at most 255 zeros, and then added into the
+    int32 counts.  Below GATHER_ROW_CELLS a block is the rows of one
+    fancy index over one or more sets, at most GATHER_BLOCK_CELLS cells,
+    summed in one numpy call; from there on each row is added as a view,
+    with no copy.
     """
-    f, q = ds.field, ds.field.q
-    # logs of the nonzero members: n reads of LOG, not q of the mask in exp order
-    logs = f.LOG[np.flatnonzero(ds.mask[1:]) + 1]
+    f, q = sets[0].field, sets[0].field.q
+    # logs of the nonzero members: n reads of LOG, not q of a mask in exp order
+    if len(sets) == 1:
+        logs = f.LOG[np.flatnonzero(sets[0].mask[1:]) + 1][None]
+    else:
+        owner, members = np.nonzero(_masks(sets)[:, 1:])
+        sizes = np.bincount(owner, minlength=len(sets))
+        logs = np.full((len(sets), sizes.max()), 2 * (q - 1), dtype=np.int32)
+        place = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        logs[owner, place] = f.LOG[members + 1]
+    width = logs.shape[1]
     # t0[t] = 1 iff Tr(alpha^t) = 0, doubled so s + log d never needs a mod,
-    # and row l of the window is t0[l : l + q - 1]
-    t0 = (f.TR[f.EXP] == 0).view(np.uint8)
-    win = np.ndarray((q - 1, q - 1), np.uint8, t0, 0, (1, 1))
+    # then for a batch q - 1 ones; row l of the window is t0[l : l + q - 1]
+    t0 = f.TR[f.EXP] == 0
+    if len(sets) > 1:
+        t0 = np.concatenate((t0, np.ones(q - 1, dtype=bool)))
+    win = np.ndarray((len(t0) - q + 2, q - 1), np.uint8, t0.view(np.uint8), 0, (1, 1))
     win.setflags(write=False)
-    wide = q - 1 >= GATHER_ROW_CELLS
-    rows = 255 if wide else min(255, GATHER_BLOCK_CELLS // (q - 1))
-    counts = np.zeros(q - 1, dtype=np.int32)
-    for i in range(0, len(logs), rows):
-        if wide:
-            block = np.zeros(q - 1, dtype=np.uint8)
-            for lo in logs[i : i + rows].tolist():
-                block += win[lo]
-        else:
-            block = win[logs[i : i + rows]].sum(axis=0, dtype=np.uint8)
-        counts += block
-    weights = np.zeros(q, dtype=np.int32)
-    # d = 0 has Tr(x d) = 0 for every x, so it never adds weight
-    weights[f.EXP[: q - 1]] = len(logs) - counts
+    weights = np.zeros((len(sets), q), dtype=np.int32)
+    counts = weights[:, 1:]  # the weight at x = 0 stays 0
+    if q - 1 >= GATHER_ROW_CELLS:
+        for row, set_logs in zip(counts, logs):
+            for i in range(0, width, 255):
+                block = np.zeros(q - 1, dtype=np.uint8)
+                for lo in set_logs[i : i + 255].tolist():
+                    block += win[lo]
+                row += block
+    else:
+        rows = max(1, min(255, width, GATHER_BLOCK_CELLS // (q - 1)))
+        step = max(1, GATHER_BLOCK_CELLS // (rows * (q - 1)))
+        for b in range(0, len(sets), step):
+            for i in range(0, width, rows):
+                block = win[logs[b : b + step, i : i + rows]]
+                counts[b : b + step] += block.sum(axis=1, dtype=np.uint8)
+    np.subtract(width, counts, out=counts)
     return weights
 
 
 def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
     """The Walsh-Hadamard transform sum_d vec[d] (-1)^(d.u) for every u,
-    in place on vec, a signed integer array of 2^m cells, which is returned.
+    in place on vec, a signed integer array of 2^m cells or a batch of
+    such rows, which is returned.
 
     Step i combines each pair of cells that differ in bit i of the code
     into their sum and difference, the butterfly lo, hi <- lo + hi, lo - hi,
     done as lo += hi, hi *= -2, hi += lo with no scratch (MacWilliams &
     Sloane, Ch. 2; Fino & Algazi, IEEE T-C 25, 1976).  The arithmetic
     wraps modulo 2^bits, so every value is exact whenever the true values
-    fit the dtype, that is while sum |vec[d]| does.  Cost O(q*m).
+    fit the dtype, that is while sum |vec[d]| does.  Cost O(q*m) a row.
     """
     step = 1
-    while step < vec.size:
-        # code = sum_j d_j 2^j, so in C order bit i sits on axis 1
+    while step < vec.shape[-1]:
+        # code = sum_j d_j 2^j, so in C order bit i sits on axis 1, the rows
+        # of a batch on axis 0 with the higher bits
         pairs = vec.reshape(-1, 2, step)
         lo, hi = pairs[:, 0], pairs[:, 1]
         lo += hi
@@ -252,26 +289,30 @@ def walsh_hadamard(vec: np.ndarray) -> np.ndarray:
 def hyperplane_counts(f: Field, vec, dtype) -> np.ndarray:
     """N[u] = sum of vec[d] over the d with <d, u> = 0, for every
     coordinate vector u (indexed like an element code), on a state that
-    keeps one count per value t of <d, u>: the body for odd p.  At p = 2
-    the counts are (sum(vec) + W(u))/2 of `walsh_hadamard`, which is
-    cheaper; at odd p the characters are not integers.
+    keeps one count per value t of <d, u>: the body for odd p.  vec is
+    one row of q cells or a batch of such rows.  At p = 2 the counts are
+    (sum(vec) + W(u))/2 of `walsh_hadamard`, which is cheaper; at odd p
+    the characters are not integers.
 
     Before step i, F[t, c] sums vec over the d that share the digits of
     c from i up and have sum_{j<i} d_j u_j = t, u's digits being those of
     c below i.  Step i replaces digit d_i by u_i through
     F[t, ..u_i..] = sum_{d_i} F[(t - d_i u_i) mod p, ..d_i..].  The state
-    is laid out as (p, q), so every slice add runs over p^i contiguous
-    cells.  The first step reads vec as the only nonzero row, t = 0, and
-    the last keeps only row t = 0, so each of them adds about p*q cells,
-    against p^2*q for a step in between.  Every cell is a sum of entries
-    of vec, so it stays exact while the sum of their absolute values fits
-    the dtype.  Cost O(q*m*p^2); at most two states of p*q cells are held.
+    is laid out as (p, rows*q), so every slice add runs over p^i
+    contiguous cells, and the rows of a batch act as digits above the
+    top one.  The first step reads vec as the only nonzero row, t = 0,
+    and the last keeps only row t = 0, so each of them adds about p*q
+    cells, against p^2*q for a step in between.  Every cell is a sum of
+    entries of vec, so it stays exact while the sum of their absolute
+    values fits the dtype.  Cost O(q*m*p^2) a row; at most two states of
+    p*q cells a row are held.
     """
-    p, m, q = f.p, f.m, f.q
-    state = np.asarray(vec).reshape(1, q)
+    p, m = f.p, f.m
+    vec = np.asarray(vec)
+    state = vec.reshape(1, -1)
     for i in range(m):
         # code = sum_j d_j p^j, so in C order digit i sits on axis 2
-        src = state.reshape(len(state), p ** (m - 1 - i), p, p**i)
+        src = state.reshape(len(state), -1, p, p**i)
         rows_in, rows_out = len(src), 1 if i == m - 1 else p
         # from a full state, d = 0 (s = 0) writes every row of out first
         copied = rows_in == p
@@ -291,51 +332,60 @@ def hyperplane_counts(f: Field, vec, dtype) -> np.ndarray:
                 if top > 0:
                     out[:top, :, u] += src[p - s : p - s + top, :, d]
         state = out
-    return state.reshape(q)
+    return state.reshape(vec.shape)
 
 
-def _weights_by_hyperplane_count(ds: DefiningSet) -> np.ndarray:
-    """Weights from N(u) = |D meet u-perp| for every coordinate vector u.
+def _weights_by_hyperplane_count(sets) -> np.ndarray:
+    """Weights of sets of one field from N(u) = |D meet u-perp| for
+    every coordinate vector u.  Row b of the (len(sets), q) int32 result
+    holds set b's weight at x in column pi(x).
 
     Tr is GF(p)-linear, so Tr(x d) = sum_i d_i Tr(x b_i), b_i the element
     with code p^i, and the zero count of x is N(pi(x)) with
-    pi(x)_i = Tr(x b_i), a GF(p)-linear map of x the field holds as the
-    table `Field.PI`.  At p = 2, N(u) = (n + W(u))/2 for the
+    pi(x)_i = Tr(x b_i), a GF(p)-linear bijection (`Field.PI`).  A
+    histogram reads the columns as they come; only a reader that indexes
+    by x needs pi.  At p = 2 the weight is (n - W(u))/2 for the
     Walsh-Hadamard transform W of the mask of D, in place on one int32
-    copy of q cells; at odd p, N is `hyperplane_counts` on the mask read
-    as uint8, two int32 states of at most q*p cells.  Every value is at
-    most n <= q <= 2^24 in absolute value, so int32 cannot overflow.
+    row of q cells a set; at odd p, N is `hyperplane_counts` on the masks
+    read as uint8, two int32 states of at most q*p cells a set.  Every
+    value is at most n <= q <= 2^24 in absolute value, so int32 cannot
+    overflow.
     """
-    f, n, p, q = ds.field, ds.n, ds.field.p, ds.field.q
+    f = sets[0].field
+    p, q = f.p, f.q
     if q * p > TRANSFORM_MAX_CELLS:
         raise ValueError(f"transform state of {q}*{p} cells exceeds TRANSFORM_MAX_CELLS")
+    sizes = np.array([[ds.n] for ds in sets], dtype=np.int32)
     if p == 2:
-        zeros = walsh_hadamard(ds.mask.astype(np.int32))
-        zeros += n
-        zeros >>= 1
+        weights = walsh_hadamard(_masks(sets).astype(np.int32))
+        np.subtract(sizes, weights, out=weights)
+        weights >>= 1
     else:
-        zeros = hyperplane_counts(f, ds.mask.view(np.uint8), np.int32)
-    weights = zeros[f.PI]
-    return np.subtract(n, weights, out=weights)
+        weights = hyperplane_counts(f, _masks(sets).view(np.uint8), np.int32)
+        np.subtract(sizes, weights, out=weights)
+    return weights
 
 
-def _route(p: int, m: int, n: int):
-    """The weight route for n elements of GF(p^m), q = p^m.
+def _route(p: int, m: int, *ns: int):
+    """The weight route for a batch of sets of GF(p^m), q = p^m, of ns
+    elements each.
 
-    The transform makes m passes over q cells at p = 2 and m*p^2 at odd
-    p, each also costing TRANSFORM_CALL_CELLS, at TRANSFORM_CELL_COST
-    gather cells a cell; the gather touches q*n cells.  A size is
-    refused with ValueError, before any allocation, only when it fits
-    neither the transform's q*p cells (TRANSFORM_MAX_CELLS) nor the
-    gather's q*n cells (GATHER_MAX_CELLS).  When it fits one, that route
-    runs; when it fits both, the one that costs less.
+    The transform makes m passes over q cells a set at p = 2 and m*p^2
+    at odd p, each pass also costing TRANSFORM_CALL_CELLS once for the
+    batch, at TRANSFORM_CELL_COST gather cells a cell; the gather
+    touches q*n cells a set.  So a batch of one set costs what that set
+    costs alone.  A size is refused with ValueError, before any
+    allocation, only when some set fits neither the transform's q*p
+    cells (TRANSFORM_MAX_CELLS) nor the gather's q*n cells
+    (GATHER_MAX_CELLS).  When the batch fits one route, that route runs;
+    when it fits both, the one that costs less.
     """
-    q = p**m
+    q, n = p**m, max(ns)
     transform_fits = q * p <= TRANSFORM_MAX_CELLS
     gather_fits = q * n <= GATHER_MAX_CELLS
     passes = m if p == 2 else m * p * p
-    cost = TRANSFORM_CELL_COST * passes * (q + TRANSFORM_CALL_CELLS)
-    if transform_fits and (not gather_fits or cost < q * n):
+    cost = TRANSFORM_CELL_COST * passes * (len(ns) * q + TRANSFORM_CALL_CELLS)
+    if transform_fits and (not gather_fits or cost < q * sum(ns)):
         return _weights_by_hyperplane_count
     if gather_fits:
         return _weights_by_gather
@@ -345,17 +395,56 @@ def _route(p: int, m: int, n: int):
 
 def weights_by_zero_count(ds: DefiningSet) -> np.ndarray:
     """Weight of the codeword for every x, indexed by element code: n
-    minus the number of d in ds with Tr(x d) = 0."""
-    return _route(ds.field.p, ds.field.m, ds.n)(ds)
+    minus the number of d in ds with Tr(x d) = 0.  For the readers that
+    index by x, the Walsh values and the minimal codewords; a weight
+    distribution needs no x-order (`weight_distributions`)."""
+    return _x_ordered(_route(ds.field.p, ds.field.m, ds.n), ds)
+
+
+def _x_ordered(route, ds: DefiningSet) -> np.ndarray:
+    """The route's weights of ds alone, indexed by element code."""
+    f = ds.field
+    (weights,) = route([ds])
+    if route is _weights_by_hyperplane_count:
+        return weights[f.PI]
+    # the gather's column 1 + s holds x = alpha^s
+    out = np.empty_like(weights)
+    out[0] = weights[0]
+    out[f.EXP[: f.q - 1]] = weights[1:]
+    return out
+
+
+def weight_distributions(sets) -> list[WeightDistribution]:
+    """Exact weight distributions of the codes defined by sets, all over
+    one field, in their order.
+
+    One route serves the whole batch (`_route`), run on chunks of sets of
+    at most BATCH_CELLS cells.  Each chunk's weights, in the route's own
+    order of x, feed one histogram; the raw histograms are divided by
+    each kernel size p^(m-k), which must divide them exactly or the run
+    aborts.
+    """
+    sets = list(sets)
+    if not sets:
+        return []
+    f, ns = sets[0].field, [ds.n for ds in sets]
+    if len(sets) > 1 and any(ds.field is not f for ds in sets):
+        raise ValueError("the sets of one batch must share their field")
+    if 0 in ns:
+        raise ValueError("defining set is empty")
+    route = _route(f.p, f.m, *ns)
+    step = max(1, BATCH_CELLS // (f.q * f.p))
+    out = []
+    for lo in range(0, len(sets), step):
+        chunk = ns[lo : lo + step]
+        hist = _histogram(chunk, route(sets[lo : lo + step]))
+        out += distributions_from_raw_histograms(f, chunk, hist)
+    return out
 
 
 def build_code_weights(ds: DefiningSet) -> WeightDistribution:
-    """Exact weight distribution of the code defined by ds.
-
-    Enumerates all q codewords, then divides the raw histogram by the
-    kernel size p^(m-k); the division must be exact or the run aborts.
-    """
-    return distribution_from_weights(ds, weights_by_zero_count(ds))
+    """Exact weight distribution of the code defined by ds: the batch of one."""
+    return weight_distributions([ds])[0]
 
 
 def distribution_from_weights(ds: DefiningSet, weights: np.ndarray) -> WeightDistribution:
@@ -363,28 +452,65 @@ def distribution_from_weights(ds: DefiningSet, weights: np.ndarray) -> WeightDis
     W[x] = wt(c_x) over all q values of x."""
     if ds.n == 0:
         raise ValueError("defining set is empty")
-    hist = np.zeros(ds.n + 1, dtype=np.int64)
-    np.add.at(hist, weights, 1)  # no q-cell copy, unlike bincount's cast to intp
-    return distribution_from_raw_histogram(ds.field, ds.n, hist)
+    (wd,) = distributions_from_raw_histograms(ds.field, [ds.n], _histogram([ds.n], weights[None]))
+    return wd
 
 
-def distribution_from_raw_histogram(f: Field, n: int, hist) -> WeightDistribution:
-    raw0 = int(hist[0])
-    kernel = raw0
-    t = 0
-    while kernel % f.p == 0:
-        kernel //= f.p
-        t += 1
-    if kernel != 1:
-        raise ArithmeticError(f"zero-weight count {raw0} is not a power of p = {f.p}")
-    k = f.m - t
-    counts = {}
-    for w in np.flatnonzero(hist):
-        c = int(hist[w])
-        if c % raw0:
-            raise ArithmeticError(f"raw count {c} at weight {int(w)} not divisible by {raw0}")
-        counts[int(w)] = c // raw0
-    return WeightDistribution(p=f.p, m=f.m, n=n, k=k, counts=counts)
+def _starts(ns) -> list[int]:
+    """Where the n + 1 counts of each n in ns start when laid one after
+    another, and, last, their total."""
+    starts = [0]
+    for n in ns:
+        starts.append(starts[-1] + n + 1)
+    return starts
+
+
+def _histogram(ns, weights: np.ndarray) -> np.ndarray:
+    """The raw histograms of rows of weights, row b the weights of an
+    n = ns[b] code over all q values of x in any order, laid out as
+    `_starts` says: one bincount of the rows shifted to their own
+    offsets.  Past BATCH_CELLS cells, which only one row of a large
+    field reaches, np.add.at counts in place: bincount would copy the
+    cells to intp, and in chunks it would add a second histogram of up
+    to q cells a chunk."""
+    starts = _starts(ns)
+    if len(ns) > 1:
+        weights = weights + np.array(starts[:-1], dtype=np.int32)[:, None]
+    if weights.size <= BATCH_CELLS:
+        return np.bincount(weights.ravel(), minlength=starts[-1])
+    hist = np.zeros(starts[-1], dtype=np.int64)
+    np.add.at(hist, weights, 1)
+    return hist
+
+
+def distributions_from_raw_histograms(f: Field, ns, hist) -> list[WeightDistribution]:
+    """Distributions from raw weight counts over all q values of x, the
+    n + 1 counts of each n in ns one after another in hist.  Each set's
+    zero-weight count is its kernel size p^(m-k), and each count must be
+    a multiple of it, or the run aborts."""
+    p, m = f.p, f.m
+    starts, hist = _starts(ns), np.asarray(hist)
+    (at,) = hist.nonzero()
+    places, values = at.tolist(), hist[at].tolist()
+    # the nonzero counts of set b are at cuts[b]:cuts[b + 1]
+    cuts = [bisect.bisect_left(places, start) for start in starts]
+    out = []
+    for n, start, a, z in zip(ns, starts, cuts, cuts[1:]):
+        raw0 = values[a] if a < z and places[a] == start else 0
+        kernel, t = raw0, 0
+        while kernel > 1 and kernel % p == 0:
+            kernel //= p
+            t += 1
+        if kernel != 1 or t > m:
+            raise ArithmeticError(f"zero-weight count {raw0} is not a power of p = {p}")
+        counts = {}
+        for place, c in zip(places[a:z], values[a:z]):
+            if c % raw0:
+                w = place - start
+                raise ArithmeticError(f"raw count {c} at weight {w} not divisible by {raw0}")
+            counts[place - start] = c // raw0
+        out.append(WeightDistribution(p=p, m=m, n=n, k=m - t, counts=counts))
+    return out
 
 
 # ----------------------------------------------------------------------

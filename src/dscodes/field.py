@@ -30,7 +30,8 @@ table is the one-column map of the Tr(alpha^i), each the trace of C^i.
 EXP walks the coordinates of its first b ~ sqrt(q) powers by doubling,
 then reads each block of b through the table of x -> g^b * x, which is
 then refilled as LOG in blocks of `TABLE_BLOCK` cells.
-`Field.PI`, the kernel's map x -> (Tr(x alpha^j))_j, is built on first use.
+`Field.PI`, the map x -> (Tr(x alpha^j))_j, is built on first use, by the
+readers of weights indexed by x; a weight histogram never needs it.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ MAX_Q = 1 << 24
 MAX_P = 251
 # int64 exponents `Field.power_table` holds at once, 2 MB
 POWER_BLOCK = 1 << 18
-# cells one step of a table build writes at once: a LOG scatter, an odd-p
-# chunk of `Field.linear_map`
+# cells one step of a table build writes or reads at once: a LOG scatter, an
+# odd-p chunk of `Field.linear_map`, a block of the trace table's balance count
 TABLE_BLOCK = 1 << 14
 
 
@@ -350,12 +351,12 @@ class Field:
         p, q = self.p, self.q
         basis = np.trace(self._alpha_powers, axis1=1, axis2=2) % p
         self.tr_basis = tuple(basis.tolist())
-        tr = self.linear_map(basis[:, None])
+        tr = self.linear_map(basis[:, None]).astype(np.uint8)
         counts = np.zeros(p, dtype=np.int64)
-        np.add.at(counts, tr, 1)  # no q-sized temporary, unlike bincount's cast to intp
+        for lo in range(0, q, TABLE_BLOCK):  # bincount's cast to intp, one block at a time
+            counts += np.bincount(tr[lo : lo + TABLE_BLOCK], minlength=p)
         if not np.all(counts == q // p):
             raise AssertionError("trace table is not balanced")
-        tr = tr.astype(np.uint8)
         tr.setflags(write=False)
         self.TR = tr
 

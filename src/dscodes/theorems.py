@@ -19,8 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sets, spectra
-from .code import DefiningSet, WeightDistribution, _route, build_code_weights
+from . import code, sets, spectra
+from .code import (
+    DefiningSet,
+    WeightDistribution,
+    _route,
+    build_code_weights,
+    weight_distributions,
+)
 from .field import Field, get_field
 
 DEFAULT_SEED = 101
@@ -236,7 +242,7 @@ def predict_cubic_trace_even(m: int) -> WeightDistribution:
 class Instance:
     """One built claim instance.  `predict` and `construct` run only
     when every check passed; `construct` returns the set to enumerate,
-    or a distribution a check already enumerated."""
+    or a distribution already enumerated, by a check or in a batch."""
 
     claim: str  # the CLAIMS token
     params: dict
@@ -310,13 +316,11 @@ def _split(field, arg) -> Instance:
     )
     if overlap:
         return inst
-    union_wd = build_code_weights(sets.union_disjoint(d1, d2))
+    union_wd, wd1, wd2 = weight_distributions([sets.union_disjoint(d1, d2), d1, d2])
     weights = [w for w, _ in union_wd.nonzero_items()]
     inst.checks.append(
         HypothesisCheck("union-one-weight", len(weights) == 1, f"union weights {weights}")
     )
-    wd1 = build_code_weights(d1)
-    wd2 = build_code_weights(d2)
     inst.checks.append(
         HypothesisCheck(
             "equal-dimensions", wd1.k == union_wd.k and wd2.k == union_wd.k,
@@ -345,8 +349,13 @@ def _complement(field, base: DefiningSet) -> Instance:
     complement no weight route fits is refused before the base is enumerated."""
     f = base.field
     _route(f.p, f.m, f.q - base.n)
+    return _reflection(base, build_code_weights(base))
+
+
+def _reflection(base: DefiningSet, base_wd: WeightDistribution) -> Instance:
+    """The cor3 instance on base, from its enumerated distribution."""
+    f = base.field
     full_weight = (f.p - 1) * f.p ** (f.m - 1)
-    base_wd = build_code_weights(base)
     checks = [
         HypothesisCheck("full-dimension", base_wd.k == f.m, f"k = {base_wd.k}, m = {f.m}"),
         HypothesisCheck(
@@ -513,21 +522,27 @@ def _expansion_sweep(f: Field, seed: int) -> ExpansionPropertyReport:
     if p < 3:
         raise ValueError("needs p >= 3 so GF(p)* has nontrivial subsets")
     rng = random.Random(seed)
-    verdicts = []
+    pairs = []  # (|E|, D, ED) of each complete trial
     for _ in range(EXPANSION_TRIALS):
         d_size = rng.randint(1, min(8, f.q - 1))
         d = DefiningSet(f, tuple(rng.sample(range(1, f.q), d_size)), label="random")
         e_digits = tuple(rng.sample(range(1, p), rng.randint(1, p - 1)))
-        verdicts.append(verify("thm1", f, (e_digits, d)).verdict)
-    all_matched = VERDICT_MISMATCH not in verdicts
+        product, complete = sets.product_set(e_digits, d)
+        if complete:
+            pairs.append((len(set(e_digits)), d, product))
 
     # deterministic incomplete pair: D = {1, 2} is closed under the
     # scalar 2, so E = {1, 2} collapses products and the stretch fails
     two = 2 % p
     d0 = DefiningSet(f, (1, two), label="proportional-pair")
     product, complete = sets.product_set((1, two), d0)
-    base_wd = build_code_weights(d0)
-    prod_wd = build_code_weights(product)
+    *wds, base_wd, prod_wd = weight_distributions(
+        [s for _, d, prod in pairs for s in (d, prod)] + [d0, product]
+    )
+    all_matched = all(
+        stretch_distribution(d_wd, ell) == ed_wd
+        for (ell, _, _), d_wd, ed_wd in zip(pairs, wds[::2], wds[1::2])
+    )
     stretched = stretch_distribution(base_wd, 2)
     counterexample = {
         "D": [1, two],
@@ -542,8 +557,7 @@ def _expansion_sweep(f: Field, seed: int) -> ExpansionPropertyReport:
         all_matched = False
     return ExpansionPropertyReport(
         p=p, m=f.m, seed=seed, trials=EXPANSION_TRIALS,
-        complete_trials=EXPANSION_TRIALS - verdicts.count(VERDICT_HYPOTHESIS),
-        incomplete_trials=verdicts.count(VERDICT_HYPOTHESIS),
+        complete_trials=len(pairs), incomplete_trials=EXPANSION_TRIALS - len(pairs),
         all_matched=all_matched, counterexample=counterexample,
     )
 
@@ -558,19 +572,6 @@ def _all_nonempty_subsets(universe):
     for mask in range(1, 1 << len(universe)):
         out.append(tuple(universe[i] for i in range(len(universe)) if mask >> i & 1))
     return out
-
-
-def _random_reflectable_set(f: Field, rng: random.Random) -> Instance:
-    """The first cor3 instance on a random D that meets its hypotheses."""
-    if f.q - 2 < f.m:
-        raise ValueError(f"GF({f.p}^{f.m}) is too small for cor3: D needs m to q - 2 elements")
-    for _ in range(REFLECTABLE_TRIES):
-        size = rng.randint(f.m, min(f.q - 2, f.m + 6))
-        inst = _complement(f, DefiningSet(f, tuple(rng.sample(range(f.q), size)), label="random"))
-        if inst.holds:
-            return inst
-    # a range too small to hold such a set is a usage error, not a falsification
-    raise ValueError("could not sample a set meeting the reflection hypotheses")
 
 
 def _one_per_m(parity: int | None = None, arg=lambda f: None):
@@ -592,9 +593,40 @@ def _scalar_subsets(build, p, m, rng, trials):
 
 
 def _reflectable_sets(build, p, m, rng, trials):
+    """`trials` cor3 instances, each on the first random D after the last
+    kept one that meets the hypotheses, or ValueError after
+    REFLECTABLE_TRIES misses in a row.
+
+    Drawn in rounds of as many candidates as trials are left, at most
+    max(1, code.BATCH_CELLS // q): a round never draws past the last
+    candidate a walk of one candidate at a time would draw, so rng moves
+    exactly as it would.  A round's bases are enumerated in one call, and
+    the complements of the ones that hold in another."""
     f = get_field(p, m)
-    for _ in range(trials):
-        yield _random_reflectable_set(f, rng)
+    if f.q - 2 < f.m:
+        raise ValueError(f"GF({f.p}^{f.m}) is too small for cor3: D needs m to q - 2 elements")
+    misses = 0
+    while trials:
+        bases = []
+        for _ in range(min(trials, max(1, code.BATCH_CELLS // f.q))):
+            size = rng.randint(f.m, min(f.q - 2, f.m + 6))
+            bases.append(DefiningSet(f, tuple(rng.sample(range(f.q), size)), label="random"))
+        for base in bases:  # an unfit complement is refused before any base is enumerated
+            _route(f.p, f.m, f.q - base.n)
+        kept = []
+        for base, wd in zip(bases, weight_distributions(bases)):
+            inst = _reflection(base, wd)
+            misses = 0 if inst.holds else misses + 1
+            if misses == REFLECTABLE_TRIES:
+                # a range too small to hold such a set is a usage error, not a falsification
+                raise ValueError("could not sample a set meeting the reflection hypotheses")
+            if inst.holds:
+                kept.append((base, inst))
+        complements = weight_distributions([sets.complement(base) for base, _ in kept])
+        for (_, inst), wd in zip(kept, complements):
+            inst.construct = lambda wd=wd: wd
+            yield inst
+        trials -= len(kept)
 
 
 def _diagonal_forms(claim: str):

@@ -19,6 +19,7 @@ from dscodes.code import (
     pless_moments_check,
     _weights_by_gather,
     _weights_by_hyperplane_count,
+    _x_ordered,
 )
 from dscodes.field import get_field
 from moduli import alternate_field, transport
@@ -147,10 +148,9 @@ def test_criterion_06_one_weight_codes_for_every_scalar_subset():
 def test_criterion_07_complement_reflection_sweep():
     total = 0
     for p, m, count in [(2, 4, 34), (3, 3, 33), (2, 5, 33)]:
-        f = get_field(p, m)
-        rng = random.Random(1000 + f.q)
-        for _ in range(count):
-            rep = theorems._run(theorems._random_reflectable_set(f, rng))
+        rng = random.Random(1000 + p**m)
+        for inst in theorems._reflectable_sets(theorems._complement, p, m, rng, count):
+            rep = theorems._run(inst)
             assert rep.verdict == "match", (p, m, rep.params, rep.first_diff)
             total += 1
     assert total == 100
@@ -188,8 +188,8 @@ def test_criterion_09_structural_property_suites(catalog_with_weights):
         assert pless_moments_check(wd).ok, ds
         if f.q <= 1 << 10:
             assert np.array_equal(
-                _weights_by_hyperplane_count(ds),
-                _weights_by_gather(ds),
+                _x_ordered(_weights_by_hyperplane_count, ds),
+                _x_ordered(_weights_by_gather, ds),
             ), ds
         shuffled = list(ds.elements)
         rng.shuffle(shuffled)

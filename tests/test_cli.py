@@ -418,6 +418,15 @@ def test_flag_parser_agrees_with_argparse_from_the_same_tables():
     assert seen == {"ok", "help", "refused"}
 
 
+@pytest.mark.parametrize("command", ["field", "code", "expsum", "walsh", "ssreport"])
+def test_m_is_required_where_every_run_reads_it(capsys, command):
+    code, out, err = run(capsys, command, "-h")
+    assert re.search(r"\n  --m +.*\(required\)\n", out), out
+    code, out, err = run(capsys, *[a for a in BASE_ARGV[command] if a not in ("--m", "3")])
+    assert (code, out) == (3, "")
+    assert f"{command} needs --m" in err
+
+
 def test_help_prints_usage_to_stdout_and_exits_zero(capsys):
     for argv in (["--help"], ["-h"]) + tuple([cmd, "-h"] for cmd in cli._COMMANDS):
         code, out, err = run(capsys, *argv)

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -18,7 +19,8 @@ from dscodes.code import (
     _weights_by_gather,
     _weights_by_hyperplane_count,
     build_code_weights,
-    distribution_from_raw_histogram,
+    _x_ordered,
+    distributions_from_raw_histograms,
     dual_distance,
     griesmer_check,
     hyperplane_counts,
@@ -26,9 +28,10 @@ from dscodes.code import (
     pless_moments_check,
     summarize,
     walsh_hadamard,
+    weight_distributions,
     weights_by_zero_count,
 )
-from dscodes.field import get_field
+from dscodes.field import Field, get_field
 from dscodes.secretshare import minimal_codewords
 from moduli import alternate_field, transport
 from test_field import _trace_by_definition
@@ -97,8 +100,8 @@ def test_two_enumeration_routes_agree(catalog_with_weights):
     # the size rule sends most of these small sets to the gather, so
     # both routes are called directly
     for ds, wd in catalog_with_weights:
-        a = _weights_by_hyperplane_count(ds)
-        b = _weights_by_gather(ds)
+        a = _x_ordered(_weights_by_hyperplane_count, ds)
+        b = _x_ordered(_weights_by_gather, ds)
         assert np.array_equal(a, b), ds
         assert np.array_equal(weights_by_zero_count(ds), b), ds
 
@@ -119,8 +122,8 @@ def test_transform_matches_gather_on_random_sets(p, m):
         assert _route(p, m, f.q) is _weights_by_hyperplane_count
     for n in sorted({1, f.q, rng.randint(1, f.q), rng.randint(1, f.q)}):
         ds = DefiningSet(f, rng.sample(range(f.q), n))
-        a = _weights_by_hyperplane_count(ds)
-        b = _weights_by_gather(ds)
+        a = _x_ordered(_weights_by_hyperplane_count, ds)
+        b = _x_ordered(_weights_by_gather, ds)
         assert a.dtype == np.int32
         assert np.array_equal(a, b), (p, m, n)
 
@@ -156,15 +159,106 @@ def test_gather_blocks_match_both_oracles(monkeypatch, p, m):
     for elements in cases:
         expected = _weights_by_definition(f, elements)
         ds = DefiningSet(f, elements)
-        assert np.array_equal(_weights_by_hyperplane_count(ds), expected)
+        assert np.array_equal(_x_ordered(_weights_by_hyperplane_count, ds), expected)
         # blocks of 255 rows, of 7 rows, and one row at a time by views
         for block_cells, row_cells in ((1 << 19, 1 << 14), (7 * (f.q - 1), 1 << 14), (1 << 19, 1)):
             with monkeypatch.context() as patch:
                 patch.setattr(code, "GATHER_BLOCK_CELLS", block_cells)
                 patch.setattr(code, "GATHER_ROW_CELLS", row_cells)
-                weights = _weights_by_gather(ds)
+                weights = _x_ordered(_weights_by_gather, ds)
             assert weights.dtype == np.int32
             assert np.array_equal(weights, expected), (p, m, len(elements), block_cells, row_cells)
+
+
+def _distribution_by_definition(f, elements):
+    """(counts, kernel size) of the code, off the weights by definition."""
+    raw = collections.Counter(_weights_by_definition(f, elements).tolist())
+    return {w: c // raw[0] for w, c in raw.items()}, raw[0]
+
+
+def _random_batch(f, rng):
+    """Sets of mixed n over f: {0}, a set holding 0, GF(q)*, one element
+    and random sizes."""
+    units = list(range(1, f.q))
+    return [
+        [0],
+        [0] + rng.sample(units, rng.randint(1, f.q - 2)),
+        units,
+        [rng.randrange(1, f.q)],
+    ] + [rng.sample(range(f.q), rng.randint(1, f.q)) for _ in range(4)]
+
+
+@pytest.mark.parametrize("p,m", [(2, 7), (3, 5), (5, 3), (7, 3)])
+def test_batched_routes_match_the_definition(monkeypatch, p, m):
+    f = get_field(p, m)
+    rng = random.Random(31 * p + m)
+    batch = _random_batch(f, rng)
+    expected = [_distribution_by_definition(f, elements) for elements in batch]
+    sets_ = [DefiningSet(f, elements) for elements in batch]
+    for route in (None, _weights_by_gather, _weights_by_hyperplane_count):
+        with monkeypatch.context() as patch:
+            if route is not None:
+                patch.setattr(code, "_route", lambda p, m, *ns, _route=route: _route)
+            wds = weight_distributions(sets_)
+        for wd, (counts, kernel), ds in zip(wds, expected, sets_):
+            assert (wd.n, wd.counts, p ** (m - wd.k)) == (ds.n, counts, kernel), (route, ds)
+
+
+@pytest.mark.parametrize("p,m", [(2, 6), (3, 4)])
+def test_batches_over_several_chunks_match_the_batch_of_one(monkeypatch, p, m):
+    f = get_field(p, m)
+    sets_ = [DefiningSet(f, elements) for elements in _random_batch(f, random.Random(p + m))]
+    alone = [build_code_weights(ds) for ds in sets_]
+    assert weight_distributions(sets_) == alone
+    # two sets a chunk; one set a chunk and its histogram in column chunks;
+    # gather blocks of two sets and three rows, and rows added as views
+    for cells, block, row in ((2 * f.q * p, 1 << 19, 1 << 14), (f.q // 3, 1 << 19, 1 << 14),
+                              (1 << 20, 6 * (f.q - 1), 1 << 14), (1 << 20, 1 << 19, 1)):
+        with monkeypatch.context() as patch:
+            patch.setattr(code, "BATCH_CELLS", cells)
+            patch.setattr(code, "GATHER_BLOCK_CELLS", block)
+            patch.setattr(code, "GATHER_ROW_CELLS", row)
+            for route in (_weights_by_gather, _weights_by_hyperplane_count):
+                patch.setattr(code, "_route", lambda p, m, *ns, _route=route: _route)
+                assert weight_distributions(sets_) == alone, (cells, block, row, route)
+                assert [weight_distributions([ds])[0] for ds in sets_] == alone
+
+
+def test_batch_refusals():
+    f, g = get_field(2, 4), get_field(3, 2)
+    assert weight_distributions([]) == []
+    with pytest.raises(ValueError, match="share their field"):
+        weight_distributions([DefiningSet(f, [1]), DefiningSet(g, [1])])
+    with pytest.raises(ValueError, match="empty"):
+        weight_distributions([DefiningSet(f, [1]), DefiningSet(f, [])])
+
+
+def test_batch_route_counts_the_fixed_cost_once():
+    # one set of 200 elements of GF(2^11) goes to the gather; 40 of them
+    # share one transform call, which then costs less than 40 gathers
+    q = 1 << 11
+    assert TRANSFORM_CELL_COST * 11 * (q + TRANSFORM_CALL_CELLS) > q * 200
+    assert _route(2, 11, 200) is _weights_by_gather
+    assert TRANSFORM_CELL_COST * 11 * (40 * q + TRANSFORM_CALL_CELLS) < q * 200 * 40
+    assert _route(2, 11, *[200] * 40) is _weights_by_hyperplane_count
+    # a set no route fits refuses the whole batch, with that set's size
+    with pytest.raises(ValueError, match="200000 elements of GF"):
+        _route(251, 3, 5, 200000)
+
+
+# the gather below its row bound, and the transform, at p = 2 and 3
+@pytest.mark.parametrize("p,m,n", [(2, 6, 5), (2, 12, 4000), (3, 4, 5), (3, 8, 6000)])
+def test_weight_distributions_never_build_pi(p, m, n):
+    f = Field(p, m)  # uncached, so PI is not built yet
+    ds = DefiningSet(f, random.Random(n).sample(range(f.q), n))
+    route = _route(p, m, n)
+    assert route is (_weights_by_gather if n < 10 else _weights_by_hyperplane_count)
+    wd = build_code_weights(ds)
+    assert weight_distributions([ds, sets.complement(ds)])[0] == wd
+    assert "PI" not in vars(f)
+    # the weights indexed by x do read PI off the transform
+    weights_by_zero_count(ds)
+    assert ("PI" in vars(f)) == (route is _weights_by_hyperplane_count)
 
 
 @pytest.mark.parametrize("m", [1, 3, 6])
@@ -275,7 +369,7 @@ def test_histogram_division_rejects_inexact():
     # raw zero counts over GF(4), n = 3: raw0 = 2 does not divide the count 3
     f = get_field(2, 2)
     with pytest.raises(ArithmeticError, match="not divisible"):
-        distribution_from_raw_histogram(f, 3, np.array([2, 0, 3, 0]))
+        distributions_from_raw_histograms(f, [3], np.array([2, 0, 3, 0]))
 
 
 def test_macwilliams_involution(catalog_with_weights):

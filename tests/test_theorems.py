@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dscodes import sets, theorems
+from dscodes import code, sets, theorems
 from dscodes.code import DefiningSet, WeightDistribution, build_code_weights
 from dscodes.field import get_field
 from dscodes.theorems import (
@@ -181,10 +181,60 @@ def test_complement_rejects_full_weight():
 def test_complement_random_sweep():
     rng = random.Random(23)
     for p, m in [(2, 4), (3, 3)]:
-        f = get_field(p, m)
-        for _ in range(10):
-            inst = theorems._random_reflectable_set(f, rng)
+        insts = list(theorems._reflectable_sets(theorems._complement, p, m, rng, 10))
+        assert len(insts) == 10
+        for inst in insts:
             assert theorems._run(inst).verdict == "match"
+
+
+def _one_at_a_time(f, rng, trials):
+    """The cor3 draws of `trials` kept instances, one candidate at a time,
+    each base enumerated alone: (base, instance) per candidate."""
+    for _ in range(trials):
+        holds = False
+        while not holds:
+            size = rng.randint(f.m, min(f.q - 2, f.m + 6))
+            base = DefiningSet(f, tuple(rng.sample(range(f.q), size)), label="random")
+            inst = theorems._complement(f, base)
+            holds = inst.holds
+            yield base, inst
+
+
+# one round a value, and rounds of at most 7, 3 and 1 sets at q = 16, 32 and 64
+@pytest.mark.parametrize("cells", [code.BATCH_CELLS, 7 * 16])
+def test_cor3_rounds_draw_the_sets_of_a_one_at_a_time_walk(monkeypatch, cells):
+    monkeypatch.setattr(code, "BATCH_CELLS", cells)
+    drawn = []
+    reflection = theorems._reflection
+    monkeypatch.setattr(
+        theorems, "_reflection", lambda base, wd: drawn.append(base) or reflection(base, wd)
+    )
+    for p, values in ((2, (4, 5, 6)), (3, (3, 4))):
+        rng, walk_rng = random.Random(7), random.Random(7)
+        for m in values:
+            f = get_field(p, m)
+            drawn.clear()
+            insts = list(theorems._reflectable_sets(theorems._complement, p, m, rng, 30))
+            bases = drawn[:]
+            walk = list(_one_at_a_time(f, walk_rng, 30))
+            assert bases == [base for base, _ in walk], (p, m)
+            assert rng.getstate() == walk_rng.getstate(), (p, m)
+            assert len(walk) > len(insts) == 30
+            kept = [inst for _, inst in walk if inst.holds]
+            assert [theorems._run(i) for i in insts] == [theorems._run(i) for i in kept], (p, m)
+
+
+def test_cor3_gives_up_after_a_run_of_misses_only(monkeypatch):
+    f = get_field(2, 3)
+    holds = [inst.holds for _, inst in _one_at_a_time(f, random.Random(2), 40)]
+    longest = max(len(run) for run in "".join("x."[h] for h in holds).split("."))
+    assert holds.count(False) > 2 * longest > 2  # misses in several runs
+    monkeypatch.setattr(code, "BATCH_CELLS", 7 * f.q)  # rounds of at most 7
+    monkeypatch.setattr(theorems, "REFLECTABLE_TRIES", longest + 1)
+    assert len(list(theorems._reflectable_sets(None, 2, 3, random.Random(2), 40))) == 40
+    monkeypatch.setattr(theorems, "REFLECTABLE_TRIES", longest)
+    with pytest.raises(ValueError, match="could not sample"):
+        list(theorems._reflectable_sets(None, 2, 3, random.Random(2), 40))
 
 
 # ----------------------------------------------------------------------
@@ -409,14 +459,29 @@ def _record_calls(monkeypatch, module, name):
 
 
 def test_cor3_scan_enumerates_base_and_complement_once(monkeypatch):
-    weights = _record_calls(monkeypatch, theorems, "build_code_weights")
-    built = _record_calls(monkeypatch, theorems, "_complement")
+    singles = _record_calls(monkeypatch, theorems, "build_code_weights")
+    batches = _record_calls(monkeypatch, theorems, "weight_distributions")
+    built = _record_calls(monkeypatch, theorems, "_reflection")
     reports = scan("cor3", (4, 5), p=2, trials=25)
     rejected = sum(not inst.holds for inst in built)
     assert len(reports) == 50 and rejected > 0
     assert len(built) == len(reports) + rejected
-    # one kernel call per draw for its base, one per report for its complement
-    assert len(weights) == 2 * len(reports) + rejected
+    # every set enumerated in a batch: a base per draw, a complement per report
+    assert not singles
+    assert sum(len(wds) for wds in batches) == 2 * len(reports) + rejected
+
+
+def test_sweep_and_split_enumerate_their_sets_in_one_call(monkeypatch):
+    singles = _record_calls(monkeypatch, theorems, "build_code_weights")
+    batches = _record_calls(monkeypatch, theorems, "weight_distributions")
+    rep = theorems.verify("thm1prop", get_field(3, 2), seed=101)
+    # each complete trial's D and ED, and the counterexample's pair
+    assert [len(wds) for wds in batches] == [2 * rep.complete_trials + 2]
+    batches.clear()
+    f = get_field(2, 5)
+    theorems.verify("thm2", f, theorems._split_off_rest(sets.tr_cubic_set(f)))
+    assert [len(wds) for wds in batches] == [3]  # the union and both halves
+    assert not singles
 
 
 def test_cor4_scan_evaluates_each_form_once(monkeypatch):
