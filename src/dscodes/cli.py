@@ -115,8 +115,8 @@ def _read_truth_table_bits(path: str, q: int) -> str:
 
 def _truth_table_for_field(f: Field, path: str) -> np.ndarray:
     text = _read_truth_table_bits(path, f.q)
-    bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
-    out = np.zeros(f.q, dtype=np.int64)
+    bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord("1")
+    out = np.zeros(f.q, dtype=bool)
     out[0] = bits[-1]
     # bit q-2-t belongs to alpha^t
     out[f.EXP[: f.q - 1]] = bits[f.q - 2 :: -1]
@@ -235,7 +235,7 @@ class _SetOption:
         return _parse_int_list(self._body("product:", "product:<digits> or no --set"))
 
     def table(self, f: Field) -> np.ndarray:
-        """Truth table from bool:<file>, else that of Tr(x^3)."""
+        """Truth table as a bool mask, from bool:<file>, else that of Tr(x^3)."""
         if not self.text:
             return spectra.tr_cubic_table(f)
         return _truth_table_for_field(f, self._body("bool:", "bool:<file> or no --set"))

@@ -144,17 +144,14 @@ def is_e_to_1(table):
 # ----------------------------------------------------------------------
 
 
-def boolean_support(f: Field, table) -> DefiningSet:
-    """Support {x : f(x) = 1} of a Boolean function given by its truth table."""
+def boolean_support(f: Field, mask) -> DefiningSet:
+    """Support {x : f(x) = 1} of a Boolean function given as a bool mask."""
     if f.p != 2:
         raise ValueError("Boolean supports need p = 2")
-    table = np.asarray(table, dtype=np.int64)
-    if table.shape != (f.q,) or not np.all((table == 0) | (table == 1)):
-        raise ValueError("truth table must be q bits")
-    n_f = int(table.sum())
+    n_f = int(np.count_nonzero(mask))
     if not n_f:
         raise ValueError("function is identically zero")
-    return DefiningSet.from_mask(f, table, label=f"bool-support n_f={n_f}")
+    return DefiningSet.from_mask(f, mask, label=f"bool-support n_f={n_f}")
 
 
 def hkm_exponent(h: int) -> int:

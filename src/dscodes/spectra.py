@@ -182,7 +182,7 @@ def walsh_transform(f: Field, table) -> WalshSpectrum:
     for u in the trace code defined by S.
     """
     _require_binary(f)
-    table = np.asarray(table, dtype=np.int64)
+    table = np.asarray(table)
     if table.shape != (f.q,) or not np.all((table == 0) | (table == 1)):
         raise ValueError("truth table must be q bits")
     support = DefiningSet.from_mask(f, table)
@@ -193,6 +193,6 @@ def walsh_transform(f: Field, table) -> WalshSpectrum:
 
 
 def tr_cubic_table(f: Field) -> np.ndarray:
-    """Truth table of x -> Tr(x^3)."""
+    """Truth table of x -> Tr(x^3) as a bool mask indexed by element code."""
     _require_binary(f)
-    return f.TR[f.power_table(3)].astype(np.int64)
+    return f.TR[f.power_table(3)].view(bool)

@@ -419,20 +419,19 @@ def _boolean_complement(field: Field, table) -> Instance:
     the function's Walsh spectrum."""
     if field.p != 2:
         raise ValueError("Boolean claims need p = 2")
-    table = np.asarray(table, dtype=np.int64)
-    q = field.q
-    n_f = int(table.sum())
+    spectrum = spectra.walsh_transform(field, table)  # refuses a table that is not q bits
+    mask = np.asarray(table, dtype=bool)
+    q, n_f = field.q, spectrum.n_f
     inst = Instance(
         "cor5", {"p": 2, "m": field.m, "n_f": n_f},
         [
-            HypothesisCheck("vanishes-at-origin", int(table[0]) == 0, f"f(0) = {int(table[0])}"),
+            HypothesisCheck("vanishes-at-origin", not mask[0], f"f(0) = {int(mask[0])}"),
             HypothesisCheck("not-identically-zero", n_f > 0, f"n_f = {n_f}"),
             HypothesisCheck("zeros-exist-off-origin", n_f <= q - 2, f"n_f = {n_f}, q = {q}"),
         ],
     )
     if not inst.holds:
         return inst
-    spectrum = spectra.walsh_transform(field, table)
     nonzero_vals = spectrum.values[1:]
     avoid = not (nonzero_vals == 2 * n_f).any()
     top = int(nonzero_vals.max())
@@ -448,7 +447,7 @@ def _boolean_complement(field: Field, table) -> Instance:
             f"max transform {top}, bound {2 * (q - n_f)}",
         )
     )
-    zeros = np.concatenate(([False], table[1:] == 0))
+    zeros = np.concatenate(([False], ~mask[1:]))
     inst.predict = lambda: predict_boolean_complement(spectrum)
     inst.construct = lambda: DefiningSet.from_mask(field, zeros, label=f"bool-zeros n_f={n_f}")
     return inst

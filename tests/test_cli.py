@@ -605,7 +605,9 @@ def test_truth_table_bit_order_matches_scalar_oracle(tmp_path):
         want[0] = int(bits[-1])
         for t in range(f.q - 1):
             want[f.antilog(t)] = int(bits[f.q - 2 - t])
-        assert cli._truth_table_for_field(f, str(path)).tolist() == want, m
+        table = cli._truth_table_for_field(f, str(path))
+        assert table.dtype == bool
+        assert table.tolist() == want, m
 
 
 def test_truth_table_errors(capsys, tmp_path):

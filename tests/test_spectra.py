@@ -111,9 +111,12 @@ def test_walsh_transform_matches_naive():
             f0_set,
         ]
         for table in tables:
-            fast = spectra.walsh_transform(f, table)
             slow = _walsh_naive(f, table)
-            assert np.array_equal(fast.values, slow)
+            # the same bits as an int64 table, a bool mask and a list
+            for given in (table, table.astype(bool), table.tolist()):
+                fast = spectra.walsh_transform(f, given)
+                assert np.array_equal(fast.values, slow)
+                assert fast.n_f == int(table.sum())
 
 
 def test_walsh_rejects_bad_tables():
@@ -122,6 +125,15 @@ def test_walsh_rejects_bad_tables():
         spectra.walsh_transform(f, np.array([0, 1, 2, 0, 0, 0, 0, 0]))
     with pytest.raises(ValueError):
         spectra.walsh_transform(f, np.zeros(4, dtype=np.int64))
+
+
+def test_walsh_refuses_a_fractional_cell():
+    # checked in the table's own dtype: an int64 cast would truncate 1.5 to 1
+    f = get_field(2, 3)
+    table = np.zeros(f.q)
+    table[3] = 1.5
+    with pytest.raises(ValueError, match="q bits"):
+        spectra.walsh_transform(f, table)
 
 
 def test_parseval_check_refuses_a_perturbed_spectrum():
@@ -164,6 +176,7 @@ def test_cubic_trace_spectrum_plateaus_for_even_m(m):
 def test_tr_cubic_table_values():
     f = get_field(2, 5)
     table = spectra.tr_cubic_table(f)
+    assert table.dtype == bool
     assert int(table[0]) == 0
     for x in range(f.q):
         assert int(table[x]) == f.trace(f.pow(x, 3))

@@ -329,6 +329,20 @@ def test_boolean_complement_refuses_a_spectrum_that_attains_2nf():
     assert rep.verdict == "hypothesis-not-met"
 
 
+def test_boolean_complement_refuses_a_table_that_is_not_bits():
+    import numpy as np
+
+    from dscodes import spectra
+
+    # the spectrum is taken first, so the bit check runs before any hypothesis
+
+    f = get_field(2, 5)
+    table = spectra.tr_cubic_table(f).astype(np.int64)
+    table[0] = 2
+    with pytest.raises(ValueError, match="q bits"):
+        theorems.verify("cor5", f, table)
+
+
 def test_boolean_complement_random_tables():
     import numpy as np
 
