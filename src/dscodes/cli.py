@@ -140,8 +140,7 @@ def build_set(f: Field, selector: str) -> DefiningSet:
         if selector.startswith("complement:"):
             return sets.complement(build_set(f, selector[len("complement:"):]))
         if selector.startswith("qf:"):
-            image, _ = sets.quadratic_form_image(f, _parse_qf_terms(selector[3:]))
-            return image
+            return sets.quadratic_form_image(f, _parse_qf_terms(selector[3:]))
         if selector.startswith("bool:"):
             return sets.boolean_support(f, _truth_table_for_field(f, selector[5:]))
     except (ValueError, AssertionError) as exc:

@@ -54,10 +54,11 @@ class DefiningSet:
 
     def __init__(self, field: Field, elements, label: str = ""):
         q = field.q
-        try:
-            elems = np.asarray(elements, dtype=np.int64)
-        except OverflowError:
-            raise ValueError(f"defining set {label!r} has an element outside GF({q})") from None
+        elems = np.asarray(elements)
+        if elems.dtype.kind not in "iu":  # a float or a string is refused, never truncated
+            if elems.size:
+                raise ValueError(f"defining set {label!r} needs integer codes in [0, {q}), got {elems.dtype}")
+            elems = elems.astype(np.int64)
         if elems.ndim != 1:
             raise ValueError(f"defining set {label!r} must be a flat sequence of elements")
         # range first: a negative code would index the mask from the end

@@ -415,11 +415,10 @@ class Field:
 
     def add_vec(self, xs, ys):
         p = self.p
-        xs = np.asarray(xs, dtype=np.int64)
-        ys = np.asarray(ys, dtype=np.int64)
+        xs, ys = np.asarray(xs), np.asarray(ys)
         if p == 2:
             return xs ^ ys
-        out = np.zeros(np.broadcast(xs, ys).shape, dtype=np.int64)
+        out = np.zeros(np.broadcast(xs, ys).shape, dtype=np.result_type(xs, ys))
         pw = 1
         for _ in range(self.m):
             out += (((xs // pw) + (ys // pw)) % p) * pw
@@ -427,11 +426,13 @@ class Field:
         return out
 
     def scalar_mul_vec(self, c: int, xs):
-        xs = np.asarray(xs, dtype=np.int64)
+        """c * x for every code x in xs, as codes in EXP's dtype."""
+        xs = np.asarray(xs)
         if c == 0:
-            return np.zeros_like(xs)
+            return np.zeros(xs.shape, dtype=self.EXP.dtype)
         prods = self.EXP[int(self.LOG[c]) + self.LOG[xs]]
-        return np.where(xs == 0, 0, prods).astype(np.int64)
+        prods[xs == 0] = 0
+        return prods
 
     def power_table(self, e: int) -> np.ndarray:
         """x ** e for every element code x, e >= 1 (so 0 ** e = 0), read off

@@ -13,6 +13,9 @@ in a membership mask.
 
 from __future__ import annotations
 
+import functools
+import numbers
+
 import numpy as np
 
 from .code import DefiningSet
@@ -33,7 +36,7 @@ def product_set(e_digits, ds: DefiningSet) -> tuple[DefiningSet, bool]:
     """
     f = ds.field
     for e in e_digits:  # before the set is built: a range of digits can be long
-        if not 1 <= e < f.p:
+        if not (isinstance(e, numbers.Integral) and 1 <= e < f.p):
             raise ValueError(f"E must sit inside GF(p)*, got {e}")
     e_digits = tuple(sorted(set(int(e) for e in e_digits)))
     if not e_digits:
@@ -69,50 +72,44 @@ def union_disjoint(a: DefiningSet, b: DefiningSet) -> DefiningSet:
 # quadratic forms f(x) = sum a_ij x^(p^i + p^j), given as (i, j, a_ij) terms
 
 
-def _check_terms(f: Field, terms):
-    terms = tuple((int(i), int(j), int(a)) for i, j, a in terms)
+def quadratic_form_terms(f: Field, terms) -> tuple:
+    """The terms as checked (i, j, a) ints; a float is refused, not truncated."""
+    terms = tuple((i, j, a) for i, j, a in terms)
     if not terms:
         raise ValueError("no quadratic form terms given")
     for i, j, a in terms:
+        if not all(isinstance(v, numbers.Integral) for v in (i, j, a)):
+            raise ValueError(f"quadratic form term {(i, j, a)} is not three integers")
         if not (0 <= i < f.m and 0 <= j < f.m):
             raise ValueError(f"exponent indices ({i}, {j}) outside [0, m)")
         if not 0 < a < f.q:
             raise ValueError("term coefficients must be nonzero field elements")
-    return terms
+    return tuple((int(i), int(j), int(a)) for i, j, a in terms)
 
 
 def evaluate_quadratic_form(f: Field, terms) -> np.ndarray:
-    """Value table of f over all of GF(q).  The readers below take this
-    table, so a form is evaluated once however much is read off it."""
-    terms = _check_terms(f, terms)
-    acc = np.zeros(f.q, dtype=np.int64)
-    for i, j, a in terms:
-        powed = f.power_table(f.p**i + f.p**j)
-        acc = f.add_vec(acc, f.scalar_mul_vec(a, powed))
-    return acc
-
-
-def _fibers(table) -> dict:
-    """Fiber profile over GF(q)*: each value taken there, with how often."""
-    counts = np.bincount(table[1:])
-    values = np.flatnonzero(counts)
-    return dict(zip(values.tolist(), counts[values].tolist()))
+    """Value table of f over all of GF(q), in EXP's dtype.  The readers below
+    take this table, so a form is evaluated once however much is read off it."""
+    terms = quadratic_form_terms(f, terms)
+    values = (f.scalar_mul_vec(a, f.power_table(f.p**i + f.p**j)) for i, j, a in terms)
+    return functools.reduce(f.add_vec, values)
 
 
 def form_image(f: Field, table, label: str) -> DefiningSet:
     """Nonzero values the table takes on GF(q)*."""
-    image = np.concatenate(([False], np.bincount(table[1:], minlength=f.q)[1:] > 0))
+    image = np.zeros(f.q, dtype=bool)
+    image[table[1:]] = True
+    image[0] = False
     if not image.any():
         raise ValueError("form vanishes on all of GF(q)*")
     return DefiningSet.from_mask(f, image, label=label)
 
 
-def quadratic_form_image(f: Field, terms) -> tuple[DefiningSet, dict]:
-    """Nonzero values taken by the form, plus the fiber profile over GF(q)*."""
-    terms = _check_terms(f, terms)
-    table = evaluate_quadratic_form(f, terms)
+def quadratic_form_image(f: Field, terms) -> DefiningSet:
+    """Nonzero values taken by the form on GF(q)*."""
+    terms = quadratic_form_terms(f, terms)
     label = "qf:" + ";".join(f"{i},{j},{a}" for i, j, a in terms)
-    return form_image(f, table, label), _fibers(table)
+    return form_image(f, evaluate_quadratic_form(f, terms), label)
 
 
 def quadratic_form_rank(f: Field, table) -> int:
@@ -131,14 +128,15 @@ def quadratic_form_rank(f: Field, table) -> int:
 
 def is_e_to_1(table):
     """e if the form is e-to-1 from GF(q)* onto its image and never 0 there,
-    with f(0) = 0; otherwise None."""
+    with f(0) = 0 (each value's count on GF(q)* is 0 or e, and 0's is 0);
+    otherwise None."""
     if table[0] != 0:
         return None
-    fibers = _fibers(table)
-    sizes = set(fibers.values())
-    if 0 in fibers or len(sizes) != 1:
+    counts = np.bincount(table[1:])
+    e = int(counts.max())
+    if counts[0] or np.any((counts != 0) & (counts != e)):
         return None
-    return sizes.pop()
+    return e
 
 
 # ----------------------------------------------------------------------

@@ -376,7 +376,7 @@ def _quadratic(field: Field, terms) -> Instance:
     """Cor 4: the complement of a quadratic form's image, routed to the
     odd- or even-rank claim by the form's rank."""
     p, m = field.p, field.m
-    terms = tuple((int(i), int(j), int(a)) for i, j, a in terms)
+    terms = sets.quadratic_form_terms(field, terms)
     table = sets.evaluate_quadratic_form(field, terms)
     e = sets.is_e_to_1(table)
     r = sets.quadratic_form_rank(field, table)

@@ -49,8 +49,7 @@ def code_catalog():
         catalog.append(sets.tr_cubic_set(get_field(2, m)))
     catalog.append(sets.hkm_set(1, get_field(3, 3)))
     f27 = get_field(3, 3)
-    image, _ = sets.quadratic_form_image(f27, ((0, 0, 1),))
-    catalog.append(image)
+    catalog.append(sets.quadratic_form_image(f27, ((0, 0, 1),)))
     catalog.append(sets.complement(sets.tr_cubic_set(get_field(2, 5))))
     prod, complete = sets.product_set((2, 3), sets.simplex_coset_reps(get_field(5, 2)))
     assert complete

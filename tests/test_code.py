@@ -483,8 +483,15 @@ def test_defining_set_validation():
         DefiningSet(f, (1 << 70,))
     with pytest.raises(ValueError):
         DefiningSet(f, ((1, 2), (3, 4)))
+    # a float or a string is refused, never truncated
+    for bad in ([1.5, 2], ["3", 4]):
+        with pytest.raises(ValueError, match="integer codes"):
+            DefiningSet(f, bad)
     ds = DefiningSet(f, (3, 1, 0, 2))
     assert ds.elements.tolist() == [0, 1, 2, 3]
+    for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64):
+        assert DefiningSet(f, np.array([3, 1], dtype=dtype)) == DefiningSet(f, (1, 3)), dtype
+    assert DefiningSet(f, []).n == 0
     # a mask is held as a copy, and only a flat mask of q cells is taken
     mask = np.zeros(f.q, dtype=bool)
     mask[[1, 2]] = True

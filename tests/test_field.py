@@ -325,6 +325,13 @@ def test_vector_helpers_match_scalar_ops(f):
         vec = f.scalar_mul_vec(c, xs)
         for x in range(0, f.q, max(1, f.q // 17)):
             assert int(vec[x]) == f.mul(c, x)
+        # int32 codes, as power_table gives them, stay int32
+        assert f.scalar_mul_vec(c, xs.astype(np.int32)).dtype == np.int32
+        assert f.scalar_mul_vec(c, xs.astype(np.int32)).tolist() == vec.tolist()
+        sums = f.add_vec(xs.astype(np.int32), vec)
+        assert sums.dtype == np.int32
+        for x in range(0, f.q, max(1, f.q // 17)):
+            assert int(sums[x]) == f.add(x, f.mul(c, x))
 
 
 def test_power_table_matches_scalar_pow(f, monkeypatch):

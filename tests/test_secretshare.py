@@ -329,7 +329,7 @@ def test_minimal_codewords_refuses_past_bound_before_any_work(monkeypatch):
         raise AssertionError("a gather started")
 
     f = get_field(5, 4)
-    ds, _ = sets.quadratic_form_image(f, ((0, 1, 1),))
+    ds = sets.quadratic_form_image(f, ((0, 1, 1),))
     weights = weights_by_zero_count(ds)
     w = weights[f.EXP[: (f.q - 1) // 4]]
     bound = secretshare._certified_weight(5, 4, ds.n - int(ds.mask[0]), int(w[w > 0].min()))

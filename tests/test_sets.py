@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,10 +39,16 @@ def test_product_set_complete_flag(gf9):
 
 
 def test_product_set_rejects_bad_digits(gf9):
+    base = sets.simplex_coset_reps(gf9)
     with pytest.raises(ValueError):
-        sets.product_set((0, 1), sets.simplex_coset_reps(gf9))
+        sets.product_set((0, 1), base)
     with pytest.raises(ValueError):
-        sets.product_set((), sets.simplex_coset_reps(gf9))
+        sets.product_set((), base)
+    # a fractional digit is refused, not truncated to E = {1}
+    for bad in ((1.5,), ("1",)):
+        with pytest.raises(ValueError, match="GF\\(p\\)\\*"):
+            sets.product_set(bad, base)
+    assert sets.product_set(np.array([2, 1], dtype=np.uint8), base) == sets.product_set((1, 2), base)
 
 
 def test_complement_involution(gf16):
@@ -142,10 +149,9 @@ def test_e_to_1_matches_fiber_profile(gf27):
     terms = ((0, 0, 1),)  # x^2 is 2-to-1 on units
     e = sets.is_e_to_1(sets.evaluate_quadratic_form(gf27, terms))
     assert e == 2
-    image, fibers = sets.quadratic_form_image(gf27, terms)
+    image = sets.quadratic_form_image(gf27, terms)
     assert image.n == (gf27.q - 1) // 2
-    assert {count for v, count in fibers.items() if v != 0} == {2}
-    assert 0 not in fibers  # the square map has no zero on the units
+    assert not image.mask[0]  # the square map has no zero on the units
     # x^2 + 1: still 2-to-1 with no zero on the units (-1 is a non-square
     # in GF(27)), but f(0) = 1
     assert sets.is_e_to_1(gf27.add_vec(sets.evaluate_quadratic_form(gf27, terms), 1)) is None
@@ -155,7 +161,7 @@ def test_gold_form_over_gf81_is_4_to_1():
     f = get_field(3, 4)
     terms = ((1, 0, 1),)  # x^{3+1}
     assert sets.is_e_to_1(sets.evaluate_quadratic_form(f, terms)) == 4
-    image, _ = sets.quadratic_form_image(f, terms)
+    image = sets.quadratic_form_image(f, terms)
     assert image.n == (f.q - 1) // 4
 
 
@@ -255,11 +261,13 @@ def _product_oracle(e_digits, ds):
     return _canonical(f, prods), len(prods) == len(set(e_digits)) * ds.n
 
 
-def _quadratic_image_oracle(f, terms):
-    fibers = {}
-    for v in sets.evaluate_quadratic_form(f, terms)[1:].tolist():
-        fibers[v] = fibers.get(v, 0) + 1
-    return _canonical(f, [v for v in fibers if v != 0]), fibers
+def _scalar_form_values(f, terms):
+    values = [0] * f.q
+    for x in range(f.q):
+        for i, j, a in terms:
+            power = f.mul(f.pow(x, f.p**i), f.pow(x, f.p**j))
+            values[x] = f.add(values[x], f.mul(a, power))
+    return values
 
 
 def _hkm_oracle(h, f):
@@ -330,12 +338,7 @@ def test_product_set_matches_scalar_oracle(p):
     assert flags == {True, False}
 
 
-def _e_oracle(f, terms):
-    values = [0] * f.q
-    for x in range(f.q):
-        for i, j, a in terms:
-            power = f.mul(f.pow(x, f.p**i), f.pow(x, f.p**j))
-            values[x] = f.add(values[x], f.mul(a, power))
+def _e_oracle(values):
     fibers = {v: values[1:].count(v) for v in set(values[1:])}
     if values[0] != 0 or 0 in fibers or len(set(fibers.values())) != 1:
         return None
@@ -349,19 +352,46 @@ def test_quadratic_form_image_matches_scalar_oracle():
     for p, m in RANK_FIELDS + [(11, 2), (13, 2)]:
         f = get_field(p, m)
         for terms in [_random_form(rng, f) for _ in range(4)] + [((0, 0, 1),)]:
+            values = _scalar_form_values(f, terms)
             e = sets.is_e_to_1(sets.evaluate_quadratic_form(f, terms))
-            assert e == _e_oracle(f, terms), (p, m, terms)
+            assert e == _e_oracle(values), (p, m, terms)
             seen_e.add(e is None)
-            want, want_fibers = _quadratic_image_oracle(f, terms)
+            want = _canonical(f, set(values[1:]) - {0})
             if not want:
                 seen_vanishing = True
                 with pytest.raises(ValueError):
                     sets.quadratic_form_image(f, terms)
                 continue
-            image, fibers = sets.quadratic_form_image(f, terms)
+            image = sets.quadratic_form_image(f, terms)
             assert image.elements.tolist() == want, (p, m, terms)
-            assert fibers == want_fibers, (p, m, terms)
     assert seen_vanishing and seen_e == {True, False}
+    # numpy integers are terms; a fractional index is refused, not truncated
+    f = get_field(3, 3)
+    assert sets.quadratic_form_image(f, [np.array([1, 0, 1], dtype=np.int8)]).label == "qf:1,0,1"
+    with pytest.raises(ValueError, match="three integers"):
+        sets.quadratic_form_image(f, ((1.5, 0, 1),))
+
+
+@pytest.mark.parametrize(
+    "p,m,terms",
+    [(3, 11, ((0, 0, 1),)), (3, 11, ((0, 0, 1), (1, 0, 2))), (2, 16, ((1, 0, 1),)), (5, 7, ((1, 0, 1),))],
+)
+def test_quadratic_form_readers_hold_at_most_24_bytes_an_element(p, m, terms):
+    # the value table is counted and scattered in place: no dict over its
+    # values, no int64 copy of it
+    f = get_field(p, m)
+    for read in (
+        lambda: sets.quadratic_form_image(f, terms),
+        lambda: sets.is_e_to_1(sets.evaluate_quadratic_form(f, terms)),
+    ):
+        read()  # a table the field builds on first use is built untraced
+        tracemalloc.start()
+        try:
+            read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * f.q, (p, m, terms, peak / f.q)
 
 
 @pytest.mark.parametrize("h", (1, 3))

@@ -248,6 +248,9 @@ def test_quadratic_odd_rank_gold_form():
     assert rep.verdict == "match"
     assert rep.computed.n == 14 and rep.computed.k == 3
     assert dict(rep.computed.nonzero_items()) == {9: 26}
+    # a fractional index is refused, not truncated to the gold form
+    with pytest.raises(ValueError, match="three integers"):
+        theorems.verify("cor4odd", f, ((1.5, 0, 1),))
 
 
 def test_quadratic_even_rank_square_form():
