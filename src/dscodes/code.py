@@ -185,6 +185,10 @@ TRANSFORM_MAX_CELLS = 1 << 26
 TRANSFORM_CELL_COST = 16
 # fixed cost of one pass, counted in its cells
 TRANSFORM_CALL_CELLS = 1 << 12
+# the time a pass spends on a cell of each set past the first in a batch,
+# in gather cells: those rows share the first set's numpy calls.  Fitted on
+# a grid of batches of 1, 16 and 100 sets of both routes (BENCH_25.json)
+TRANSFORM_BATCH_CELL_COST = 4
 # cells the gather may touch, about 7 s at 1e10 cells/s (2-core x86 VM):
 # simplex over GF(127^3), 3.3e10 cells, fits; its complement, 4.2e12, does not
 GATHER_MAX_CELLS = 1 << 36
@@ -373,7 +377,8 @@ def _route(p: int, m: int, *ns: int):
 
     The transform makes m passes over q cells a set at p = 2 and m*p^2
     at odd p, each pass also costing TRANSFORM_CALL_CELLS once for the
-    batch, at TRANSFORM_CELL_COST gather cells a cell; the gather
+    batch, at TRANSFORM_CELL_COST gather cells a cell for the first set
+    and TRANSFORM_BATCH_CELL_COST for each set after it; the gather
     touches q*n cells a set.  So a batch of one set costs what that set
     costs alone.  A size is refused with ValueError, before any
     allocation, only when some set fits neither the transform's q*p
@@ -385,7 +390,8 @@ def _route(p: int, m: int, *ns: int):
     transform_fits = q * p <= TRANSFORM_MAX_CELLS
     gather_fits = q * n <= GATHER_MAX_CELLS
     passes = m if p == 2 else m * p * p
-    cost = TRANSFORM_CELL_COST * passes * (len(ns) * q + TRANSFORM_CALL_CELLS)
+    cost = passes * (TRANSFORM_CELL_COST * (q + TRANSFORM_CALL_CELLS)
+                     + TRANSFORM_BATCH_CELL_COST * (len(ns) - 1) * q)
     if transform_fits and (not gather_fits or cost < q * sum(ns)):
         return _weights_by_hyperplane_count
     if gather_fits:

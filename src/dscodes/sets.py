@@ -41,9 +41,11 @@ def product_set(e_digits, ds: DefiningSet) -> tuple[DefiningSet, bool]:
     e_digits = tuple(sorted(set(int(e) for e in e_digits)))
     if not e_digits:
         raise ValueError("E must be nonempty")
+    # one gather of e*d = alpha^(log e + log d) over E x D*, log e + log d
+    # inside EXP's 2(q - 1) cells; 0, first of the ascending elements, is e*0
     hit = np.zeros(f.q, dtype=bool)
-    for e in e_digits:
-        hit[f.scalar_mul_vec(e, ds.elements)] = True
+    hit[f.EXP[f.LOG[list(e_digits)][:, None] + f.LOG[ds.elements[int(ds.mask[0]):]]]] = True
+    hit[0] = ds.mask[0]
     label = f"product E={{{','.join(map(str, e_digits))}}} of {ds.label or 'set'}"
     prods = DefiningSet.from_mask(f, hit, label=label)
     return prods, prods.n == len(e_digits) * ds.n

@@ -9,6 +9,11 @@ formula.
 
 A claim has one name, its token: the key of its row in `CLAIMS`, the
 CLI's `--claim` value and the `claim` of every report built for it.
+
+`verify` and `scan` hand their built instances to one runner,
+`_run_all`: a batch of one and every instance of a scan.  It enumerates
+the sets that holding instances construct over one field in chunks of
+max(1, BATCH_CELLS // (q*p)) sets, one kernel call a chunk.
 """
 
 from __future__ import annotations
@@ -235,14 +240,14 @@ def predict_cubic_trace_even(m: int) -> WeightDistribution:
 
 # ----------------------------------------------------------------------
 # claim instances: one `build` function per claim; `verify` and `scan`
-# hand each built instance to `_run`
+# hand the built instances to `_run_all`
 
 
 @dataclass
 class Instance:
     """One built claim instance.  `predict` and `construct` run only
     when every check passed; `construct` returns the set to enumerate,
-    or a distribution already enumerated, by a check or in a batch."""
+    or a distribution a check already enumerated."""
 
     claim: str  # the CLAIMS token
     params: dict
@@ -286,9 +291,12 @@ def _simplex(f: Field, _arg) -> Instance:
     )
 
 
-def _scaled_simplex(f: Field, e_digits) -> Instance:
-    """Cor 2: E times the simplex set is one-weight at |E| p^(m-1)."""
-    base = sets.simplex_coset_reps(f)
+def _scaled_simplex(field, arg) -> Instance:
+    """Cor 2: E times the simplex set is one-weight at |E| p^(m-1).
+    arg = (E digits, simplex set), as thm1 takes it, so a scan builds the
+    simplex once a field."""
+    e_digits, base = arg
+    f = base.field
     product, complete = sets.product_set(e_digits, base)
     digits = sorted(set(int(e) for e in e_digits))
     ell = len(digits)
@@ -409,8 +417,10 @@ def _quadratic(field: Field, terms) -> Instance:
         inst.checks.append(HypothesisCheck("weights-integral", False, str(exc)))
         return inst
     inst.checks.append(HypothesisCheck("weights-integral", True, ""))
+    # the closures hold the q-byte image, not the 4-byte-a-cell value table
+    image = sets.form_image(field, table, f"qf-image e={e} r={r}")
     inst.predict = lambda: predicted
-    inst.construct = lambda: sets.complement(sets.form_image(field, table, f"qf-image e={e} r={r}"))
+    inst.construct = lambda: sets.complement(image)
     return inst
 
 
@@ -587,8 +597,9 @@ def _scalar_subsets(build, p, m, rng, trials):
     if p > 13:
         raise ValueError("subset scan is limited to p <= 13")
     f = get_field(p, m)
+    simplex = sets.simplex_coset_reps(f)
     for e_digits in _all_nonempty_subsets(range(1, p)):
-        yield build(f, e_digits)
+        yield build(f, (e_digits, simplex))
 
 
 def _reflectable_sets(build, p, m, rng, trials):
@@ -599,8 +610,9 @@ def _reflectable_sets(build, p, m, rng, trials):
     Drawn in rounds of as many candidates as trials are left, at most
     max(1, code.BATCH_CELLS // q): a round never draws past the last
     candidate a walk of one candidate at a time would draw, so rng moves
-    exactly as it would.  A round's bases are enumerated in one call, and
-    the complements of the ones that hold in another."""
+    exactly as it would.  A round's bases are enumerated in one call, as
+    the hypotheses read their distributions; the complements of the ones
+    that hold are built by `construct` and batched by `_run_all`."""
     f = get_field(p, m)
     if f.q - 2 < f.m:
         raise ValueError(f"GF({f.p}^{f.m}) is too small for cor3: D needs m to q - 2 elements")
@@ -612,7 +624,6 @@ def _reflectable_sets(build, p, m, rng, trials):
             bases.append(DefiningSet(f, tuple(rng.sample(range(f.q), size)), label="random"))
         for base in bases:  # an unfit complement is refused before any base is enumerated
             _route(f.p, f.m, f.q - base.n)
-        kept = []
         for base, wd in zip(bases, weight_distributions(bases)):
             inst = _reflection(base, wd)
             misses = 0 if inst.holds else misses + 1
@@ -620,12 +631,8 @@ def _reflectable_sets(build, p, m, rng, trials):
                 # a range too small to hold such a set is a usage error, not a falsification
                 raise ValueError("could not sample a set meeting the reflection hypotheses")
             if inst.holds:
-                kept.append((base, inst))
-        complements = weight_distributions([sets.complement(base) for base, _ in kept])
-        for (_, inst), wd in zip(kept, complements):
-            inst.construct = lambda wd=wd: wd
-            yield inst
-        trials -= len(kept)
+                trials -= 1
+                yield inst
 
 
 def _diagonal_forms(claim: str):
@@ -672,13 +679,16 @@ class ClaimSpec:
         return 3 * value if self.param == "h" else value
 
 
+def _digits_and_simplex(f: Field, option):
+    """The arg of thm1 and cor2 from --set: (E digits, simplex set)."""
+    return option.digits(f), sets.simplex_coset_reps(f)
+
+
 CLAIMS = {spec.token: spec for spec in (
-    ClaimSpec("thm1", 3, _expansion,
-              parse_set=lambda f, s: (s.digits(f), sets.simplex_coset_reps(f))),
+    ClaimSpec("thm1", 3, _expansion, parse_set=_digits_and_simplex),
     ClaimSpec("thm1prop", 3, sweep=_expansion_sweep, seeded="verify"),
     ClaimSpec("cor1", 3, _simplex, family=_one_per_m()),
-    ClaimSpec("cor2", 3, _scaled_simplex, family=_scalar_subsets,
-              parse_set=lambda f, s: s.digits(f)),
+    ClaimSpec("cor2", 3, _scaled_simplex, family=_scalar_subsets, parse_set=_digits_and_simplex),
     ClaimSpec("thm2", 2, _split, parse_set=lambda f, s: _split_off_rest(s.defining_set(f))),
     ClaimSpec("cor3", 2, _complement, family=_reflectable_sets,
               parse_set=lambda f, s: s.defining_set(f), seeded="scan"),
@@ -697,20 +707,61 @@ CLAIMS = {spec.token: spec for spec in (
 )}
 
 
-def _run(inst: Instance) -> TheoremReport:
-    """The prediction against enumeration, when every hypothesis holds."""
-    predicted = computed = diff = None
-    verdict = VERDICT_HYPOTHESIS
-    if inst.holds:
-        predicted, computed = inst.predict(), inst.construct()
-        if isinstance(computed, DefiningSet):
-            computed = build_code_weights(computed)
+def _report(inst: Instance, predicted=None, computed=None) -> TheoremReport:
+    """The instance's report: the prediction against the enumeration when
+    they are given, else a hypothesis not met."""
+    verdict, diff = VERDICT_HYPOTHESIS, None
+    if predicted is not None:
         verdict = VERDICT_MATCH if predicted == computed else VERDICT_MISMATCH
         if verdict == VERDICT_MISMATCH:
             diff = _first_diff(predicted, computed)
     return TheoremReport(
         inst.claim, inst.params, verdict, tuple(inst.checks), predicted, computed, diff
     )
+
+
+def _run_all(insts) -> list[TheoremReport]:
+    """One report per instance, in order.  Each instance is predicted and
+    constructed as it is reached, when every hypothesis holds.
+
+    The sets that the instances construct over one field are held and
+    enumerated in one `weight_distributions` call once
+    max(1, code.BATCH_CELLS // (q*p)) of them are held, or when a set of
+    another field comes, or at the end.  So past BATCH_CELLS cells each
+    instance is enumerated before the next one is built, and no instance
+    is kept past its chunk."""
+    reports = []  # a None stands for a held instance's report
+    held = []  # (index in reports, instance, predicted, set), all over one field
+
+    def enumerate_held():
+        for (i, inst, predicted, _), wd in zip(held, weight_distributions([h[3] for h in held])):
+            reports[i] = _report(inst, predicted, wd)
+        held.clear()
+
+    for inst in insts:
+        if not inst.holds:
+            reports.append(_report(inst))
+            continue
+        predicted, computed = inst.predict(), inst.construct()
+        if not isinstance(computed, DefiningSet):
+            reports.append(_report(inst, predicted, computed))
+            continue
+        f = computed.field
+        if held and held[0][3].field is not f:
+            enumerate_held()
+        held.append((len(reports), inst, predicted, computed))
+        reports.append(None)
+        if len(held) >= max(1, code.BATCH_CELLS // (f.q * f.p)):
+            enumerate_held()
+    if held:
+        enumerate_held()
+    return reports
+
+
+def _run(inst: Instance) -> TheoremReport:
+    """One instance's report: the batch of one."""
+    (report,) = _run_all([inst])
+    return report
 
 
 def verify(claim, field=None, arg=None, *, seed: int = DEFAULT_SEED):
@@ -733,11 +784,9 @@ def scan(
         raise ValueError(f"no scan family for {spec.token}")
     p = spec.field_p(p)
     rng = random.Random(seed)
-    return [
-        _run(inst)
-        for value in values
-        for inst in spec.family(spec.build, p, value, rng, trials)
-    ]
+    return _run_all(
+        inst for value in values for inst in spec.family(spec.build, p, value, rng, trials)
+    )
 
 
 def scan_summary(reports) -> dict:

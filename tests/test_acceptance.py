@@ -132,11 +132,12 @@ def test_criterion_05_semibent_spectra_all_odd_m():
 
 def test_criterion_06_one_weight_codes_for_every_scalar_subset():
     for p, m in [(3, 2), (3, 3), (5, 2), (7, 2)]:
-        rep = theorems.verify("cor1", get_field(p, m))
+        f = get_field(p, m)
+        rep = theorems.verify("cor1", f)
         assert rep.verdict == "match", (p, m)
         for mask in range(1, 1 << (p - 1)):
             e_digits = tuple(d for d in range(1, p) if mask >> (d - 1) & 1)
-            rep = theorems.verify("cor2", get_field(p, m), e_digits)
+            rep = theorems.verify("cor2", f, (e_digits, sets.simplex_coset_reps(f)))
             assert rep.verdict == "match", (p, m, e_digits)
             ell = len(e_digits)
             assert rep.computed.nonzero_items() == [

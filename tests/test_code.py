@@ -246,6 +246,20 @@ def test_batch_route_counts_the_fixed_cost_once():
         _route(251, 3, 5, 200000)
 
 
+def test_batch_route_rule():
+    # points of the batch grid in BENCH_25.json: batches of complements of
+    # random sets of m to m + 6 elements, and of such sets; a lone
+    # complement keeps the gather that the rule for one set picks
+    assert _route(2, 7, 120) is _weights_by_gather
+    assert _route(2, 7, *[120] * 100) is _weights_by_hyperplane_count
+    assert _route(2, 7, *[10] * 100) is _weights_by_gather
+    assert _route(2, 8, 248) is _weights_by_gather
+    assert _route(2, 8, *[248] * 16) is _weights_by_hyperplane_count
+    assert _route(3, 6, *[720] * 16) is _weights_by_hyperplane_count
+    assert _route(3, 6, *[10] * 100) is _weights_by_gather
+    assert _route(7, 3, *[335] * 100) is _weights_by_gather
+
+
 # the gather below its row bound, and the transform, at p = 2 and 3
 @pytest.mark.parametrize("p,m,n", [(2, 6, 5), (2, 12, 4000), (3, 4, 5), (3, 8, 6000)])
 def test_weight_distributions_never_build_pi(p, m, n):

@@ -40,9 +40,10 @@ def test_product_set_complete_flag(gf9):
 
 def test_product_set_rejects_bad_digits(gf9):
     base = sets.simplex_coset_reps(gf9)
-    with pytest.raises(ValueError):
-        sets.product_set((0, 1), base)
-    with pytest.raises(ValueError):
+    for bad in (0, 3, -1):
+        with pytest.raises(ValueError, match=rf"E must sit inside GF\(p\)\*, got {bad}"):
+            sets.product_set((1, bad), base)
+    with pytest.raises(ValueError, match="E must be nonempty"):
         sets.product_set((), base)
     # a fractional digit is refused, not truncated to E = {1}
     for bad in ((1.5,), ("1",)):
@@ -327,9 +328,12 @@ def test_product_set_matches_scalar_oracle(p):
         bases = _seeded_sets(f, rng, 3)
         closed = {1, f.mul(2, 1)} | {f.mul(2, d) for d in (5 % f.q, 7 % f.q) if d}
         bases.append(DefiningSet(f, sorted(closed), label="closed"))
+        # 0 is its own product with every digit
+        bases.append(DefiningSet(f, [0] + rng.sample(range(1, f.q), min(5, f.q - 1))))
         for ds in bases:
             e_digits = tuple(rng.sample(range(1, p), rng.randint(1, p - 1)))
-            for digits in (e_digits, (1, 2)):
+            repeated = [rng.randrange(1, p) for _ in range(2 * p)]  # unsorted, with repeats
+            for digits in (e_digits, (1, 2), repeated):
                 prod, complete = sets.product_set(digits, ds)
                 want, want_complete = _product_oracle(digits, ds)
                 assert prod.elements.tolist() == want, (p, m, digits)

@@ -57,8 +57,9 @@ def test_simplex_family(p, m):
 
 
 def test_scaled_simplex_all_subsets_gf9():
+    f = get_field(3, 2)
     for e_digits in [(1,), (2,), (1, 2)]:
-        rep = theorems.verify("cor2", get_field(3, 2), e_digits)
+        rep = theorems.verify("cor2", f, (e_digits, sets.simplex_coset_reps(f)))
         assert rep.verdict == "match"
         ell = len(e_digits)
         assert rep.computed.nonzero_items() == [(ell * 3, 8)]
@@ -509,16 +510,69 @@ def test_cor4_scan_evaluates_each_form_once(monkeypatch):
 
 
 def test_scan_runs_each_instance_before_building_the_next(monkeypatch):
-    # families yield lazily, so one instance's sets are alive at a time
+    # families yield lazily: past BATCH_CELLS cells (a chunk of one set) one
+    # instance's sets are alive at a time; below it, a chunk is one call
     events = []
-    for module, name in ((sets, "product_set"), (theorems, "build_code_weights")):
+    for module, name in ((sets, "product_set"), (theorems, "weight_distributions")):
         def logged(*args, _original=getattr(module, name), _name=name):
-            events.append(_name)
-            return _original(*args)
+            out = _original(*args)
+            events.append((_name, len(out) if _name == "weight_distributions" else 1))
+            return out
         monkeypatch.setattr(module, name, logged)
-    reports = scan("cor2", (2,), p=5)
-    assert len(reports) == 15
-    assert events == ["product_set", "build_code_weights"] * 15
+    assert len(scan("cor2", (2,), p=5)) == 15
+    assert events == [("product_set", 1)] * 15 + [("weight_distributions", 15)]
+    events.clear()
+    f = get_field(5, 2)
+    monkeypatch.setattr(code, "BATCH_CELLS", f.q * f.p)
+    assert len(scan("cor2", (2,), p=5)) == 15
+    assert events == [("product_set", 1), ("weight_distributions", 1)] * 15
+
+
+def _alone(inst):
+    """inst's report with its set enumerated by itself: the per-instance oracle."""
+    predicted = computed = diff = None
+    verdict = "hypothesis-not-met"
+    if inst.holds:
+        predicted, computed = inst.predict(), inst.construct()
+        if isinstance(computed, DefiningSet):
+            computed = build_code_weights(computed)
+        verdict = "match" if predicted == computed else "mismatch"
+        if verdict == "mismatch":
+            diff = theorems._first_diff(predicted, computed)
+    return theorems.TheoremReport(
+        inst.claim, inst.params, verdict, tuple(inst.checks), predicted, computed, diff
+    )
+
+
+# every scan family at each of p = 2, 3, 5, 7 that it takes; cor4odd keeps
+# no form at p = 2, where every diagonal form has even rank
+BATCH_ORACLE_CASES = [
+    ("cor1", 2, (3, 4, 5)), ("cor1", 3, (2, 3)), ("cor1", 5, (2,)), ("cor1", 7, (2,)),
+    ("cor2", 2, (3, 4)), ("cor2", 3, (2, 3)), ("cor2", 5, (2,)), ("cor2", 7, (2,)),
+    ("cor3", 2, (4, 5)), ("cor3", 3, (3,)), ("cor3", 5, (2,)), ("cor3", 7, (2,)),
+    ("cor4odd", 3, (2, 3, 4)), ("cor4odd", 5, (2, 3)), ("cor4odd", 7, (2, 3)),
+    ("cor4even", 2, (2, 4)), ("cor4even", 3, (2, 3, 4)), ("cor4even", 5, (2, 4)),
+    ("cor4even", 7, (2,)),
+    ("cor5", 2, (4, 5, 6)), ("thm3", 3, (1,)), ("thm4", 2, (5, 7)), ("thm5", 2, (4, 6)),
+]
+
+
+@pytest.mark.parametrize("token,p,values", BATCH_ORACLE_CASES)
+def test_scan_matches_each_instance_enumerated_alone(monkeypatch, token, p, values):
+    spec = theorems.CLAIMS[token]
+    # chunks of 2 sets over the largest field and more over the smaller
+    # ones, so a chunk ends in the middle of a value's instances
+    top = spec.degree(max(values))
+    monkeypatch.setattr(code, "BATCH_CELLS", 2 * p ** (top + 1))
+    reports = scan(token, values, p=p, trials=7, seed=5)
+    rng = random.Random(5)
+    alone = [
+        _alone(inst)
+        for value in values
+        for inst in spec.family(spec.build, p, value, rng, 7)
+    ]
+    assert reports and reports == alone, token
+    assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in alone]
 
 
 def test_cor4_verify_evaluates_the_form_once(monkeypatch):
@@ -562,7 +616,7 @@ def _verify_cases():
         ("thm1", f9, ((1, 2), sets.simplex_coset_reps(f9)), "thm1"),
         ("thm1prop", f9, None, "thm1prop"),
         ("cor1", f9, None, "cor1"),
-        ("cor2", f9, (1, 2), "cor2"),
+        ("cor2", f9, ((1, 2), sets.simplex_coset_reps(f9)), "cor2"),
         ("thm2", f32, theorems._split_off_rest(sets.tr_cubic_set(f32)), "thm2"),
         ("cor3", f32, sets.tr_cubic_set(f32), "cor3"),
         ("cor4odd", f27, ((1, 0, 1),), "cor4odd"),
