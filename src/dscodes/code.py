@@ -17,14 +17,15 @@ O(q*m*p^2).  Both routes return int32 weights in their own order of x.
 `weight_distributions` histograms them in that order with one bincount
 a chunk, and `build_code_weights` is its batch of one; only
 `weights_by_zero_count`, for the readers that index by x, puts them in
-x-order.  One dual layer, a Krawtchouk recurrence on Python big
-integers, yields the MacWilliams transform that the full dual, the dual
-distance and the power-moment checks all read.
+x-order.  A distribution holds its nonzero (w, A_w) as one ascending
+tuple, from which `counts` is derived.  One dual layer, a Krawtchouk
+recurrence on Python big integers, yields the MacWilliams transform
+that the full dual, the dual distance and the power-moment checks all
+read.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,11 +76,10 @@ class DefiningSet:
     @classmethod
     def from_mask(cls, field: Field, mask, label: str = "") -> DefiningSet:
         """The set of the codes x with mask[x] true, held as a copy of mask."""
-        ds = cls.__new__(cls)
-        ds._hold(field, np.array(mask, dtype=bool), label)
-        return ds
+        return cls.__new__(cls)._hold(field, np.array(mask, dtype=bool), label)
 
-    def _hold(self, field, mask, label, n=None):
+    def _hold(self, field, mask, label, n=None) -> DefiningSet:
+        """Hold mask, made read-only, as the set of n members (counted if None)."""
         if mask.shape != (field.q,):
             raise ValueError(f"set {label!r}: mask of shape {mask.shape}, not ({field.q},)")
         mask.setflags(write=False)
@@ -87,6 +87,7 @@ class DefiningSet:
             n = int(np.count_nonzero(mask))
         # past the frozen __setattr__, as cached_property writes `elements`
         vars(self).update(field=field, mask=mask, label=label, n=n)
+        return self
 
     @cached_property
     def elements(self) -> np.ndarray:
@@ -106,28 +107,43 @@ class DefiningSet:
         return f"DefiningSet({self.label or 'unlabeled'}, n={self.n})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightDistribution:
-    """Weight -> multiplicity map of a p-ary [n, k] code, zero weight included."""
+    """Weights of a p-ary [n, k] code: `pairs`, its nonzero (w, A_w) in
+    strictly ascending w, weight 0 (A_0 = 1) implied.  `counts`, the
+    weight -> multiplicity map with 0 included, is derived from them."""
 
     p: int
     m: int
     n: int
     k: int
-    counts: dict
+    pairs: tuple
 
     def __post_init__(self):
-        if self.counts.get(0) != 1:
-            raise ValueError("weight 0 must appear exactly once")
-        total = 0
-        for w, a in self.counts.items():
-            if not 0 <= w <= self.n:
-                raise ValueError(f"weight {w} outside [0, {self.n}]")
+        prev, total, n = 0, 1, self.n
+        for w, a in self.pairs:
+            if not prev < w <= n:
+                if not 0 <= w <= n:
+                    raise ValueError(f"weight {w} outside [0, {n}]")
+                if w == 0:
+                    raise ValueError("weight 0 must appear exactly once")
+                raise ValueError(f"weight {w} after weight {prev}: weights must strictly ascend")
             if a <= 0:
                 raise ValueError(f"multiplicity of weight {w} must be positive")
-            total += a
+            prev, total = w, total + a
         if total != self.p**self.k:
             raise ValueError(f"multiplicities sum to {total}, expected {self.p}^{self.k}")
+
+    @classmethod
+    def from_counts(cls, p: int, m: int, n: int, k: int, counts: dict) -> WeightDistribution:
+        """The distribution of a weight -> multiplicity map, weight 0 included."""
+        if counts.get(0) != 1:
+            raise ValueError("weight 0 must appear exactly once")
+        return cls(p, m, n, k, tuple(sorted((w, a) for w, a in counts.items() if w != 0)))
+
+    @property
+    def counts(self) -> dict:
+        return {0: 1, **dict(self.pairs)}
 
     def __eq__(self, other):
         if not isinstance(other, WeightDistribution):
@@ -136,26 +152,24 @@ class WeightDistribution:
             self.p == other.p
             and self.n == other.n
             and self.k == other.k
-            and self.counts == other.counts
+            and self.pairs == other.pairs
         )
 
     def nonzero_items(self) -> list[tuple[int, int]]:
-        return sorted((w, a) for w, a in self.counts.items() if w > 0)
+        return list(self.pairs)
 
     @property
     def d_min(self):
-        nz = [w for w in self.counts if w > 0]
-        return min(nz) if nz else None
+        return self.pairs[0][0] if self.pairs else None
 
     @property
     def w_max(self):
-        nz = [w for w in self.counts if w > 0]
-        return max(nz) if nz else None
+        return self.pairs[-1][0] if self.pairs else None
 
     def enumerator(self) -> str:
         """Polynomial string like '1+10z^4+16z^6+5z^8'."""
         parts = ["1"]
-        for w, a in self.nonzero_items():
+        for w, a in self.pairs:
             coeff = "" if a == 1 else str(a)
             expo = "z" if w == 1 else f"z^{w}"
             parts.append(coeff + expo)
@@ -167,7 +181,7 @@ class WeightDistribution:
             "m": self.m,
             "n": self.n,
             "k": self.k,
-            "weights": [{"w": w, "count": a} for w, a in self.nonzero_items()],
+            "weights": [{"w": w, "count": a} for w, a in self.pairs],
             "d_min": self.d_min,
         }
 
@@ -498,25 +512,26 @@ def distributions_from_raw_histograms(f: Field, ns, hist) -> list[WeightDistribu
     p, m = f.p, f.m
     starts, hist = _starts(ns), np.asarray(hist)
     (at,) = hist.nonzero()
-    places, values = at.tolist(), hist[at].tolist()
-    # the nonzero counts of set b are at cuts[b]:cuts[b + 1]
-    cuts = [bisect.bisect_left(places, start) for start in starts]
+    # the nonzero counts of set b are at cuts[b]:cuts[b + 1], in ascending weight
+    cuts = np.searchsorted(at, starts)
+    weights = (at - np.repeat(starts[:-1], np.diff(cuts))).tolist()
+    values = hist[at].tolist()
     out = []
-    for n, start, a, z in zip(ns, starts, cuts, cuts[1:]):
-        raw0 = values[a] if a < z and places[a] == start else 0
+    for n, a, z in zip(ns, cuts.tolist(), cuts[1:].tolist()):
+        raw0 = values[a] if a < z and weights[a] == 0 else 0
         kernel, t = raw0, 0
         while kernel > 1 and kernel % p == 0:
             kernel //= p
             t += 1
         if kernel != 1 or t > m:
             raise ArithmeticError(f"zero-weight count {raw0} is not a power of p = {p}")
-        counts = {}
-        for place, c in zip(places[a:z], values[a:z]):
-            if c % raw0:
-                w = place - start
-                raise ArithmeticError(f"raw count {c} at weight {w} not divisible by {raw0}")
-            counts[place - start] = c // raw0
-        out.append(WeightDistribution(p=p, m=m, n=n, k=m - t, counts=counts))
+        counts = values[a + 1 : z]  # past the zero weight at a
+        if raw0 > 1:
+            for w, c in zip(weights[a + 1 : z], counts):
+                if c % raw0:
+                    raise ArithmeticError(f"raw count {c} at weight {w} not divisible by {raw0}")
+            counts = [c // raw0 for c in counts]
+        out.append(WeightDistribution(p, m, n, m - t, tuple(zip(weights[a + 1 : z], counts))))
     return out
 
 
@@ -538,8 +553,8 @@ def _dual_counts(wd: WeightDistribution):
     """
     p, n = wd.p, wd.n
     size = p**wd.k
-    weights = list(wd.counts)
-    mults = [wd.counts[w] for w in weights]
+    weights = [0, *(w for w, _ in wd.pairs)]
+    mults = [1, *(a for _, a in wd.pairs)]
     prev = [0] * len(weights)
     cur = [1] * len(weights)
     for j in range(n + 1):
@@ -569,8 +584,8 @@ def macwilliams_dual(wd: WeightDistribution) -> WeightDistribution:
     """
     if wd.n > DUAL_MAX_N:
         raise ValueError(f"full dual of length n = {wd.n} exceeds DUAL_MAX_N = {DUAL_MAX_N}")
-    dual_counts = {j: a for j, a in _dual_counts(wd) if a}
-    return WeightDistribution(p=wd.p, m=wd.m, n=wd.n, k=wd.n - wd.k, counts=dual_counts)
+    pairs = tuple((j, a) for j, a in _dual_counts(wd) if j and a)
+    return WeightDistribution(wd.p, wd.m, wd.n, wd.n - wd.k, pairs)
 
 
 def dual_distance(wd: WeightDistribution):
@@ -606,9 +621,9 @@ def pless_moments_check(wd: WeightDistribution) -> PlessReport:
     p, n, k = wd.p, wd.n, wd.k
     low = dict(itertools.islice(_dual_counts(wd), 3))
     a1, a2 = low.get(1, 0), low.get(2, 0)
-    s0 = sum(a for w, a in wd.counts.items() if w > 0)
-    s1 = sum(w * a for w, a in wd.counts.items())
-    s2 = sum(w * w * a for w, a in wd.counts.items())
+    s0 = sum(a for _, a in wd.pairs)
+    s1 = sum(w * a for w, a in wd.pairs)
+    s2 = sum(w * w * a for w, a in wd.pairs)
     checks = []
 
     rhs0 = Fraction(p**k - 1)

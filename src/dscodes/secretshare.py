@@ -334,7 +334,7 @@ def minimal_codewords(ds: DefiningSet) -> tuple[MinimalReport, RatioReport]:
     ratio = ratio_check(wd)
     total = f.p**wd.k - 1
     points = ds.n - int(ds.mask[0])  # nonzero elements of D
-    classes = _minimal_classes(f, weights, wd.k, points, np.array(sorted(wd.counts)))
+    classes = _minimal_classes(f, weights, wd.k, points, np.array([0, *(w for w, _ in wd.pairs)]))
     minimal_count = None
     if classes is not None:
         # minimal x come in p - 1 scalings and p^(m-k) kernel translates

@@ -53,10 +53,12 @@ def product_set(e_digits, ds: DefiningSet) -> tuple[DefiningSet, bool]:
 
 def complement(ds: DefiningSet) -> DefiningSet:
     """GF(q) minus the set.  Contains 0 whenever the set does not."""
-    rest = ~ds.mask
-    if not rest.any():
+    f = ds.field
+    if ds.n == f.q:
         raise ValueError("complement is empty")
-    return DefiningSet.from_mask(ds.field, rest, label=f"complement-of:{ds.label or 'set'}")
+    # ~mask is a fresh array of the q - n codes outside the set: held as it is
+    label = f"complement-of:{ds.label or 'set'}"
+    return DefiningSet.__new__(DefiningSet)._hold(f, ~ds.mask, label, f.q - ds.n)
 
 
 def union_disjoint(a: DefiningSet, b: DefiningSet) -> DefiningSet:

@@ -18,6 +18,7 @@ max(1, BATCH_CELLS // (q*p)) sets, one kernel call a chunk.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -80,10 +81,14 @@ def _first_diff(predicted: WeightDistribution, computed: WeightDistribution) -> 
         return {"field": "n", "predicted": predicted.n, "computed": computed.n}
     if predicted.k != computed.k:
         return {"field": "k", "predicted": predicted.k, "computed": computed.k}
-    for w in sorted(set(predicted.counts) | set(computed.counts)):
-        a, b = predicted.counts.get(w, 0), computed.counts.get(w, 0)
-        if a != b:
-            return {"field": "A_w", "w": w, "predicted": a, "computed": b}
+    # a merge of the ascending pairs: past their common prefix, the smaller
+    # weight of the first differing pair is the first differing entry
+    end = (predicted.n + 1, 0)
+    for (w, a), (v, b) in itertools.zip_longest(predicted.pairs, computed.pairs, fillvalue=end):
+        if (w, a) != (v, b):
+            u = min(w, v)
+            return {"field": "A_w", "w": u, "predicted": a if w == u else 0,
+                    "computed": b if v == u else 0}
     raise AssertionError("distributions differ but no differing entry found")
 
 
@@ -95,22 +100,23 @@ def stretch_distribution(wd: WeightDistribution, ell: int) -> WeightDistribution
     """Every nonzero weight scaled by ell, length scaled likewise."""
     if ell < 1:
         raise ValueError("ell must be positive")
-    counts = {w * ell: a for w, a in wd.counts.items()}
-    return WeightDistribution(p=wd.p, m=wd.m, n=wd.n * ell, k=wd.k, counts=counts)
+    pairs = tuple((w * ell, a) for w, a in wd.pairs)
+    return WeightDistribution(wd.p, wd.m, wd.n * ell, wd.k, pairs)
 
 
 def mirror_distribution(wd: WeightDistribution, pivot: int, new_n: int) -> WeightDistribution:
-    """Nonzero weights reflected to pivot - w; dimension carried over."""
-    counts = {0: 1}
-    for w, a in wd.nonzero_items():
-        r = pivot - w
-        if r <= 0 or r > new_n:
-            raise ArithmeticError(
-                f"reflected weight {r} falls outside [1, {new_n}]; "
-                "the base distribution violates the reflection preconditions"
-            )
-        counts[r] = counts.get(r, 0) + a
-    return WeightDistribution(p=wd.p, m=wd.m, n=new_n, k=wd.k, counts=counts)
+    """Nonzero weights reflected to pivot - w; dimension carried over.  The
+    reflection reverses the ascending pairs, so only its two ends can
+    leave [1, new_n]."""
+    pairs = wd.pairs
+    if pairs and not (pivot - pairs[-1][0] >= 1 and pivot - pairs[0][0] <= new_n):
+        r = next(pivot - w for w, _ in pairs if not 1 <= pivot - w <= new_n)
+        raise ArithmeticError(
+            f"reflected weight {r} falls outside [1, {new_n}]; "
+            "the base distribution violates the reflection preconditions"
+        )
+    reflected = tuple((pivot - w, a) for w, a in pairs[::-1])
+    return WeightDistribution(wd.p, wd.m, new_n, wd.k, reflected)
 
 
 # ----------------------------------------------------------------------
@@ -119,19 +125,14 @@ def mirror_distribution(wd: WeightDistribution, pivot: int, new_n: int) -> Weigh
 
 def predict_simplex(p: int, m: int) -> WeightDistribution:
     q = p**m
-    return WeightDistribution(
-        p=p, m=m, n=(q - 1) // (p - 1), k=m, counts={0: 1, p ** (m - 1): q - 1}
-    )
+    return WeightDistribution(p, m, (q - 1) // (p - 1), m, ((p ** (m - 1), q - 1),))
 
 
 def predict_scaled_simplex(p: int, m: int, ell: int) -> WeightDistribution:
     if not 1 <= ell <= p - 1:
         raise ValueError("ell must be the size of a subset of GF(p)*")
     q = p**m
-    return WeightDistribution(
-        p=p, m=m, n=ell * (q - 1) // (p - 1), k=m,
-        counts={0: 1, ell * p ** (m - 1): q - 1},
-    )
+    return WeightDistribution(p, m, ell * (q - 1) // (p - 1), m, ((ell * p ** (m - 1), q - 1),))
 
 
 def predict_quadratic_odd_rank(p: int, m: int, e: int) -> WeightDistribution:
@@ -142,7 +143,7 @@ def predict_quadratic_odd_rank(p: int, m: int, e: int) -> WeightDistribution:
     w, rem = divmod((e - 1) * (p - 1) * q, e * p)
     if rem:
         raise ArithmeticError("predicted weight is not an integer")
-    return WeightDistribution(p=p, m=m, n=n, k=m, counts={0: 1, w: q - 1})
+    return WeightDistribution(p, m, n, m, ((w, q - 1),))
 
 
 def predict_quadratic_even_rank(p: int, m: int, e: int, r: int) -> WeightDistribution:
@@ -158,7 +159,7 @@ def predict_quadratic_even_rank(p: int, m: int, e: int, r: int) -> WeightDistrib
     if rem_lo or rem_hi:
         raise ArithmeticError("predicted weights are not integers")
     half = (q - 1) // 2
-    return WeightDistribution(p=p, m=m, n=n, k=m, counts={0: 1, lo: half, hi: half})
+    return WeightDistribution(p, m, n, m, ((lo, half), (hi, half)))
 
 
 def predict_boolean_complement(spectrum: spectra.WalshSpectrum) -> WeightDistribution:
@@ -172,11 +173,9 @@ def predict_boolean_complement(spectrum: spectra.WalshSpectrum) -> WeightDistrib
         if rems[w]:
             raise ArithmeticError(f"weight formula not divisible by 4 at w = {w + 1}")
         raise ArithmeticError(f"nonpositive predicted weight at w = {w + 1}")
-    weights, counts = np.unique(wts, return_counts=True)
-    return WeightDistribution(
-        p=2, m=f.m, n=q - spectrum.n_f - 1, k=f.m,
-        counts={0: 1, **dict(zip(weights.tolist(), counts.tolist()))},
-    )
+    weights, counts = np.unique(wts, return_counts=True)  # ascending weights
+    pairs = tuple(zip(weights.tolist(), counts.tolist()))
+    return WeightDistribution(2, f.m, q - spectrum.n_f - 1, f.m, pairs)
 
 
 def predict_half_orbit_complement(h: int) -> WeightDistribution:
@@ -185,14 +184,13 @@ def predict_half_orbit_complement(h: int) -> WeightDistribution:
     m = 3 * h
     mid = 5 * 3 ** (3 * h - 2)
     off = 3 ** (2 * h - 2)
-    counts = {
-        0: 1,
-        mid + off: 3 ** (2 * h) + 3**h,
-        mid: 3 ** (3 * h) - 2 * 3 ** (2 * h) - 1,
-        mid - off: 3 ** (2 * h) - 3**h,
-    }
+    pairs = (
+        (mid - off, 3 ** (2 * h) - 3**h),
+        (mid, 3 ** (3 * h) - 2 * 3 ** (2 * h) - 1),
+        (mid + off, 3 ** (2 * h) + 3**h),
+    )
     n = (5 * 3 ** (3 * h - 1) + 1) // 2
-    return WeightDistribution(p=3, m=m, n=n, k=m, counts=counts)
+    return WeightDistribution(3, m, n, m, pairs)
 
 
 def predict_cubic_trace_odd(m: int) -> WeightDistribution:
@@ -201,13 +199,10 @@ def predict_cubic_trace_odd(m: int) -> WeightDistribution:
     eps = (-1) ** ((m * m - 1) // 8)
     n = 2 ** (m - 1) - 1 + eps * 2 ** ((m - 1) // 2)
     u, v = 2 ** (m - 2), 2 ** ((m - 3) // 2)
-    counts = {0: 1, u + eps * v: 2 ** (m - 1)}
     a_low = u + v - (1 + eps) // 2
     a_high = u - v + (eps - 1) // 2
-    for w, a in ((u + (eps - 1) * v, a_low), (u + (eps + 1) * v, a_high)):
-        if a > 0:
-            counts[w] = counts.get(w, 0) + a
-    return WeightDistribution(p=2, m=m, n=n, k=m, counts=counts)
+    pairs = ((u + (eps - 1) * v, a_low), (u + eps * v, 2 ** (m - 1)), (u + (eps + 1) * v, a_high))
+    return WeightDistribution(2, m, n, m, tuple((w, a) for w, a in pairs if a > 0))
 
 
 def predict_cubic_trace_even(m: int) -> WeightDistribution:
@@ -216,26 +211,23 @@ def predict_cubic_trace_even(m: int) -> WeightDistribution:
     u = 2 ** (m - 2)
     if m % 4 == 2:
         v = 2 ** ((m - 2) // 2)
-        counts = {
-            0: 1,
-            u: 3 * 2 ** (m - 2) - 1,
-            u + v: 2 ** (m - 3) - 2 ** ((m - 4) // 2),
-            u - v: 2 ** (m - 3) + 2 ** ((m - 4) // 2),
-        }
+        pairs = (
+            (u - v, 2 ** (m - 3) + 2 ** ((m - 4) // 2)),
+            (u, 3 * 2 ** (m - 2) - 1),
+            (u + v, 2 ** (m - 3) - 2 ** ((m - 4) // 2)),
+        )
         n = 2 ** (m - 1) - 1
     else:
         delta = (-1) ** (m // 4)
         v = 2 ** ((m - 2) // 2)
         n = 2 ** (m - 1) - 1 - delta * 2 ** (m // 2)
-        counts = {0: 1, u - delta * v: 3 * 2 ** (m - 2)}
+        # ascending for delta = 1 and for delta = -1
         pairs = (
             (u - (delta + 1) * v, 2 ** (m - 3) + 2 ** ((m - 4) // 2) + (delta - 1) // 2),
+            (u - delta * v, 3 * 2 ** (m - 2)),
             (u - (delta - 1) * v, 2 ** (m - 3) - 2 ** ((m - 4) // 2) - (delta + 1) // 2),
         )
-        for w, a in pairs:
-            if a > 0:
-                counts[w] = counts.get(w, 0) + a
-    return WeightDistribution(p=2, m=m, n=n, k=m, counts=counts)
+    return WeightDistribution(2, m, n, m, tuple((w, a) for w, a in pairs if a > 0))
 
 
 # ----------------------------------------------------------------------
@@ -621,9 +613,10 @@ def _reflectable_sets(build, p, m, rng, trials):
         bases = []
         for _ in range(min(trials, max(1, code.BATCH_CELLS // f.q))):
             size = rng.randint(f.m, min(f.q - 2, f.m + 6))
-            bases.append(DefiningSet(f, tuple(rng.sample(range(f.q), size)), label="random"))
-        for base in bases:  # an unfit complement is refused before any base is enumerated
-            _route(f.p, f.m, f.q - base.n)
+            bases.append(DefiningSet(f, rng.sample(range(f.q), size), label="random"))
+        # the largest complement, as refusal is monotone in n: an unfit
+        # complement is refused before any base is enumerated
+        _route(f.p, f.m, f.q - min(base.n for base in bases))
         for base, wd in zip(bases, weight_distributions(bases)):
             inst = _reflection(base, wd)
             misses = 0 if inst.holds else misses + 1

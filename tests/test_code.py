@@ -418,7 +418,7 @@ def test_dual_recurrence_matches_direct_krawtchouk_sum(catalog_with_weights):
 
 def test_full_dual_refuses_oversized_length(monkeypatch):
     n = DUAL_MAX_N + 1
-    wd = WeightDistribution(p=2, m=16, n=n, k=1, counts={0: 1, n: 1})
+    wd = WeightDistribution.from_counts(p=2, m=16, n=n, k=1, counts={0: 1, n: 1})
 
     def no_work(_):
         raise AssertionError("the transform ran before the size check")
@@ -580,19 +580,86 @@ def test_pipeline_never_builds_the_element_array(monkeypatch):
         summarize(ds, build_code_weights(ds))
         minimal_codewords(ds)
     spectra.walsh_transform(f, table)
-    assert len(made) == 4  # the walsh support besides the three built above
+    # the walsh support besides the two built above by from_mask (a complement
+    # holds its own fresh mask and skips it)
+    assert len(made) == 3
     for ds in built + made:
         assert "elements" not in vars(ds), ds
 
 
 def test_weight_distribution_validation():
     with pytest.raises((ValueError, AssertionError)):
-        WeightDistribution(p=2, m=2, n=3, k=2, counts={1: 4})
+        WeightDistribution.from_counts(p=2, m=2, n=3, k=2, counts={1: 4})
     with pytest.raises((ValueError, AssertionError)):
-        WeightDistribution(p=2, m=2, n=3, k=2, counts={0: 1, 1: 2})
+        WeightDistribution.from_counts(p=2, m=2, n=3, k=2, counts={0: 1, 1: 2})
+
+
+def _random_counts(rng, p):
+    """(m, n, k, counts): a valid weight -> multiplicity dict, its items
+    in random order, weight 0 among them."""
+    k, n = rng.randint(0, 3), rng.randint(1, 30)
+    rest = p**k - 1  # the nonzero codewords, cut into positive parts
+    s = min(rest, n, rng.randint(1, 5))
+    weights = sorted(rng.sample(range(1, n + 1), s))
+    cuts = [0, *sorted(rng.sample(range(1, rest), s - 1)), rest] if s else [0]
+    items = [(0, 1), *zip(weights, (b - a for a, b in zip(cuts, cuts[1:])))]
+    rng.shuffle(items)
+    return rng.randint(max(k, 1), 6), n, k, dict(items)
+
+
+def _dict_oracle(counts):
+    """enumerator, d_min, w_max and the JSON weights read off a dict by sorting."""
+    nz = sorted((w, a) for w, a in counts.items() if w > 0)
+    terms = ["1"] + [("" if a == 1 else str(a)) + ("z" if w == 1 else f"z^{w}") for w, a in nz]
+    ws = [w for w, _ in nz]
+    return ("+".join(terms), min(ws, default=None), max(ws, default=None),
+            [{"w": w, "count": a} for w, a in nz])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_ascending_pairs_match_their_dict_oracle(p):
+    rng = random.Random(p)
+    for _ in range(60):
+        m, n, k, counts = _random_counts(rng, p)
+        from_dict = WeightDistribution.from_counts(p, m, n, k, counts)
+        pairs = tuple(sorted((w, a) for w, a in counts.items() if w))
+        from_pairs = WeightDistribution(p, m, n, k, pairs)
+        assert from_dict == from_pairs and from_dict.pairs == pairs
+        assert from_pairs.counts == counts
+        enumerator, d_min, w_max, weights = _dict_oracle(counts)
+        for wd in (from_dict, from_pairs):
+            assert (wd.enumerator(), wd.d_min, wd.w_max) == (enumerator, d_min, w_max)
+            assert wd.to_json_dict() == {"p": p, "m": m, "n": n, "k": k,
+                                         "weights": weights, "d_min": d_min}
+
+
+# (n, k, the pairs or None, the dict or None, the refusal): p = 2
+DISTRIBUTION_REFUSALS = [
+    (3, 2, None, {2: 4}, "weight 0 must appear exactly once"),
+    (3, 2, None, {0: 2, 2: 2}, "weight 0 must appear exactly once"),
+    (3, 2, ((0, 1), (2, 2)), None, "weight 0 must appear exactly once"),
+    (3, 2, ((2, 1), (0, 2)), None, "weight 0 must appear exactly once"),
+    (3, 2, ((3, 1), (2, 2)), None, "weight 2 after weight 3: weights must strictly ascend"),
+    (3, 2, ((2, 1), (2, 2)), None, "weight 2 after weight 2: weights must strictly ascend"),
+    (3, 2, ((1, 1), (5, 2)), {0: 1, 1: 1, 5: 2}, r"weight 5 outside \[0, 3\]"),
+    (3, 2, ((-1, 3),), {0: 1, -1: 3}, r"weight -1 outside \[0, 3\]"),
+    (3, 2, ((1, 0), (2, 3)), {0: 1, 1: 0, 2: 3}, "multiplicity of weight 1 must be positive"),
+    (3, 2, ((1, 4), (2, -1)), {0: 1, 1: 4, 2: -1}, "multiplicity of weight 2 must be positive"),
+    (3, 2, ((1, 2),), {0: 1, 1: 2}, r"multiplicities sum to 3, expected 2\^2"),
+]
+
+
+@pytest.mark.parametrize("n, k, pairs, counts, message", DISTRIBUTION_REFUSALS)
+def test_distribution_refusals_keep_their_messages(n, k, pairs, counts, message):
+    if pairs is not None:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WeightDistribution(2, 2, n, k, pairs)
+    if counts is not None:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WeightDistribution.from_counts(2, 2, n, k, counts)
 
 
 def test_distribution_equality_ignores_field_degree():
-    a = WeightDistribution(p=2, m=4, n=3, k=2, counts={0: 1, 2: 3})
-    b = WeightDistribution(p=2, m=2, n=3, k=2, counts={0: 1, 2: 3})
+    a = WeightDistribution.from_counts(p=2, m=4, n=3, k=2, counts={0: 1, 2: 3})
+    b = WeightDistribution.from_counts(p=2, m=2, n=3, k=2, counts={0: 1, 2: 3})
     assert a == b

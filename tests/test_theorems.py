@@ -16,7 +16,7 @@ from dscodes.theorems import (
 def wd_of(p, m, n, k, counts):
     full = {0: 1}
     full.update(counts)
-    return WeightDistribution(p=p, m=m, n=n, k=k, counts=full)
+    return WeightDistribution.from_counts(p=p, m=m, n=n, k=k, counts=full)
 
 
 # ----------------------------------------------------------------------
@@ -43,6 +43,72 @@ def test_first_diff_reports_smallest_weight():
     b = wd_of(2, 4, 5, 2, {2: 2, 3: 1})
     diff = theorems._first_diff(a, b)
     assert diff == {"field": "A_w", "w": 2, "predicted": 3, "computed": 2}
+
+
+def _first_diff_oracle(predicted, computed):
+    """The first differing A_w over the union of both weight sets, by dict."""
+    a, b = predicted.counts, computed.counts
+    w = min(w for w in set(a) | set(b) if a.get(w, 0) != b.get(w, 0))
+    return {"field": "A_w", "w": w, "predicted": a.get(w, 0), "computed": b.get(w, 0)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_first_diff_merge_matches_dict_oracle(p):
+    # pairs of distributions of one [n, k]: some codewords of one moved to
+    # another weight, new or held, so the weight sets differ or interleave
+    rng = random.Random(p)
+    seen = 0
+    for _ in range(80):
+        k, n = rng.randint(1, 3), rng.randint(2, 12)
+        counts = {0: 1}
+        for _ in range(p**k - 1):
+            w = rng.randint(1, n)
+            counts[w] = counts.get(w, 0) + 1
+        moved = dict(counts)
+        src = rng.choice([w for w in moved if w])
+        dst = rng.randint(1, n)
+        step = rng.randint(1, moved[src])
+        moved[src] -= step
+        moved[dst] = moved.get(dst, 0) + step
+        moved = {w: a for w, a in moved.items() if a}
+        a = WeightDistribution.from_counts(p, 3, n, k, counts)
+        b = WeightDistribution.from_counts(p, 3, n, k, moved)
+        if a == b:
+            continue
+        seen += 1
+        assert theorems._first_diff(a, b) == _first_diff_oracle(a, b), (counts, moved)
+        assert theorems._first_diff(b, a) == _first_diff_oracle(b, a), (moved, counts)
+    assert seen > 40
+
+
+@pytest.mark.parametrize("pivot, new_n, r", [(16, 9, 12), (6, 20, 0), (7, 20, -1)])
+def test_mirror_names_the_first_weight_reflected_outside(pivot, new_n, r):
+    # weights 4, 6, 8 reflect to pivot - 4, pivot - 6, pivot - 8: the first
+    # outside [1, new_n] in ascending w, as a scan of every weight finds it
+    base = wd_of(2, 5, 11, 5, {4: 10, 6: 16, 8: 5})
+    with pytest.raises(ArithmeticError, match=rf"^reflected weight {r} falls outside \[1, {new_n}\];"):
+        mirror_distribution(base, pivot, new_n)
+
+
+def test_closed_forms_and_the_dual_give_strictly_ascending_pairs(catalog_with_weights):
+    from dscodes.code import macwilliams_dual
+
+    forms = [theorems.predict_simplex(p, m) for p, m in ((2, 3), (3, 4), (5, 2), (7, 3))]
+    forms += [theorems.predict_scaled_simplex(5, 3, ell) for ell in (1, 2, 4)]
+    forms += [theorems.predict_quadratic_odd_rank(3, 3, 2)]
+    forms += [theorems.predict_quadratic_even_rank(p, 2, 2, 2) for p in (3, 5)]
+    forms += [theorems.predict_cubic_trace_odd(m) for m in range(5, 17, 2)]
+    forms += [theorems.predict_cubic_trace_even(m) for m in range(4, 18, 2)]
+    forms += [theorems.predict_half_orbit_complement(h) for h in (1, 3)]
+    # predict_boolean_complement and the cor4 forms as their scans call them
+    for token, p, values in (("cor5", 2, (4, 5, 6, 7)), ("cor4odd", 3, (3, 5)),
+                             ("cor4even", 3, (2, 4)), ("cor4even", 5, (2,))):
+        forms += [r.predicted for r in scan(token, values, p=p) if r.predicted is not None]
+    forms += [macwilliams_dual(wd) for _, wd in catalog_with_weights]
+    for wd in forms:
+        ws = [w for w, _ in wd.pairs]
+        assert type(wd.pairs) is tuple and ws == sorted(set(ws)), wd
+        assert all(type(w) is int and type(a) is int and a > 0 for w, a in wd.pairs), wd
 
 
 # ----------------------------------------------------------------------
@@ -489,6 +555,48 @@ def test_cor3_scan_enumerates_base_and_complement_once(monkeypatch):
     assert sum(len(wds) for wds in batches) == 2 * len(reports) + rejected
 
 
+def test_cor3_round_refuses_its_largest_complement_before_any_kernel_call(monkeypatch):
+    f = get_field(2, 6)
+    rng = random.Random(3)
+    sizes = []  # the first round's 20 bases, drawn as _reflectable_sets draws them
+    for _ in range(20):
+        sizes.append(rng.randint(f.m, min(f.q - 2, f.m + 6)))
+        rng.sample(range(f.q), sizes[-1])
+    largest = f.q - min(sizes)
+    assert f.q - sizes[0] < largest  # a check of the first base alone would pass
+    batches = _record_calls(monkeypatch, theorems, "weight_distributions")
+    # no transform, and a gather of at most `largest` - 1 elements
+    monkeypatch.setattr(code, "TRANSFORM_MAX_CELLS", f.q * f.p - 1)
+    monkeypatch.setattr(code, "GATHER_MAX_CELLS", f.q * (largest - 1))
+    with pytest.raises(ValueError, match=rf"^{largest} elements of GF\(2\^6\) fit neither"):
+        next(theorems._reflectable_sets(None, 2, 6, random.Random(3), 20))
+    assert batches == []
+    # one element more fits the whole round, enumerated in one call
+    monkeypatch.setattr(code, "GATHER_MAX_CELLS", f.q * largest)
+    next(theorems._reflectable_sets(None, 2, 6, random.Random(3), 20))
+    assert [len(wds) for wds in batches] == [20]
+
+
+# the scans of the catalogue benchmark workload, at reduced size
+CATALOGUE_SCANS = [
+    ("cor3", 2, (4, 5, 6)), ("cor3", 3, (3,)), ("cor2", 7, (2,)), ("cor4odd", 3, (3, 4)),
+    ("cor4even", 3, (2, 4)), ("cor4even", 5, (2,)), ("thm4", 2, (5, 7)), ("cor5", 2, (4, 5, 6)),
+]
+
+
+@pytest.mark.parametrize("token,p,values", CATALOGUE_SCANS)
+def test_catalogue_scans_enumerate_each_set_once(monkeypatch, token, p, values):
+    singles = _record_calls(monkeypatch, theorems, "build_code_weights")
+    batches = _record_calls(monkeypatch, theorems, "weight_distributions")
+    drawn = _record_calls(monkeypatch, theorems, "_reflection")  # cor3's bases
+    reports = scan(token, values, p=p, trials=20, seed=1)
+    holding = sum(r.verdict != "hypothesis-not-met" for r in reports)
+    assert reports and holding
+    # one set a holding instance, one a drawn base, and never a set alone
+    assert sum(len(wds) for wds in batches) == holding + len(drawn)
+    assert not singles
+
+
 def test_sweep_and_split_enumerate_their_sets_in_one_call(monkeypatch):
     singles = _record_calls(monkeypatch, theorems, "build_code_weights")
     batches = _record_calls(monkeypatch, theorems, "weight_distributions")
@@ -676,7 +784,7 @@ def _boolean_oracle(spectrum):
         if wt <= 0:
             raise ArithmeticError(f"nonpositive predicted weight at w = {w}")
         counts[wt] = counts.get(wt, 0) + 1
-    return WeightDistribution(p=2, m=f.m, n=f.q - n_f - 1, k=f.m, counts=counts)
+    return WeightDistribution.from_counts(p=2, m=f.m, n=f.q - n_f - 1, k=f.m, counts=counts)
 
 
 def test_boolean_prediction_matches_scalar_oracle():
