@@ -16,12 +16,12 @@ p = 2, O(q*m) on q cells a set, and a (p, q) state at odd p,
 O(q*m*p^2).  Both routes return int32 weights in their own order of x.
 `weight_distributions` histograms them in that order with one bincount
 a chunk, and `build_code_weights` is its batch of one; only
-`weights_by_zero_count`, for the readers that index by x, puts them in
-x-order.  A distribution holds its nonzero (w, A_w) as one ascending
-tuple, from which `counts` is derived.  One dual layer, a Krawtchouk
-recurrence on Python big integers, yields the MacWilliams transform
-that the full dual, the dual distance and the power-moment checks all
-read.
+`weights_by_zero_count`, for the Walsh values and the minimal codewords
+a weight threshold leaves, puts them in x-order.  A distribution holds
+its nonzero (w, A_w) as one ascending tuple, from which `counts` is
+derived.  One dual layer, a Krawtchouk recurrence on Python big
+integers, yields the MacWilliams transform that the full dual, the dual
+distance and the power-moment checks all read.
 """
 
 from __future__ import annotations
@@ -417,8 +417,8 @@ def _route(p: int, m: int, *ns: int):
 def weights_by_zero_count(ds: DefiningSet) -> np.ndarray:
     """Weight of the codeword for every x, indexed by element code: n
     minus the number of d in ds with Tr(x d) = 0.  For the readers that
-    index by x, the Walsh values and the minimal codewords; a weight
-    distribution needs no x-order (`weight_distributions`)."""
+    index by x, the Walsh values and the minimal-codeword routes; a
+    weight distribution needs no x-order (`weight_distributions`)."""
     return _x_ordered(_route(ds.field.p, ds.field.m, ds.n), ds)
 
 
@@ -466,15 +466,6 @@ def weight_distributions(sets) -> list[WeightDistribution]:
 def build_code_weights(ds: DefiningSet) -> WeightDistribution:
     """Exact weight distribution of the code defined by ds: the batch of one."""
     return weight_distributions([ds])[0]
-
-
-def distribution_from_weights(ds: DefiningSet, weights: np.ndarray) -> WeightDistribution:
-    """Weight distribution of ds's code from its raw weight array
-    W[x] = wt(c_x) over all q values of x."""
-    if ds.n == 0:
-        raise ValueError("defining set is empty")
-    (wd,) = distributions_from_raw_histograms(ds.field, [ds.n], _histogram([ds.n], weights[None]))
-    return wd
 
 
 def _starts(ns) -> list[int]:

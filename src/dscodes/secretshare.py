@@ -6,12 +6,12 @@ other nonzero codeword's support sits strictly inside its support.
 The standard sufficient condition is w_min / w_max > (p-1)/p, compared
 here as exact rationals.
 
-Minimal codewords are counted from the weight array W[x] = wt(c_x)
-alone, with no codeword supports.  Each projective class of x is
-settled by the first of three exact steps that applies:
+Minimal codewords are counted from the weights W[x] = wt(c_x) alone,
+with no codeword supports.  Each projective class of x is settled by
+the first of three exact steps that applies:
 
-1. One weight threshold, O(q) at every p.  Were supp(c_y) inside
-   supp(c_x) with c_y not a multiple of c_x, the p - 1 codewords
+1. One weight threshold, read off the distribution.  Were supp(c_y)
+   inside supp(c_x) with c_y not a multiple of c_x, the p - 1 codewords
    c_x - c*c_y, c in GF(p)*, would be nonzero with weights summing to
    (p-1)*W[x] - wt(c_y) (Heng, Ding & Zhou, "Minimal linear codes over
    finite fields", FFA 54, 2018, Lemma 2.1); so c_x is minimal whenever
@@ -21,7 +21,9 @@ settled by the first of three exact steps that applies:
    hyperplane H_x meet <D> of dimension k - 1 (Alfarano, Borello & Neri,
    AMC 2022).  D has (n - [0 in D]) - W[x] nonzero points on H_x, and
    p^(k-2) of them cannot fit in a (k-2)-space, so that many certify c_x.
-   When the ratio criterion passes, every class is settled here.
+   When the ratio criterion passes, every class is settled here, and
+   the weights indexed by x (`code.weights_by_zero_count`), which the
+   other two steps read, are never built.
 2. At p = 2, weight-class correlations.  For codewords a and b,
    sum_{c in GF(p)} wt(b + c*a) >= (p-1)*wt(a), with equality iff
    supp(b) is inside supp(a) (the same lemma).  The y whose support
@@ -49,7 +51,7 @@ from . import code
 from .code import (
     DefiningSet,
     WeightDistribution,
-    distribution_from_weights,
+    build_code_weights,
     walsh_hadamard,
     weights_by_zero_count,
 )
@@ -283,61 +285,63 @@ def _certified_weight(p: int, k: int, points: int, w_min: int) -> int:
     return max(by_weight, points - p ** (k - 2)) if k >= 2 else by_weight
 
 
-def _minimal_classes(f: Field, weights: np.ndarray, k: int, points: int, levels) -> int | None:
+def _minimal_classes(ds: DefiningSet, wd: WeightDistribution) -> int | None:
     """Number of x outside the kernel, one per projective class
     {c*x : c in GF(p)*}, whose codeword is minimal; None when classes
     are left that no route fits.
 
-    The threshold settles the classes up to `_certified_weight`.  The
-    rest count the y with supp(c_y) inside supp(c_x), by the
-    correlations at p = 2 when their cells fit TRANSFORM_MAX_CELLS, else
-    by the gather when its |rows|*q cells fit MINIMAL_GATHER_BOUND; c_x
-    is minimal iff exactly p^(m-k+1) values of y pass.
+    The threshold settles the classes up to `_certified_weight`, counted
+    off wd alone: W[c*x] = W[x], so the A_w*p^(m-k) values of x of
+    weight w make A_w*p^(m-k)/(p-1) classes.  The rest count the y with
+    supp(c_y) inside supp(c_x), by the correlations at p = 2 when their
+    cells fit TRANSFORM_MAX_CELLS, else by the gather when its |rows|*q
+    cells fit MINIMAL_GATHER_BOUND; c_x is minimal iff exactly
+    p^(m-k+1) values of y pass.  Only a route that runs reads the
+    weights indexed by x.
     """
-    p, q = f.p, f.q
-    # levels[0] is the kernel's weight 0
-    bound = _certified_weight(p, k, points, int(levels[1]))
-    # W[c*x] = W[x], so each class holds p - 1 values of x
-    minimal = int(np.count_nonzero(weights <= bound) - np.count_nonzero(weights == 0)) // (p - 1)
-    targets = levels[levels > bound]
-    if targets.size:
-        rest = np.flatnonzero(weights[f.EXP[: (q - 1) // (p - 1)]] > bound)
-        pairs = _weight_pairs(levels, targets.tolist()) if p == 2 else None
-        if p == 2 and _correlation_cells(q, rest.size, pairs) <= code.TRANSFORM_MAX_CELLS:
-            passed = _correlation_passes(f, weights, rest, pairs)
-        elif rest.size * q <= MINIMAL_GATHER_BOUND:
-            passed = _gather_passes(f, weights, rest)
-        else:
+    f = ds.field
+    p, q, k = f.p, f.q, wd.k
+    kernel = p ** (f.m - k)
+    bound = _certified_weight(p, k, ds.n - int(ds.mask[0]), wd.d_min)
+    minimal = sum(a for w, a in wd.pairs if w <= bound) * kernel // (p - 1)
+    left = sum(a for w, a in wd.pairs if w > bound) * kernel // (p - 1)
+    if left:
+        targets = [w for w, _ in wd.pairs if w > bound]
+        pairs = _weight_pairs(np.array([0, *(w for w, _ in wd.pairs)]), targets) if p == 2 else None
+        correlate = p == 2 and _correlation_cells(q, left, pairs) <= code.TRANSFORM_MAX_CELLS
+        if not correlate and left * q > MINIMAL_GATHER_BOUND:
             return None
-        kernel = p ** (f.m - k + 1)
+        weights = weights_by_zero_count(ds)
+        rest = np.flatnonzero(weights[f.EXP[: (q - 1) // (p - 1)]] > bound)
+        if correlate:
+            passed = _correlation_passes(f, weights, rest, pairs)
+        else:
+            passed = _gather_passes(f, weights, rest)
         # the kernel plus GF(p)*x always passes
-        if passed.min() < kernel:
+        if passed.min() < p * kernel:
             raise AssertionError("a codeword misses the kernel in its support test")
-        minimal += int(np.count_nonzero(passed == kernel))
-    if minimal % p ** (f.m - k):
+        minimal += int(np.count_nonzero(passed == p * kernel))
+    if minimal % kernel:
         raise AssertionError("minimal class count not divisible by the kernel size")
     return minimal
 
 
 def minimal_codewords(ds: DefiningSet) -> tuple[MinimalReport, RatioReport]:
-    """Count the minimal codewords from the weight array alone.
+    """Count the minimal codewords of ds's code.
 
-    The weight array is computed once and the distribution and ratio are
-    read off it; the count is skipped (minimal_count None) when classes
-    are left that no route fits.  When the ratio criterion passes, the
-    threshold settles every class, so every nonzero codeword is counted
-    minimal.
+    The distribution is enumerated once (`build_code_weights`), and the
+    ratio and the threshold's count are read off it; the weights indexed
+    by x are computed only when the threshold leaves classes to a route.
+    The count is skipped (minimal_count None) when classes are left that
+    no route fits.  When the ratio criterion passes, the threshold
+    settles every class, so every nonzero codeword is counted minimal.
     """
     f = ds.field
-    weights = weights_by_zero_count(ds)
-    wd = distribution_from_weights(ds, weights)
+    wd = build_code_weights(ds)
     ratio = ratio_check(wd)
+    classes = _minimal_classes(ds, wd)
+    # minimal x come in p - 1 scalings and p^(m-k) kernel translates
+    minimal_count = None if classes is None else classes // f.p ** (f.m - wd.k) * (f.p - 1)
     total = f.p**wd.k - 1
-    points = ds.n - int(ds.mask[0])  # nonzero elements of D
-    classes = _minimal_classes(f, weights, wd.k, points, np.array([0, *(w for w, _ in wd.pairs)]))
-    minimal_count = None
-    if classes is not None:
-        # minimal x come in p - 1 scalings and p^(m-k) kernel translates
-        minimal_count = classes // f.p ** (f.m - wd.k) * (f.p - 1)
     report = MinimalReport(p=f.p, n=ds.n, k=wd.k, total_nonzero=total, minimal_count=minimal_count)
     return report, ratio

@@ -345,11 +345,18 @@ def _split_off_rest(first: DefiningSet) -> tuple[DefiningSet, DefiningSet]:
 
 
 def _complement(field, base: DefiningSet) -> Instance:
-    """Cor 3: the complement's weights are the base's reflected.  A
-    complement no weight route fits is refused before the base is enumerated."""
-    f = base.field
-    _route(f.p, f.m, f.q - base.n)
-    return _reflection(base, build_code_weights(base))
+    """Cor 3: the complement's weights are the base's reflected."""
+    return _reflections([base])[0]
+
+
+def _reflections(bases) -> list[Instance]:
+    """The cor3 instances on bases of one field, enumerated in one call.
+    The largest complement is checked first, as refusal is monotone in
+    n: a complement no weight route fits is refused before any base is
+    enumerated."""
+    f = bases[0].field
+    _route(f.p, f.m, f.q - min(base.n for base in bases))
+    return [_reflection(base, wd) for base, wd in zip(bases, weight_distributions(bases))]
 
 
 def _reflection(base: DefiningSet, base_wd: WeightDistribution) -> Instance:
@@ -602,9 +609,10 @@ def _reflectable_sets(build, p, m, rng, trials):
     Drawn in rounds of as many candidates as trials are left, at most
     max(1, code.BATCH_CELLS // q): a round never draws past the last
     candidate a walk of one candidate at a time would draw, so rng moves
-    exactly as it would.  A round's bases are enumerated in one call, as
-    the hypotheses read their distributions; the complements of the ones
-    that hold are built by `construct` and batched by `_run_all`."""
+    exactly as it would.  A round's bases are enumerated in one call
+    (`_reflections`), as the hypotheses read their distributions; the
+    complements of the ones that hold are built by `construct` and
+    batched by `_run_all`."""
     f = get_field(p, m)
     if f.q - 2 < f.m:
         raise ValueError(f"GF({f.p}^{f.m}) is too small for cor3: D needs m to q - 2 elements")
@@ -614,11 +622,7 @@ def _reflectable_sets(build, p, m, rng, trials):
         for _ in range(min(trials, max(1, code.BATCH_CELLS // f.q))):
             size = rng.randint(f.m, min(f.q - 2, f.m + 6))
             bases.append(DefiningSet(f, rng.sample(range(f.q), size), label="random"))
-        # the largest complement, as refusal is monotone in n: an unfit
-        # complement is refused before any base is enumerated
-        _route(f.p, f.m, f.q - min(base.n for base in bases))
-        for base, wd in zip(bases, weight_distributions(bases)):
-            inst = _reflection(base, wd)
+        for inst in _reflections(bases):
             misses = 0 if inst.holds else misses + 1
             if misses == REFLECTABLE_TRIES:
                 # a range too small to hold such a set is a usage error, not a falsification

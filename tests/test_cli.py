@@ -7,6 +7,7 @@ import json
 import random
 import re
 import runpy
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -786,3 +787,13 @@ def test_verify_paper_script_tally():
     assert code == 2  # the cor4even 4-to-1 standing example
     tally = re.sub(r" in [0-9.]+ s:", ":", out.getvalue().splitlines()[-1])
     assert tally == "103 instances: 98 match, 3 mismatch, 2 hypothesis-not-met"
+
+
+def test_peak_rss_script_keeps_the_status_and_fails_past_the_limit(capsys):
+    script = runpy.run_path(str(ROOT / "scripts/peak_rss.py"), run_name="peak_rss")
+    python = [sys.executable, "-c"]
+    assert script["main"](["100000", *python, "pass"]) == 0
+    assert script["main"](["100000", *python, "raise SystemExit(3)"]) == 3
+    assert script["main"](["0", *python, "pass"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[0].startswith("peak RSS ") and lines[0].endswith(" MB, limit 100000 MB")

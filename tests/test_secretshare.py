@@ -368,6 +368,32 @@ def test_correlation_refuses_past_the_cap_before_allocating(monkeypatch):
     assert report.minimal_count is None
 
 
+@pytest.mark.parametrize("p,m,build", [(2, 12, sets.tr_cubic_set), (3, 8, sets.simplex_coset_reps)])
+def test_a_settled_count_never_builds_pi(p, m, build):
+    f = Field(p, m)  # uncached, so PI is not built yet
+    ds = build(f)
+    assert code._route(p, m, ds.n) is code._weights_by_hyperplane_count
+    report, ratio = secretshare.minimal_codewords(ds)
+    assert ratio.passes and report.all_minimal
+    assert "PI" not in vars(f)
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 8, 12), (3, 5, 30), (5, 3, 20)])
+def test_a_skipped_count_reads_no_weights_by_x(p, m, n, monkeypatch):
+    def boom(*args):
+        raise AssertionError("the weights were read by x")
+
+    f = get_field(p, m)
+    ds = DefiningSet(f, tuple(random.Random(n).sample(range(f.q), n)))
+    monkeypatch.setattr(secretshare, "weights_by_zero_count", boom)
+    monkeypatch.setattr(secretshare, "_correlation_cells", lambda *args: code.TRANSFORM_MAX_CELLS + 1)
+    monkeypatch.setattr(secretshare, "MINIMAL_GATHER_BOUND", f.q - 1)
+    report, ratio = secretshare.minimal_codewords(ds)
+    assert report.minimal_count is None and not ratio.passes
+    assert (report.k, report.total_nonzero) == (m, p**m - 1)
+    assert ratio == secretshare.ratio_check(build_code_weights(ds))
+
+
 def test_correlation_peak_memory_is_within_its_cell_count():
     f = get_field(2, 14)
     ds = DefiningSet(f, tuple(random.Random(1).sample(range(f.q), 80)))
