@@ -205,7 +205,7 @@ def cmd_code(args):
             "k": summary.k,
             "d_min": summary.d_min,
             "enumerator": summary.enumerator,
-            "weights": [{"w": w, "count": a} for w, a in wd.nonzero_items()],
+            "weights": [{"w": w, "count": a} for w, a in wd.pairs],
             "dual": {"n_minus_k": summary.dual_n_minus_k, "d": summary.dual_d},
             "griesmer": {"bound": summary.griesmer_bound, "tight": summary.griesmer_tight},
             "pless_ok": pless.ok,

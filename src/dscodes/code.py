@@ -13,11 +13,11 @@ transform or a gather that sums n rows of a uint8 window in blocks,
 O(q*n) a set, which is also the oracle the tests check the transform
 against.  The transform is an in-place Walsh-Hadamard butterfly at
 p = 2, O(q*m) on q cells a set, and a (p, q) state at odd p,
-O(q*m*p^2).  Both routes return int32 weights in their own order of x.
-`weight_distributions` histograms them in that order with one bincount
-a chunk, and `build_code_weights` is its batch of one; only
-`weights_by_zero_count`, for the Walsh values and the minimal codewords
-a weight threshold leaves, puts them in x-order.  A distribution holds
+O(q*m*p^2).  Both routes return int32 weights in their own order of x,
+the transform by pi(x) and the gather by log x, and each reader takes
+that order: `weight_distributions` histograms them with one bincount a
+chunk (`build_code_weights` is its batch of one), and the minimal
+codewords read a route's rows as they come.  A distribution holds
 its nonzero (w, A_w) as one ascending tuple, from which `counts` is
 derived.  One dual layer, a Krawtchouk recurrence on Python big
 integers, yields the MacWilliams transform that the full dual, the dual
@@ -154,9 +154,6 @@ class WeightDistribution:
             and self.k == other.k
             and self.pairs == other.pairs
         )
-
-    def nonzero_items(self) -> list[tuple[int, int]]:
-        return list(self.pairs)
 
     @property
     def d_min(self):
@@ -362,13 +359,13 @@ def _weights_by_hyperplane_count(sets) -> np.ndarray:
     Tr is GF(p)-linear, so Tr(x d) = sum_i d_i Tr(x b_i), b_i the element
     with code p^i, and the zero count of x is N(pi(x)) with
     pi(x)_i = Tr(x b_i), a GF(p)-linear bijection (`Field.PI`).  A
-    histogram reads the columns as they come; only a reader that indexes
-    by x needs pi.  At p = 2 the weight is (n - W(u))/2 for the
-    Walsh-Hadamard transform W of the mask of D, in place on one int32
-    row of q cells a set; at odd p, N is `hyperplane_counts` on the masks
-    read as uint8, two int32 states of at most q*p cells a set.  Every
-    value is at most n <= q <= 2^24 in absolute value, so int32 cannot
-    overflow.
+    histogram and the GF(2)-linear correlations read the columns as they
+    come; only a gather by log x needs pi.  At p = 2 the weight is
+    (n - W(u))/2 for the Walsh-Hadamard transform W of the mask of D, in
+    place on one int32 row of q cells a set; at odd p, N is
+    `hyperplane_counts` on the masks read as uint8, two int32 states of
+    at most q*p cells a set.  Every value is at most n <= q <= 2^24 in
+    absolute value, so int32 cannot overflow.
     """
     f = sets[0].field
     p, q = f.p, f.q
@@ -412,27 +409,6 @@ def _route(p: int, m: int, *ns: int):
         return _weights_by_gather
     raise ValueError(f"{n} elements of GF({p}^{m}) fit neither GATHER_MAX_CELLS"
                      " nor TRANSFORM_MAX_CELLS")
-
-
-def weights_by_zero_count(ds: DefiningSet) -> np.ndarray:
-    """Weight of the codeword for every x, indexed by element code: n
-    minus the number of d in ds with Tr(x d) = 0.  For the readers that
-    index by x, the Walsh values and the minimal-codeword routes; a
-    weight distribution needs no x-order (`weight_distributions`)."""
-    return _x_ordered(_route(ds.field.p, ds.field.m, ds.n), ds)
-
-
-def _x_ordered(route, ds: DefiningSet) -> np.ndarray:
-    """The route's weights of ds alone, indexed by element code."""
-    f = ds.field
-    (weights,) = route([ds])
-    if route is _weights_by_hyperplane_count:
-        return weights[f.PI]
-    # the gather's column 1 + s holds x = alpha^s
-    out = np.empty_like(weights)
-    out[0] = weights[0]
-    out[f.EXP[: f.q - 1]] = weights[1:]
-    return out
 
 
 def weight_distributions(sets) -> list[WeightDistribution]:

@@ -31,13 +31,14 @@ EXP walks the coordinates of its first b ~ sqrt(q) powers by doubling,
 then reads each block of b through the table of x -> g^b * x, which is
 then refilled as LOG in blocks of `TABLE_BLOCK` cells.
 `Field.PI`, the map x -> (Tr(x alpha^j))_j, is built on first use, by the
-readers of weights indexed by x; a weight histogram never needs it.
+Walsh spectrum and the gather that reads a transform row by log x.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -220,6 +221,14 @@ def _check_parameters(p: int, m: int) -> None:
         raise ValueError(f"q = {p}^{m} exceeds the table cap 2^24")
 
 
+def _reduced_modulus(modulus, p: int) -> tuple[int, ...]:
+    """A modulus override's coefficients mod p; a float is refused, never truncated."""
+    bad = [c for c in modulus if not isinstance(c, numbers.Integral)]
+    if bad:
+        raise ValueError(f"modulus override needs integer coefficients, got {bad[0]}")
+    return tuple(int(c) % p for c in modulus)
+
+
 class Field:
     """GF(p^m).  Treat as immutable; share freely across threads."""
 
@@ -231,7 +240,7 @@ class Field:
         if modulus is None:
             modulus = smallest_irreducible(p, m)
         else:
-            modulus = tuple(int(c) % p for c in modulus)
+            modulus = _reduced_modulus(modulus, p)
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ValueError("modulus override must be monic of degree m")
             if not poly_is_irreducible(modulus, p):
@@ -363,7 +372,9 @@ class Field:
     @functools.cached_property
     def PI(self) -> np.ndarray:
         """Read-only pi(x) = sum_j Tr(x alpha^j) p^j for every element code x:
-        Tr(x alpha^j) = sum_i x_i Tr(alpha^(i+j)), a Hankel matrix over GF(p)."""
+        Tr(x alpha^j) = sum_i x_i Tr(alpha^(i+j)), a Hankel matrix over GF(p).
+        x's column in a transform: `spectra.walsh_transform` reads at PI,
+        the minimal-codeword gather a transform row at PI[EXP]."""
         p, m = self.p, self.m
         pi = self.linear_map([[self.trace(self.mul(p**i, p**j)) for j in range(m)] for i in range(m)])
         pi.setflags(write=False)
@@ -472,7 +483,7 @@ def get_field(p: int, m: int, modulus=None) -> Field:
     modulus, None and any spelling of the default share one entry."""
     _check_parameters(p, m)
     if modulus is not None:
-        modulus = tuple(int(c) % p for c in modulus)
+        modulus = _reduced_modulus(modulus, p)
         if modulus == smallest_irreducible(p, m):
             modulus = None
     return _cached_field(p, m, modulus)

@@ -22,8 +22,7 @@ the first of three exact steps that applies:
    AMC 2022).  D has (n - [0 in D]) - W[x] nonzero points on H_x, and
    p^(k-2) of them cannot fit in a (k-2)-space, so that many certify c_x.
    When the ratio criterion passes, every class is settled here, and
-   the weights indexed by x (`code.weights_by_zero_count`), which the
-   other two steps read, are never built.
+   the weight array that the other two steps read is never built.
 2. At p = 2, weight-class correlations.  For codewords a and b,
    sum_{c in GF(p)} wt(b + c*a) >= (p-1)*wt(a), with equality iff
    supp(b) is inside supp(a) (the same lemma).  The y whose support
@@ -32,10 +31,13 @@ the first of three exact steps that applies:
    p = 2, y passes iff W[y] + W[y + x] = W[x], and the number that pass
    is a sum of correlations of weight-class indicators, read off
    Walsh-Hadamard spectra; the transforms' cells are bounded by
-   code.TRANSFORM_MAX_CELLS before any allocation.
-3. The same test by gathers, |rows|*q cells for the rows left, when p is
-   odd or the correlations exceed their cap, bounded by
-   MINIMAL_GATHER_BOUND on those cells.
+   code.TRANSFORM_MAX_CELLS before any allocation.  pi is GF(2)-linear,
+   so the correlations read the transform route's weights by u = pi(x)
+   as they come, with no table of pi.
+3. The same test by gathers in log space, |rows|*q cells for the rows
+   left, when p is odd or the correlations exceed their cap, bounded by
+   MINIMAL_GATHER_BOUND on those cells.  It reads W[alpha^s]: the gather
+   route's columns as they come, or a transform row at PI[EXP].
 
 When classes are left that neither route fits, the count is skipped.
 """
@@ -48,13 +50,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import code
-from .code import (
-    DefiningSet,
-    WeightDistribution,
-    build_code_weights,
-    walsh_hadamard,
-    weights_by_zero_count,
-)
+from .code import DefiningSet, WeightDistribution, build_code_weights, walsh_hadamard
 from .field import Field
 
 # bound on the cells of the minimal-codeword gather, |rows|*q for the rows
@@ -165,12 +161,13 @@ class MinimalReport:
 
 def _gather_passes(f: Field, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """For x = alpha^s, s in rows, the number of y with supp(c_y) inside
-    supp(c_x), by |rows|*q gathers.
+    supp(c_x), by |rows|*q gathers; weights[s] = W[alpha^s], s < q - 1.
 
     y = x*z passes when sum_c W[x*(z + c)] = (p-1)*W[x].  Adding c in
     GF(p) changes only digit 0 of z, so one z per coset z + GF(p) is
-    tested, all in log space: W[x*w] = wlog[log x + LOG[w]], and w = 0
-    reads a padded zero slot.  A passing coset holds p passing y.
+    tested, all in log space: W[x*w] = wlog[log x + LOG[w]], wlog the
+    weights tiled past q - 1, and w = 0 reads a padded zero slot.  A
+    passing coset holds p passing y.
     """
     p, q = f.p, f.q
     classes = (q - 1) // (p - 1)
@@ -178,7 +175,8 @@ def _gather_passes(f: Field, weights: np.ndarray, rows: np.ndarray) -> np.ndarra
     # a sum of p weights is at most p*max(W)
     wide = p * int(weights.max()) >= 1 << 31
     wlog = np.zeros(span + classes, dtype=np.int64 if wide else np.int32)
-    wlog[:span] = weights[f.EXP[:span]]
+    wlog[: q - 1] = weights
+    wlog[q - 1 : span] = weights[: span - q + 1]
     logz = f.LOG.copy()  # int32, as span + classes < 2^26
     logz[0] = span
     cosets = np.arange(0, q, p)
@@ -215,10 +213,10 @@ def _weights_read(pairs) -> list[int]:
 def _correlation_cells(q: int, rows: int, pairs) -> int:
     """int32 cells the correlation over `rows` classes holds at its peak:
     one int32 count per row, and when a spectrum is read, one int32
-    spectrum of q cells per weight read, the rows' codes and mask, under
-    2 per row, and the larger of two transients.  One is S_t in int64
-    with one int64 product, 4*q, which the in-place transform adds
-    nothing to.  The other is the readout of the target's rows, at most
+    spectrum of q cells per weight read, 2 per row for the target's row
+    mask and the int64 codes it picks, and the larger of two transients.
+    One is S_t in int64 with one int64 product, 4*q, which the in-place
+    transform adds nothing to.  The other is the readout of the target's rows, at most
     6 per row: their int64 values with the int64 quotient and remainder.
     numpy's strided ufunc buffers, at most 192 KB whatever q, are apart."""
     read = _weights_read(pairs)
@@ -237,8 +235,9 @@ def _pair_sum(spectra: dict, plan, q: int) -> np.ndarray:
 
 
 def _correlation_passes(f: Field, weights: np.ndarray, rows: np.ndarray, pairs) -> np.ndarray:
-    """At p = 2: for x = alpha^s, s in rows, the number of y with
-    W[y] + W[y + x] = W[x], from Walsh-Hadamard spectra of weight classes.
+    """At p = 2: for each x in rows, the number of y with
+    W[y] + W[y + x] = W[x], from Walsh-Hadamard spectra of weight classes;
+    x and y may be read in any GF(2)-linear order, u = pi(x) among them.
 
     With 1_a the indicator of {y : W[y] = a}, the number is the sum over
     a + b = W[x] of corr_ab(x) = sum_y 1_a(y) 1_b(y + x).  The pairs with
@@ -263,11 +262,10 @@ def _correlation_passes(f: Field, weights: np.ndarray, rows: np.ndarray, pairs) 
     if not read:
         return passed
     spectra = {a: walsh_hadamard((weights == a).astype(np.int32)) for a in read}
-    xs = f.EXP[rows]
     for t, plan in pairs.items():
         if plan:
-            at = weights[xs] == t
-            count, rem = np.divmod(walsh_hadamard(_pair_sum(spectra, plan, q))[xs[at]], q)
+            at = weights[rows] == t
+            count, rem = np.divmod(walsh_hadamard(_pair_sum(spectra, plan, q))[rows[at]], q)
             if rem.any():
                 raise ArithmeticError("a weight-class correlation is not divisible by q")
             passed[at] += count
@@ -296,8 +294,9 @@ def _minimal_classes(ds: DefiningSet, wd: WeightDistribution) -> int | None:
     supp(c_y) inside supp(c_x), by the correlations at p = 2 when their
     cells fit TRANSFORM_MAX_CELLS, else by the gather when its |rows|*q
     cells fit MINIMAL_GATHER_BOUND; c_x is minimal iff exactly
-    p^(m-k+1) values of y pass.  Only a route that runs reads the
-    weights indexed by x.
+    p^(m-k+1) values of y pass.  Only a route that runs enumerates the
+    weights again: the correlations read a transform row as it comes,
+    the gather by log x.
     """
     f = ds.field
     p, q, k = f.p, f.q, wd.k
@@ -311,12 +310,15 @@ def _minimal_classes(ds: DefiningSet, wd: WeightDistribution) -> int | None:
         correlate = p == 2 and _correlation_cells(q, left, pairs) <= code.TRANSFORM_MAX_CELLS
         if not correlate and left * q > MINIMAL_GATHER_BOUND:
             return None
-        weights = weights_by_zero_count(ds)
-        rest = np.flatnonzero(weights[f.EXP[: (q - 1) // (p - 1)]] > bound)
         if correlate:
-            passed = _correlation_passes(f, weights, rest, pairs)
+            (weights,) = code._weights_by_hyperplane_count([ds])
+            passed = _correlation_passes(f, weights, np.flatnonzero(weights > bound), pairs)
         else:
-            passed = _gather_passes(f, weights, rest)
+            route = code._route(p, f.m, ds.n)
+            (weights,) = route([ds])
+            # W[alpha^s], s < q - 1: the gather's columns 1 + s, a transform's pi(alpha^s)
+            wlog = weights[1:] if route is code._weights_by_gather else weights[f.PI[f.EXP[: q - 1]]]
+            passed = _gather_passes(f, wlog, np.flatnonzero(wlog[: (q - 1) // (p - 1)] > bound))
         # the kernel plus GF(p)*x always passes
         if passed.min() < p * kernel:
             raise AssertionError("a codeword misses the kernel in its support test")
@@ -330,8 +332,8 @@ def minimal_codewords(ds: DefiningSet) -> tuple[MinimalReport, RatioReport]:
     """Count the minimal codewords of ds's code.
 
     The distribution is enumerated once (`build_code_weights`), and the
-    ratio and the threshold's count are read off it; the weights indexed
-    by x are computed only when the threshold leaves classes to a route.
+    ratio and the threshold's count are read off it; the weights are
+    enumerated again only when the threshold leaves classes to a route.
     The count is skipped (minimal_count None) when classes are left that
     no route fits.  When the ratio criterion passes, the threshold
     settles every class, so every nonzero codeword is counted minimal.

@@ -3,10 +3,10 @@
 S(a, b) = sum over x in GF(2^m) of (-1)^Tr(a x^3 + b x).  For odd m the
 value at (1, 1) has a closed form in m; for even m the closed forms go
 through cubic residues and the affine quartic a^2 x^4 + a x = b^2, which
-is GF(2)-linear in x and solved here by elimination over GF(2).  Walsh
-spectra come from the code weight kernel, `code.weights_by_zero_count`,
-applied to the support of the truth table; the naive quadratic sum that
-checks them lives in the tests.
+is GF(2)-linear in x and solved here by elimination over GF(2).  A Walsh
+spectrum is the Walsh-Hadamard butterfly of the signs (-1)^f, the one
+`code.walsh_hadamard` the weight kernel runs, read at `Field.PI`; the
+naive quadratic sum that checks it lives in the tests.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import functools
 
 import numpy as np
 
-from .code import DefiningSet, weights_by_zero_count
+from .code import walsh_hadamard
 from .field import Field
 
 
@@ -177,19 +177,20 @@ class WalshSpectrum:
 def walsh_transform(f: Field, table) -> WalshSpectrum:
     """Exact spectrum of a truth table indexed by element code.
 
-    With S the support of the table, W(u) = q [u = 0] - 2|S| + 4 wt_S(u),
-    where wt_S(u) = #{x in S : Tr(u x) = 1} is the weight of the codeword
-    for u in the trace code defined by S.
+    Tr(w x) is the dot product of x's code with pi(w) (`Field.PI`), so
+    W(w) = sum_x (-1)^(f(x) + x.pi(w)) is the Walsh-Hadamard transform of
+    the signs 1 - 2f(x) at pi(w): one int32 butterfly, exact as |W| <= q.
     """
     _require_binary(f)
     table = np.asarray(table)
     if table.shape != (f.q,) or not np.all((table == 0) | (table == 1)):
         raise ValueError("truth table must be q bits")
-    support = DefiningSet.from_mask(f, table)
-    values = 4 * weights_by_zero_count(support) - 2 * support.n
-    values[0] += f.q
+    signs = table.astype(np.int32)
+    signs *= -2
+    signs += 1
+    values = walsh_hadamard(signs)[f.PI]
     values.setflags(write=False)
-    return WalshSpectrum(f, values, support.n)
+    return WalshSpectrum(f, values, int(np.count_nonzero(table)))
 
 
 def tr_cubic_table(f: Field) -> np.ndarray:

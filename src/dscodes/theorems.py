@@ -317,7 +317,7 @@ def _split(field, arg) -> Instance:
     if overlap:
         return inst
     union_wd, wd1, wd2 = weight_distributions([sets.union_disjoint(d1, d2), d1, d2])
-    weights = [w for w, _ in union_wd.nonzero_items()]
+    weights = [w for w, _ in union_wd.pairs]
     inst.checks.append(
         HypothesisCheck("union-one-weight", len(weights) == 1, f"union weights {weights}")
     )

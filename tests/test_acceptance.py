@@ -17,12 +17,10 @@ from dscodes.code import (
     dual_distance,
     macwilliams_dual,
     pless_moments_check,
-    _weights_by_gather,
-    _weights_by_hyperplane_count,
-    _x_ordered,
 )
 from dscodes.field import get_field
 from moduli import alternate_field, transport
+from test_code import _weights_by_definition, check_route_orders
 
 WORKED_EXAMPLES = {
     4: (11, 4, "1+2z^4+12z^6+z^8"),
@@ -67,7 +65,7 @@ def test_criterion_03_half_orbit_family():
     t1 = time.perf_counter() - t0
     assert rep1.verdict == "match"
     assert (rep1.computed.n, rep1.computed.k, rep1.computed.d_min) == (23, 3, 14)
-    assert dict(rep1.computed.nonzero_items()) == {14: 6, 15: 8, 16: 12}
+    assert dict(rep1.computed.pairs) == {14: 6, 15: 8, 16: 12}
     assert t1 < 1.0, t1
 
     t0 = time.perf_counter()
@@ -77,7 +75,7 @@ def test_criterion_03_half_orbit_family():
     assert rep3.computed.n == 16403
     assert rep3.computed.k == 9
     mid, off = 5 * 3**7, 3**4
-    assert dict(rep3.computed.nonzero_items()) == {
+    assert dict(rep3.computed.pairs) == {
         mid - off: 3**6 - 3**3,
         mid: 3**9 - 2 * 3**6 - 1,
         mid + off: 3**6 + 3**3,
@@ -140,9 +138,9 @@ def test_criterion_06_one_weight_codes_for_every_scalar_subset():
             rep = theorems.verify("cor2", f, (e_digits, sets.simplex_coset_reps(f)))
             assert rep.verdict == "match", (p, m, e_digits)
             ell = len(e_digits)
-            assert rep.computed.nonzero_items() == [
-                (ell * p ** (m - 1), p**m - 1)
-            ], (p, m, e_digits)
+            assert rep.computed.pairs == (
+                (ell * p ** (m - 1), p**m - 1),
+            ), (p, m, e_digits)
     print("PASS criterion 6: every scalar expansion is one-weight as predicted")
 
 
@@ -188,10 +186,7 @@ def test_criterion_09_structural_property_suites(catalog_with_weights):
         assert macwilliams_dual(dual) == wd, ds
         assert pless_moments_check(wd).ok, ds
         if f.q <= 1 << 10:
-            assert np.array_equal(
-                _x_ordered(_weights_by_hyperplane_count, ds),
-                _x_ordered(_weights_by_gather, ds),
-            ), ds
+            check_route_orders(ds, _weights_by_definition(f, ds.elements))
         shuffled = list(ds.elements)
         rng.shuffle(shuffled)
         assert build_code_weights(DefiningSet(f, tuple(shuffled))) == wd, ds

@@ -19,7 +19,6 @@ from dscodes.code import (
     _weights_by_gather,
     _weights_by_hyperplane_count,
     build_code_weights,
-    _x_ordered,
     distributions_from_raw_histograms,
     dual_distance,
     griesmer_check,
@@ -29,7 +28,6 @@ from dscodes.code import (
     summarize,
     walsh_hadamard,
     weight_distributions,
-    weights_by_zero_count,
 )
 from dscodes.field import Field, get_field
 from dscodes.secretshare import minimal_codewords
@@ -100,10 +98,7 @@ def test_two_enumeration_routes_agree(catalog_with_weights):
     # the size rule sends most of these small sets to the gather, so
     # both routes are called directly
     for ds, wd in catalog_with_weights:
-        a = _x_ordered(_weights_by_hyperplane_count, ds)
-        b = _x_ordered(_weights_by_gather, ds)
-        assert np.array_equal(a, b), ds
-        assert np.array_equal(weights_by_zero_count(ds), b), ds
+        check_route_orders(ds, _weights_by_definition(ds.field, ds.elements))
 
 
 # every small field, m = 1 included, where the odd-p transform runs only
@@ -122,10 +117,12 @@ def test_transform_matches_gather_on_random_sets(p, m):
         assert _route(p, m, f.q) is _weights_by_hyperplane_count
     for n in sorted({1, f.q, rng.randint(1, f.q), rng.randint(1, f.q)}):
         ds = DefiningSet(f, rng.sample(range(f.q), n))
-        a = _x_ordered(_weights_by_hyperplane_count, ds)
-        b = _x_ordered(_weights_by_gather, ds)
+        (a,) = _weights_by_hyperplane_count([ds])
+        (b,) = _weights_by_gather([ds])
         assert a.dtype == np.int32
-        assert np.array_equal(a, b), (p, m, n)
+        # both at x = alpha^s: the transform's column pi(x), the gather's 1 + s
+        assert a[0] == b[0] == 0
+        assert np.array_equal(a[f.PI[f.EXP[: f.q - 1]]], b[1:]), (p, m, n)
 
 
 def _weights_by_definition(f, elements):
@@ -137,6 +134,21 @@ def _weights_by_definition(f, elements):
     weights = np.zeros(f.q, dtype=np.int64)
     weights[f.EXP[: f.q - 1]] = np.count_nonzero(tr[prods], axis=1)
     return weights
+
+
+def check_route_orders(ds, expected, routes=(_weights_by_hyperplane_count, _weights_by_gather)):
+    """Each route's weights of ds in its own order against `expected`,
+    the weights indexed by x: the transform's column pi(x), the gather's
+    column 1 + log x, both holding x = 0 in column 0."""
+    f = ds.field
+    for route in routes:
+        (weights,) = route([ds])
+        assert weights.dtype == np.int32, (route, ds)
+        if route is _weights_by_hyperplane_count:
+            assert np.array_equal(weights[f.PI], expected), ds
+        else:
+            assert weights[0] == expected[0], ds
+            assert np.array_equal(weights[1:], expected[f.EXP[: f.q - 1]]), ds
 
 
 # every supported p; the units of GF(2^10) put 511 zeros on each hyperplane,
@@ -159,15 +171,13 @@ def test_gather_blocks_match_both_oracles(monkeypatch, p, m):
     for elements in cases:
         expected = _weights_by_definition(f, elements)
         ds = DefiningSet(f, elements)
-        assert np.array_equal(_x_ordered(_weights_by_hyperplane_count, ds), expected)
+        check_route_orders(ds, expected, (_weights_by_hyperplane_count,))
         # blocks of 255 rows, of 7 rows, and one row at a time by views
         for block_cells, row_cells in ((1 << 19, 1 << 14), (7 * (f.q - 1), 1 << 14), (1 << 19, 1)):
             with monkeypatch.context() as patch:
                 patch.setattr(code, "GATHER_BLOCK_CELLS", block_cells)
                 patch.setattr(code, "GATHER_ROW_CELLS", row_cells)
-                weights = _x_ordered(_weights_by_gather, ds)
-            assert weights.dtype == np.int32
-            assert np.array_equal(weights, expected), (p, m, len(elements), block_cells, row_cells)
+                check_route_orders(ds, expected, (_weights_by_gather,))
 
 
 def _distribution_by_definition(f, elements):
@@ -270,9 +280,6 @@ def test_weight_distributions_never_build_pi(p, m, n):
     wd = build_code_weights(ds)
     assert weight_distributions([ds, sets.complement(ds)])[0] == wd
     assert "PI" not in vars(f)
-    # the weights indexed by x do read PI off the transform
-    weights_by_zero_count(ds)
-    assert ("PI" in vars(f)) == (route is _weights_by_hyperplane_count)
 
 
 @pytest.mark.parametrize("m", [1, 3, 6])
@@ -437,7 +444,7 @@ def test_macwilliams_on_simplex():
     # code with 3 as minimum distance whenever m >= 2
     f = get_field(3, 3)
     wd = build_code_weights(sets.simplex_coset_reps(f))
-    assert wd.nonzero_items() == [(9, 26)]
+    assert wd.pairs == ((9, 26),)
     assert dual_distance(wd) == 3
 
 
@@ -580,9 +587,9 @@ def test_pipeline_never_builds_the_element_array(monkeypatch):
         summarize(ds, build_code_weights(ds))
         minimal_codewords(ds)
     spectra.walsh_transform(f, table)
-    # the walsh support besides the two built above by from_mask (a complement
-    # holds its own fresh mask and skips it)
-    assert len(made) == 3
+    # the two built above by from_mask (a complement holds its own fresh
+    # mask and skips it); the Walsh spectrum builds no set
+    assert len(made) == 2
     for ds in built + made:
         assert "elements" not in vars(ds), ds
 

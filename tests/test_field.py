@@ -273,6 +273,11 @@ def test_get_field_keys_on_the_concrete_modulus():
         ((2, 3, (1, 0, 1, 0)), "monic of degree m"),
         ((2, 2, (1, 0, 1)), "reducible"),
         ((3, 2, (1, 2, 1)), "reducible"),
+        # a float coefficient is refused, not truncated: to (1, 1, 0, 1), the
+        # cached field, or to [2, 2, 1]
+        ((2, 3, (1, 1.5, 0, 1)), "integer coefficients"),
+        ((3, 2, np.array([2.7, 2, 1])), "integer coefficients"),
+        ((2, 3, np.array([1.0, 1.0, 0.0, 1.0])), "integer coefficients"),
     ],
 )
 def test_get_field_refuses_what_field_refuses(args, message):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dscodes import code, secretshare, sets
-from dscodes.code import DefiningSet, build_code_weights, weights_by_zero_count
+from dscodes.code import DefiningSet, build_code_weights
 from dscodes.field import Field, get_field
 
 
@@ -129,18 +129,22 @@ def _check_routes(ds, k):
     """Each route alone against the full gather, one row per projective
     class outside the kernel: the classes the weight threshold certifies
     pass exactly p^(m-k+1) values of y there, and at p = 2 the
-    correlations count the same y."""
+    correlations count the same y.  The gather reads the weights by
+    log x, the gather route's columns past x = 0; the correlations read
+    them by u = pi(x), the transform route's columns."""
     f = ds.field
-    weights = weights_by_zero_count(ds)
-    rows = np.flatnonzero(weights[f.EXP[: (f.q - 1) // (f.p - 1)]])
-    full = secretshare._gather_passes(f, weights, rows)
-    w = weights[f.EXP[rows]]
+    wlog = code._weights_by_gather([ds])[0][1:]
+    rows = np.flatnonzero(wlog[: (f.q - 1) // (f.p - 1)])
+    full = secretshare._gather_passes(f, wlog, rows)
+    w = wlog[rows]
     certified = w <= secretshare._certified_weight(f.p, k, ds.n - int(ds.mask[0]), int(w.min()))
     assert np.all(full[certified] == f.p ** (f.m - k + 1))
     if f.p == 2:
+        (weights,) = code._weights_by_hyperplane_count([ds])
         levels = np.flatnonzero(np.bincount(weights))
         pairs = secretshare._weight_pairs(levels, np.unique(w).tolist())
-        assert np.array_equal(secretshare._correlation_passes(f, weights, rows, pairs), full)
+        us = f.PI[f.EXP[rows]]
+        assert np.array_equal(secretshare._correlation_passes(f, weights, us, pairs), full)
     return full, certified
 
 
@@ -198,7 +202,7 @@ def test_routes_agree_with_the_full_gather_on_cubic_trace_codes(m):
 def test_correlations_match_the_gather_on_a_set_with_many_weights():
     f = get_field(2, 10)
     ds = DefiningSet(f, tuple(random.Random(12).sample(range(f.q), 40)))
-    weights = weights_by_zero_count(ds)
+    (weights,) = code._weights_by_hyperplane_count([ds])
     levels = np.flatnonzero(np.bincount(weights))
     pairs = secretshare._weight_pairs(levels, levels[1:].tolist())
     assert len(levels) >= 15 and sum(map(len, pairs.values())) >= 30
@@ -330,8 +334,8 @@ def test_minimal_codewords_refuses_past_bound_before_any_work(monkeypatch):
 
     f = get_field(5, 4)
     ds = sets.quadratic_form_image(f, ((0, 1, 1),))
-    weights = weights_by_zero_count(ds)
-    w = weights[f.EXP[: (f.q - 1) // 4]]
+    # the classes' weights, W[alpha^s] for s < (q - 1)/4
+    w = code._weights_by_gather([ds])[0][1 : 1 + (f.q - 1) // 4]
     bound = secretshare._certified_weight(5, 4, ds.n - int(ds.mask[0]), int(w[w > 0].min()))
     # the threshold leaves 26 classes: 26*625 gather cells
     assert np.count_nonzero(w > bound) == 26
@@ -352,8 +356,8 @@ def test_correlation_refuses_past_the_cap_before_allocating(monkeypatch):
 
     f = get_field(2, 8)
     ds = DefiningSet(f, tuple(random.Random(3).sample(range(f.q), 12)))
-    weights = weights_by_zero_count(ds)
-    rows = np.flatnonzero(weights[f.EXP[: f.q - 1]])
+    (weights,) = code._weights_by_hyperplane_count([ds])
+    rows = np.flatnonzero(weights)
     levels = np.flatnonzero(np.bincount(weights))
     pairs = secretshare._weight_pairs(levels, levels[1:].tolist())
     assert any(pairs.values())
@@ -378,6 +382,23 @@ def test_a_settled_count_never_builds_pi(p, m, build):
     assert "PI" not in vars(f)
 
 
+def test_correlations_read_the_transform_row_as_it_comes(monkeypatch):
+    def boom(*args):
+        raise AssertionError("the gather ran")
+
+    # the subspace of codes below 2^9 and 20 codes above it: the threshold
+    # leaves classes, and the correlations settle them on the transform
+    # route's weights by u = pi(x), with no table of pi
+    f = Field(2, 12)  # uncached, so PI is not built yet
+    ds = DefiningSet(f, (*range(1 << 9), *random.Random(12).sample(range(1 << 9, f.q), 20)))
+    assert ds.n == 532 and code._route(2, 12, ds.n) is code._weights_by_hyperplane_count
+    monkeypatch.setattr(secretshare, "_gather_passes", boom)
+    report, ratio = secretshare.minimal_codewords(ds)
+    assert "PI" not in vars(f)
+    assert not ratio.passes and (report.minimal_count, report.total_nonzero) == (4080, 4095)
+    assert report.minimal_count == _minimal_by_support_scan(_support_counts(ds, report.k))
+
+
 @pytest.mark.parametrize("p,m,n", [(2, 8, 12), (3, 5, 30), (5, 3, 20)])
 def test_a_skipped_count_reads_no_weights_by_x(p, m, n, monkeypatch):
     def boom(*args):
@@ -385,25 +406,29 @@ def test_a_skipped_count_reads_no_weights_by_x(p, m, n, monkeypatch):
 
     f = get_field(p, m)
     ds = DefiningSet(f, tuple(random.Random(n).sample(range(f.q), n)))
-    monkeypatch.setattr(secretshare, "weights_by_zero_count", boom)
+    wd = build_code_weights(ds)
+    # the distribution is read once; no route enumerates the weights again
+    monkeypatch.setattr(secretshare, "build_code_weights", lambda ds: wd)
+    monkeypatch.setattr(code, "_weights_by_gather", boom)
+    monkeypatch.setattr(code, "_weights_by_hyperplane_count", boom)
     monkeypatch.setattr(secretshare, "_correlation_cells", lambda *args: code.TRANSFORM_MAX_CELLS + 1)
     monkeypatch.setattr(secretshare, "MINIMAL_GATHER_BOUND", f.q - 1)
     report, ratio = secretshare.minimal_codewords(ds)
     assert report.minimal_count is None and not ratio.passes
     assert (report.k, report.total_nonzero) == (m, p**m - 1)
-    assert ratio == secretshare.ratio_check(build_code_weights(ds))
+    assert ratio == secretshare.ratio_check(wd)
 
 
 def test_correlation_peak_memory_is_within_its_cell_count():
     f = get_field(2, 14)
     ds = DefiningSet(f, tuple(random.Random(1).sample(range(f.q), 80)))
-    weights = weights_by_zero_count(ds)
-    rows = np.flatnonzero(weights[f.EXP[: f.q - 1]])
+    (weights,) = code._weights_by_hyperplane_count([ds])
+    rows = np.flatnonzero(weights)
     levels = np.flatnonzero(np.bincount(weights))
     pairs = secretshare._weight_pairs(levels, levels[1:].tolist())
     cells = secretshare._correlation_cells(f.q, rows.size, pairs)
     assert rows.size > f.q // 2 and cells > 12 * f.q
-    secretshare._correlation_passes(f, weights, rows, pairs)  # warm Field.PI and imports
+    secretshare._correlation_passes(f, weights, rows, pairs)  # warm imports
     tracemalloc.start()
     try:
         secretshare._correlation_passes(f, weights, rows, pairs)
@@ -447,10 +472,10 @@ def test_gather_is_bounded_by_its_cells_and_sums_past_int32_in_int64(p, m):
     a = (1 << 32) % p
     b = ((1 << 32) + (p - 1) * a) // p
     assert p * b == (p - 1) * a + (1 << 32) and b < 1 << 31 <= p * b
-    weights = np.zeros(f.q, dtype=np.int32)
-    weights[1:p] = a
-    weights[p : 2 * p] = b
-    passed = secretshare._gather_passes(f, weights, np.array([0]))
+    by_x = np.zeros(f.q, dtype=np.int32)
+    by_x[1:p] = a
+    by_x[p : 2 * p] = b
+    passed = secretshare._gather_passes(f, by_x[f.EXP[: f.q - 1]], np.array([0]))
     assert passed.tolist() == [p]
 
 

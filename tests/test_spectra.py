@@ -98,7 +98,6 @@ def _walsh_naive(f, table):
 
 
 def test_walsh_transform_matches_naive():
-    # m = 10 sends the random table's support to the transform route
     for m in (3, 4, 5, 6, 10):
         f = get_field(2, m)
         rng = random.Random(m)

@@ -27,13 +27,13 @@ def test_stretch_distribution():
     base = wd_of(3, 2, 4, 2, {3: 8})
     out = stretch_distribution(base, 2)
     assert out.n == 8
-    assert dict(out.nonzero_items()) == {6: 8}
+    assert dict(out.pairs) == {6: 8}
 
 
 def test_mirror_distribution():
     base = wd_of(2, 5, 11, 5, {4: 10, 6: 16, 8: 5})
     out = mirror_distribution(base, 16, 20)
-    assert dict(out.nonzero_items()) == {12: 10, 10: 16, 8: 5}
+    assert dict(out.pairs) == {12: 10, 10: 16, 8: 5}
     back = mirror_distribution(out, 16, 11)
     assert back == base
 
@@ -119,7 +119,7 @@ def test_closed_forms_and_the_dual_give_strictly_ascending_pairs(catalog_with_we
 def test_simplex_family(p, m):
     rep = theorems.verify("cor1", get_field(p, m))
     assert rep.verdict == "match"
-    assert rep.computed.nonzero_items() == [(p ** (m - 1), p**m - 1)]
+    assert rep.computed.pairs == ((p ** (m - 1), p**m - 1),)
 
 
 def test_scaled_simplex_all_subsets_gf9():
@@ -128,7 +128,7 @@ def test_scaled_simplex_all_subsets_gf9():
         rep = theorems.verify("cor2", f, (e_digits, sets.simplex_coset_reps(f)))
         assert rep.verdict == "match"
         ell = len(e_digits)
-        assert rep.computed.nonzero_items() == [(ell * 3, 8)]
+        assert rep.computed.pairs == ((ell * 3, 8),)
 
 
 def test_expansion_with_complete_product():
@@ -174,7 +174,7 @@ def test_split_of_cubic_set_and_rest():
     d2 = DefiningSet(f, tuple(set(range(1, f.q)) - set(d1.elements)))
     rep = theorems.verify("thm2", f, (d1, d2))
     assert rep.verdict == "match"
-    assert dict(rep.computed.nonzero_items()) == {8: 5, 10: 16, 12: 10}
+    assert dict(rep.computed.pairs) == {8: 5, 10: 16, 12: 10}
     # weights of the two halves add up to the one-weight level pointwise
     w = rep.params["w"]
     wd1 = build_code_weights(d1)
@@ -215,7 +215,7 @@ def test_complement_of_cubic_set():
     rep = theorems.verify("cor3", get_field(2, 5), sets.tr_cubic_set(get_field(2, 5)))
     assert rep.verdict == "match"
     assert rep.computed.n == 21
-    assert dict(rep.computed.nonzero_items()) == {8: 5, 10: 16, 12: 10}
+    assert dict(rep.computed.pairs) == {8: 5, 10: 16, 12: 10}
 
 
 def test_complement_applied_twice_restores_distribution():
@@ -314,7 +314,7 @@ def test_quadratic_odd_rank_gold_form():
     assert rep.claim == "cor4odd"
     assert rep.verdict == "match"
     assert rep.computed.n == 14 and rep.computed.k == 3
-    assert dict(rep.computed.nonzero_items()) == {9: 26}
+    assert dict(rep.computed.pairs) == {9: 26}
     # a fractional index is refused, not truncated to the gold form
     with pytest.raises(ValueError, match="three integers"):
         theorems.verify("cor4odd", f, ((1.5, 0, 1),))
@@ -334,14 +334,14 @@ def test_quadratic_even_rank_4_to_1_surfaces_mismatch():
     rep = theorems.verify("cor4even", f, ((1, 0, 1),))  # x^4 over GF(9)
     assert rep.claim == "cor4even"
     assert rep.verdict == "mismatch"
-    assert dict(rep.computed.nonzero_items()) == {4: 6, 6: 2}
-    assert dict(rep.predicted.nonzero_items()) == {4: 4, 5: 4}
+    assert dict(rep.computed.pairs) == {4: 6, 6: 2}
+    assert dict(rep.predicted.pairs) == {4: 4, 5: 4}
 
     f81 = get_field(3, 4)
     rep81 = theorems.verify("cor4even", f81, ((1, 0, 1),))
     assert rep81.verdict == "mismatch"
-    assert dict(rep81.computed.nonzero_items()) == {36: 20, 42: 60}
-    assert dict(rep81.predicted.nonzero_items()) == {39: 40, 42: 40}
+    assert dict(rep81.computed.pairs) == {36: 20, 42: 60}
+    assert dict(rep81.predicted.pairs) == {39: 40, 42: 40}
 
 
 def test_quadratic_rejects_characteristic_two():
@@ -438,7 +438,7 @@ def test_half_orbit_h1():
     rep = theorems.verify("thm3", arg=1)
     assert rep.verdict == "match"
     assert (rep.computed.n, rep.computed.k) == (23, 3)
-    assert dict(rep.computed.nonzero_items()) == {14: 6, 15: 8, 16: 12}
+    assert dict(rep.computed.pairs) == {14: 6, 15: 8, 16: 12}
 
 
 def test_half_orbit_rejects_even_h():
@@ -456,7 +456,7 @@ def test_half_orbit_rejects_even_h():
 def test_cubic_trace_odd(m, expected):
     rep = theorems.verify("thm4", get_field(2, m))
     assert rep.verdict == "match"
-    assert dict(rep.computed.nonzero_items()) == expected
+    assert dict(rep.computed.pairs) == expected
 
 
 def test_cubic_trace_odd_rejects_small_or_even_m():
@@ -475,7 +475,7 @@ def test_cubic_trace_odd_rejects_small_or_even_m():
 def test_cubic_trace_even(m, expected):
     rep = theorems.verify("thm5", get_field(2, m))
     assert rep.verdict == "match"
-    assert dict(rep.computed.nonzero_items()) == expected
+    assert dict(rep.computed.pairs) == expected
 
 
 def test_cubic_trace_even_rejects_odd_m():
