@@ -14,6 +14,7 @@ writes it compact and `_indented` inserts the indentation.
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import json
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import secretshare, sets, spectra, theorems
 from .code import DefiningSet, build_code_weights, pless_moments_check, summarize
-from .field import Field, get_field
+from .field import POWER_BLOCK, Field, get_field
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
@@ -325,8 +326,13 @@ def cmd_walsh(args):
     table = _SetOption("walsh", args.set).table(f)
     canned = not args.set
     spectrum = spectra.walsh_transform(f, table)
-    values, counts = np.unique(spectrum.values, return_counts=True)
-    values = values.tolist()
+    # a handful of distinct values, counted a block at a time: np.unique
+    # over all q values would sort a q-cell copy
+    hist = collections.Counter()
+    for lo in range(0, f.q, POWER_BLOCK):
+        block, counts = np.unique(spectrum.values[lo : lo + POWER_BLOCK], return_counts=True)
+        hist.update(dict(zip(block.tolist(), counts.tolist())))
+    values = sorted(hist)
     semibent = None
     if f.m % 2 == 1:
         level = 1 << ((f.m + 1) // 2)
@@ -334,7 +340,7 @@ def cmd_walsh(args):
     payload = {
         "command": "walsh",
         "p": 2, "m": f.m, "n_f": spectrum.n_f,
-        "value_histogram": [[v, c] for v, c in zip(values, counts.tolist())],
+        "value_histogram": [[v, hist[v]] for v in values],
         "max_abs": max(abs(values[0]), abs(values[-1])),
         "semibent": semibent,
     }

@@ -44,7 +44,9 @@ import numpy as np
 
 MAX_Q = 1 << 24
 MAX_P = 251
-# int64 exponents `Field.power_table` holds at once, 2 MB
+# cells of one block over a q-cell table: the int64 exponents that
+# `Field.power_table` and `sets.tr_cubic_set` hold at once (2 MB), or
+# the Walsh values `dscodes walsh` counts at once
 POWER_BLOCK = 1 << 18
 # cells one step of a table build writes or reads at once: a LOG scatter, an
 # odd-p chunk of `Field.linear_map`, a block of the trace table's balance count

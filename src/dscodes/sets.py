@@ -19,7 +19,7 @@ import numbers
 import numpy as np
 
 from .code import DefiningSet
-from .field import Field, rank_mod_p
+from .field import POWER_BLOCK, Field, rank_mod_p
 
 
 def simplex_coset_reps(f: Field) -> DefiningSet:
@@ -180,7 +180,13 @@ def tr_cubic_set(f: Field) -> DefiningSet:
     """Nonzero x in GF(2^m) with Tr(x^3 + x) = 0."""
     if f.p != 2 or f.m < 2:
         raise ValueError("field must be GF(2^m) with m >= 2")
-    zero = f.TR[f.power_table(3) ^ np.arange(f.q, dtype=np.int32)] == 0
-    zero[0] = False
+    # zero[g^t] = Tr(g^(3t) + g^t) == 0, a block of exponents t at a time
+    n = f.q - 1
+    zero = np.zeros(f.q, dtype=bool)
+    for lo in range(0, n, POWER_BLOCK):
+        x = f.EXP[lo : min(lo + POWER_BLOCK, n)]
+        t3 = np.arange(3 * lo, 3 * (lo + len(x)), 3, dtype=np.int64)
+        t3 %= n
+        zero[x] = f.TR[f.EXP[t3] ^ x] == 0
     return DefiningSet.from_mask(f, zero, label=f"trcubic m={f.m}")
 

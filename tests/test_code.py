@@ -1,6 +1,7 @@
 import collections
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -408,11 +409,33 @@ def krawtchouk(n, p, j, w):
     )
 
 
+def _dual_edge_cases():
+    """Codes for the dual oracle: binary ones of n = 1, n = 2 and k = n = 3,
+    then random binary and ternary sets of odd and even n whose stepped
+    rows (n // 2 + 1 at p = 2, n + 1 at odd p) fall one below, on and one
+    above the row counts 8, 16, 24, 32, 56, 64 and 120."""
+    f2, f8 = get_field(2, 3), get_field(2, 8)
+    odd_fields = [get_field(3, m) for m in (3, 4, 5)]
+    rng = random.Random(29)
+    chosen = [DefiningSet(f2, (1,)), DefiningSet(f2, (1, 6)), DefiningSet(f2, (1, 2, 4))]
+    for rows in (8, 16, 24, 32, 56, 64, 120):
+        for r in (rows - 1, rows, rows + 1):
+            chosen += [DefiningSet(f8, rng.sample(range(f8.q), n)) for n in (2 * r - 2, 2 * r - 1)]
+            odd_f = next(f for f in odd_fields if r <= f.q)
+            chosen.append(DefiningSet(odd_f, rng.sample(range(odd_f.q), r - 1)))
+    return [build_code_weights(ds) for ds in chosen]
+
+
 def test_dual_recurrence_matches_direct_krawtchouk_sum(catalog_with_weights):
     f7 = get_field(7, 2)
     rng = random.Random(17)
     sevens = [DefiningSet(f7, tuple(rng.sample(range(f7.q), rng.randint(1, 20)))) for _ in range(4)]
-    cases = [wd for _, wd in catalog_with_weights] + [build_code_weights(ds) for ds in sevens]
+    edges = _dual_edge_cases()
+    assert {(wd.n % 2, w % 2) for wd in edges if wd.p == 2 for w in wd.counts} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    full = edges[2]
+    assert (full.n, full.k) == (3, 3) and dual_distance(full) is None
+    assert macwilliams_dual(full).pairs == ()
+    cases = [wd for _, wd in catalog_with_weights] + [build_code_weights(ds) for ds in sevens] + edges
     for wd in cases:
         size = wd.p**wd.k
         expected = []
@@ -421,6 +444,30 @@ def test_dual_recurrence_matches_direct_krawtchouk_sum(catalog_with_weights):
             assert total % size == 0, (wd, j)
             expected.append((j, total // size))
         assert list(_dual_counts(wd)) == expected, wd
+
+
+def test_dual_rows_are_checked_when_read():
+    # not a code: its transform rows are 1, 1, 3, -1, 0, so the readers
+    # that stop by row 2 see no fault and the full dual fails at row 3
+    wd = WeightDistribution.from_counts(2, 2, 4, 2, {0: 1, 1: 2, 4: 1})
+    assert dual_distance(wd) == 1
+    report = pless_moments_check(wd)
+    assert (report.dual_a1, report.dual_a2) == (1, 3)
+    with pytest.raises(ArithmeticError, match="at weight 3 "):
+        macwilliams_dual(wd)
+
+
+def test_full_dual_peak_memory_is_near_its_result():
+    wd = build_code_weights(sets.tr_cubic_set(get_field(2, 14)))
+    assert wd.n == 8191
+    tracemalloc.start()
+    try:
+        dual = macwilliams_dual(wd)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dual.n == wd.n
+    assert peak <= 1.15 * held, peak / held
 
 
 def test_full_dual_refuses_oversized_length(monkeypatch):
