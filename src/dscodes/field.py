@@ -6,23 +6,28 @@ is the coefficient of alpha^i, where alpha is the residue class of X
 modulo the field modulus.  A Field owns antilog/log/trace tables (numpy
 arrays) so that enumeration kernels elsewhere reduce to gathers.
 
-Construction is deterministic.  The modulus is the lexicographically
-smallest monic irreducible of degree m over GF(p), coefficient vectors
-compared constant term first; for m >= 2 the search starts at constant
-term 1, since every candidate with constant term 0 is divisible by X, and
-refuses a candidate with a root in GF(p) before any matrix work.
-Irreducibility is Rabin's test: X^(p^m) = X mod f, and
-gcd(X^(p^(m/r)) - X, f) = 1 for every prime r | m, the X^(p^k) read off
-one chain of Frobenius steps and the gcd by Euclid.  An explicit modulus
-override is accepted for compatibility with tables built elsewhere, and
-is itself checked for irreducibility.
+Construction is deterministic.  The default modulus is the
+lexicographically smallest monic irreducible of degree m over GF(p),
+coefficient vectors compared constant term first, and the default
+generator is the element of order p^m - 1 whose coordinate vector is
+lexicographically smallest.  Both are constants of (p, m), read off the
+table `_DEFAULTS`; the log-table build proves each entry it reads, since
+an element of order q - 1 exists only if the modulus is irreducible.
+The searches that made the table serve a modulus override and the tests.
+An override, accepted for compatibility with tables built elsewhere, is
+checked by Rabin's test: X^(p^m) = X mod f, and gcd(X^(p^(m/r)) - X, f)
+= 1 for every prime r | m, the X^(p^k) read off one chain of Frobenius
+steps and the gcd by Euclid, a candidate of degree m >= 2 with a root in
+GF(p) refused before any matrix work.  `iter_irreducible_moduli` lists
+the irreducibles in order, from constant term 1 for m >= 2, since every
+candidate with constant term 0 is divisible by X.
 
 Every table comes from one mechanism: the m x m matrix over GF(p) of
 x -> c*x on coordinate rows, whose row i holds the coordinates of
 c*alpha^i, the sum of c_i C^i over the powers of the companion matrix C,
-which are built once per field.  The multiplicative generator is the
-element of order p^m - 1 whose coordinate vector is lexicographically
-smallest, its order tested on one chain of squarings of its matrix.
+which are built once per field.  Under an override the generator
+search tests each candidate's order on one chain of squarings of its
+matrix.
 `Field.linear_map` applies a matrix over GF(p) to every element at once:
 at p = 2 by XOR doubling, one numpy call per bit, and at odd p as the
 sum mod p of two digit-column tables of about sqrt(q) entries.  The trace
@@ -45,11 +50,12 @@ import numpy as np
 MAX_Q = 1 << 24
 MAX_P = 251
 # cells of one block over a q-cell table: the int64 exponents that
-# `Field.power_table` and `sets.tr_cubic_set` hold at once (2 MB), or
+# `Field.power_table` and `spectra.tr_cubic_table` hold at once (2 MB), or
 # the Walsh values `dscodes walsh` counts at once
 POWER_BLOCK = 1 << 18
 # cells one step of a table build writes or reads at once: a LOG scatter, an
 # odd-p chunk of `Field.linear_map`, a block of the trace table's balance count
+# or of the value count in `sets.is_e_to_1`
 TABLE_BLOCK = 1 << 14
 
 
@@ -205,9 +211,62 @@ def iter_irreducible_moduli(p: int, m: int):
             yield f
 
 
-@functools.cache
-def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
-    return next(iter_irreducible_moduli(p, m))
+# p -> ((modulus code, generator) for m = 1, 2, ...) for every p^m <= MAX_Q: the
+# first modulus of `iter_irreducible_moduli`, X^m plus the polynomial whose
+# coefficients are the digits of its code, and the generator `_find_generator`
+# picks under it.  `_build_log_tables` proves an entry on every build, since an
+# element of order q - 1 exists only if the modulus is irreducible.
+_DEFAULTS = {
+    2: ((0, 1), (3, 2), (5, 4), (9, 4), (9, 16), (33, 32), (65, 64), (177, 160), (257, 448),
+        (129, 256), (513, 1024), (513, 3072), (5633, 4096), (513, 14336), (16385, 8192),
+        (43009, 49152), (16385, 65536), (32769, 196608), (409601, 262144), (131073, 524288),
+        (524289, 1048576), (2097153, 1048576), (262145, 4194304), (11534337, 8388608)),
+    3: ((0, 2), (1, 4), (19, 18), (37, 36), (163, 162), (325, 324), (1702, 1458), (973, 2916),
+        (3646, 13122), (13123, 33534), (137782, 118098), (183709, 373977), (1062883, 1062882),
+        (2125765, 2125764), (11160262, 9565938)),
+    5: ((0, 2), (6, 16), (26, 50), (151, 150), (2501, 1250), (3751, 3750), (15626, 31250),
+        (18751, 93750), (1328126, 781250), (4687501, 6250000)),
+    7: ((0, 3), (1, 15), (50, 252), (344, 1764), (7204, 7203), (2402, 19208), (705895, 352947),
+        (1764736, 1764735)),
+    11: ((0, 2), (1, 45), (485, 242), (5325, 8107), (29283, 15972), (175693, 175692)),
+    13: ((0, 2), (40, 79), (677, 351), (2198, 4563), (228489, 57122), (371294, 771147)),
+    17: ((0, 3), (18, 52), (868, 867), (14740, 10115), (334085, 250563)),
+    19: ((0, 2), (1, 58), (362, 1102), (41155, 7220), (390964, 260642)),
+    23: ((0, 5), (1, 47), (1588, 2645), (48669, 12696), (559683, 1399205)),
+    29: ((0, 2), (30, 146), (1683, 1682), (73168, 49619)),
+    31: ((0, 3), (1, 125), (2884, 992), (29792, 90334)),
+    37: ((0, 2), (112, 149), (6846, 1406), (253266, 203981)),
+    41: ((0, 6), (42, 165), (1682, 10086), (68922, 139523)),
+    43: ((0, 3), (1, 87), (16642, 12986), (397536, 796919)),
+    47: ((0, 5), (1, 95), (11046, 2256), (519116, 936616)),
+    53: ((0, 2), (54, 266), (5619, 5618), (446632, 1193825)),
+    59: ((0, 2), (1, 178), (3482, 6962), (205380, 1030376)),
+    61: ((0, 2), (306, 367), (11164, 11224), (680944, 1365607)),
+    67: ((0, 2), (1, 470), (22446, 13534)), 71: ((0, 7), (1, 569), (5042, 35287)),
+    73: ((0, 5), (220, 293), (37304, 16060)), 79: ((0, 3), (1, 475), (12483, 50007)),
+    83: ((0, 2), (1, 831), (20668, 13778)), 89: ((0, 3), (90, 268), (31685, 23763)),
+    97: ((0, 5), (292, 389), (9410, 28324)), 101: ((0, 2), (102, 304), (10202, 20402)),
+    103: ((0, 5), (1, 207), (10610, 42539)), 107: ((0, 2), (1, 215), (11450, 22898)),
+    109: ((0, 6), (655, 1200), (11882, 47633)), 113: ((0, 3), (114, 566), (12770, 38420)),
+    127: ((0, 3), (1, 1017), (32259, 80772)), 131: ((0, 2), (1, 394), (171611, 34322)),
+    137: ((0, 3), (138, 549), (37539, 56307)), 139: ((0, 2), (1, 557), (96606, 154707)),
+    149: ((0, 2), (150, 1193), (199810, 88953)), 151: ((0, 6), (1, 1360), (91205, 45753)),
+    157: ((0, 5), (472, 629), (24650, 271296)), 163: ((0, 2), (1, 1142), (26570, 133008)),
+    167: ((0, 5), (1, 335), (55779, 139445)), 173: ((0, 2), (174, 520), (89788, 59858)),
+    179: ((0, 2), (1, 538), (128165, 64082)), 181: ((0, 2), (906, 2173), (65523, 32942)),
+    191: ((0, 19), (1, 1911), (36482, 693139)), 193: ((0, 5), (580, 773), (37250, 260936)),
+    197: ((0, 2), (198, 789), (116428, 77815)), 199: ((0, 3), (1, 2588), (79203, 158603)),
+    211: ((0, 2), (1, 845), (44522, 133774)), 223: ((0, 3), (1, 447), (348104, 99681)),
+    227: ((0, 2), (1, 455), (154588, 103058)), 229: ((0, 6), (1146, 1375), (157324, 157552)),
+    233: ((0, 3), (234, 1166), (54290, 162867)), 239: ((0, 7), (1, 1913), (114243, 399847)),
+    241: ((0, 7), (1206, 1447), (116163, 232565)), 251: ((0, 6), (1, 1256), (126003, 378006)),
+}
+
+
+def _default(p: int, m: int) -> tuple[tuple[int, ...], int]:
+    """The default modulus of GF(p^m), constant term first, and its generator."""
+    code, generator = _DEFAULTS[p][m - 1]
+    return tuple(code // p**i % p for i in range(m)) + (1,), generator
 
 
 # ----------------------------------------------------------------------
@@ -240,9 +299,9 @@ class Field:
         self.m = m
         self.q = p**m
         if modulus is None:
-            modulus = smallest_irreducible(p, m)
+            modulus, generator = _default(p, m)
         else:
-            modulus = _reduced_modulus(modulus, p)
+            modulus, generator = _reduced_modulus(modulus, p), None
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ValueError("modulus override must be monic of degree m")
             if not poly_is_irreducible(modulus, p):
@@ -253,7 +312,7 @@ class Field:
         # construction reads them, a built field keeps only its tables
         hankel = np.vstack([np.eye(m, dtype=np.int64), _matpow(_companion(modulus, p), m, p)])
         self._alpha_powers = hankel[np.add.outer(np.arange(m), np.arange(m))]
-        self.generator = self._find_generator()
+        self.generator = self._find_generator() if generator is None else generator
         self._build_trace_table()
         self._build_log_tables()
         del self._alpha_powers
@@ -400,7 +459,7 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return int(self.EXP[self.LOG[a] + self.LOG[b]])
+        return self.EXP.item(self.LOG.item(a) + self.LOG.item(b))
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -409,13 +468,13 @@ class Field:
             if e == 0:
                 return 1
             raise ZeroDivisionError("negative power of 0")
-        return int(self.EXP[(int(self.LOG[a]) * e) % (self.q - 1)])
+        return self.EXP.item(self.LOG.item(a) * e % (self.q - 1))
 
     def trace(self, x: int) -> int:
-        return int(self.TR[x])
+        return self.TR.item(x)
 
     def antilog(self, t: int) -> int:
-        return int(self.EXP[t % (self.q - 1)])
+        return self.EXP.item(t % (self.q - 1))
 
     def coords(self, x: int) -> tuple[int, ...]:
         p = self.p
@@ -486,6 +545,6 @@ def get_field(p: int, m: int, modulus=None) -> Field:
     _check_parameters(p, m)
     if modulus is not None:
         modulus = _reduced_modulus(modulus, p)
-        if modulus == smallest_irreducible(p, m):
+        if modulus == _default(p, m)[0]:
             modulus = None
     return _cached_field(p, m, modulus)

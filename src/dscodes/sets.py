@@ -18,8 +18,9 @@ import numbers
 
 import numpy as np
 
+from . import spectra
 from .code import DefiningSet
-from .field import POWER_BLOCK, Field, rank_mod_p
+from .field import TABLE_BLOCK, Field, rank_mod_p
 
 
 def simplex_coset_reps(f: Field) -> DefiningSet:
@@ -136,9 +137,12 @@ def is_e_to_1(table):
     otherwise None."""
     if table[0] != 0:
         return None
-    counts = np.bincount(table[1:])
+    counts = np.zeros(len(table), dtype=np.int32)
+    for lo in range(1, len(table), TABLE_BLOCK):  # add.at's cast to intp, one block at a time
+        np.add.at(counts, table[lo : lo + TABLE_BLOCK], np.int32(1))
     e = int(counts.max())
-    if counts[0] or np.any((counts != 0) & (counts != e)):
+    # no count is above e, so all the nonzero ones are e iff they sum to e times their number
+    if counts[0] or np.count_nonzero(counts) * e != len(table) - 1:
         return None
     return e
 
@@ -180,13 +184,10 @@ def tr_cubic_set(f: Field) -> DefiningSet:
     """Nonzero x in GF(2^m) with Tr(x^3 + x) = 0."""
     if f.p != 2 or f.m < 2:
         raise ValueError("field must be GF(2^m) with m >= 2")
-    # zero[g^t] = Tr(g^(3t) + g^t) == 0, a block of exponents t at a time
-    n = f.q - 1
-    zero = np.zeros(f.q, dtype=bool)
-    for lo in range(0, n, POWER_BLOCK):
-        x = f.EXP[lo : min(lo + POWER_BLOCK, n)]
-        t3 = np.arange(3 * lo, 3 * (lo + len(x)), 3, dtype=np.int64)
-        t3 %= n
-        zero[x] = f.TR[f.EXP[t3] ^ x] == 0
+    # Tr(x^3 + x) = Tr(x^3) + Tr(x) is 0 where the two traces agree: the
+    # truth table of Tr(x^3), compared in place with TR, and 0 left out
+    zero = spectra.tr_cubic_table(f)
+    np.equal(zero, f.TR.view(bool), out=zero)
+    zero[0] = False
     return DefiningSet.from_mask(f, zero, label=f"trcubic m={f.m}")
 

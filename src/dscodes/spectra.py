@@ -16,7 +16,7 @@ import functools
 import numpy as np
 
 from .code import walsh_hadamard
-from .field import Field
+from .field import POWER_BLOCK, Field
 
 
 def _require_binary(f: Field):
@@ -194,6 +194,14 @@ def walsh_transform(f: Field, table) -> WalshSpectrum:
 
 
 def tr_cubic_table(f: Field) -> np.ndarray:
-    """Truth table of x -> Tr(x^3) as a bool mask indexed by element code."""
+    """Truth table of x -> Tr(x^3) as a bool mask indexed by element code:
+    table[g^t] = Tr(g^(3t mod (q-1))), a block of exponents t at a time, so
+    no q-cell power table is held."""
     _require_binary(f)
-    return f.TR[f.power_table(3)].view(bool)
+    n = f.q - 1
+    table = np.zeros(f.q, dtype=bool)  # Tr(0^3) = 0
+    for lo in range(0, n, POWER_BLOCK):
+        t3 = np.arange(3 * lo, 3 * min(lo + POWER_BLOCK, n), 3, dtype=np.int64)
+        t3 %= n
+        table[f.EXP[lo : lo + len(t3)]] = f.TR[f.EXP[t3]].view(bool)
+    return table

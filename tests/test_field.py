@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -17,7 +18,6 @@ from dscodes.field import (
     iter_irreducible_moduli,
     poly_is_irreducible,
     rank_mod_p,
-    smallest_irreducible,
 )
 from dscodes.sets import union_disjoint
 from moduli import alternate_field
@@ -134,7 +134,7 @@ def test_modulus_is_first_listed_irreducible():
     for p, m in [(2, m) for m in range(1, 7)] + [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2)]:
         listed = list(iter_irreducible_moduli(p, m))
         assert listed == _brute_force_moduli(p, m), (p, m)
-        assert smallest_irreducible(p, m) == listed[0]
+        assert field._default(p, m)[0] == listed[0]
 
 
 def test_irreducibility_checker_rejects_products():
@@ -207,8 +207,70 @@ MODULUS_FIELDS = (
 
 
 def test_smallest_irreducible_matches_trial_division():
+    # the default moduli of the table, against a search that shares no code with it
     for p, m in MODULUS_FIELDS:
-        assert smallest_irreducible(p, m) == _smallest_by_trial_division(p, m), (p, m)
+        assert field._default(p, m)[0] == _smallest_by_trial_division(p, m), (p, m)
+
+
+CAPPED_FIELDS = [
+    (p, m) for p in range(2, MAX_P + 1) if is_prime(p) for m in range(1, 25) if p**m <= MAX_Q
+]
+
+
+def _searches_only(monkeypatch):
+    """Field(p, m, modulus) then runs the modulus check and the generator
+    search and builds no table; such a field must never reach the cache."""
+    monkeypatch.setattr(Field, "_build_trace_table", lambda self: None)
+    monkeypatch.setattr(Field, "_build_log_tables", lambda self: None)
+
+
+def test_table_holds_the_searches_results_for_every_capped_field(monkeypatch):
+    assert len(CAPPED_FIELDS) == 228
+    listed = sorted((p, m) for p, row in field._DEFAULTS.items() for m in range(1, len(row) + 1))
+    assert listed == CAPPED_FIELDS
+    _searches_only(monkeypatch)
+    for p, m in CAPPED_FIELDS:
+        modulus = next(iter_irreducible_moduli(p, m))
+        assert field._default(p, m) == (modulus, Field(p, m, modulus).generator), (p, m)
+
+
+def _refuse(*args):
+    raise AssertionError("a default field searched")
+
+
+def _patch_default(monkeypatch, p, m, modulus_code, generator):
+    row = list(field._DEFAULTS[p])
+    row[m - 1] = (modulus_code, generator)
+    monkeypatch.setitem(field._DEFAULTS, p, tuple(row))
+
+
+def test_default_fields_run_no_search(monkeypatch):
+    monkeypatch.setattr(field, "poly_is_irreducible", _refuse)
+    monkeypatch.setattr(Field, "_find_generator", _refuse)
+    monkeypatch.setattr(field, "_cached_field", functools.lru_cache(maxsize=None)(Field))
+    for p, m in [(p, m) for p, m in CAPPED_FIELDS if p**m <= 1 << 12]:
+        f = Field(p, m)
+        assert (f.modulus, f.generator) == field._default(p, m)
+        assert get_field(p, m) is get_field(p, m, [c + p for c in f.modulus]) is get_field(p, m, None)
+    # an override still searches
+    with pytest.raises(AssertionError, match="searched"):
+        get_field(2, 4, (1, 1, 0, 0, 1))
+
+
+@pytest.mark.parametrize("p, m", [(2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)])
+def test_a_reducible_table_modulus_is_refused_at_build(monkeypatch, p, m):
+    # no element of a ring GF(p)[X]/(f) with f reducible has q - 1 distinct
+    # powers that are all units: every generator fails the build's checks
+    reducible = [
+        vec for vec in itertools.product(range(p), repeat=m) if not poly_is_irreducible(vec + (1,), p)
+    ]
+    assert reducible
+    for vec in reducible:
+        code = sum(c * p**i for i, c in enumerate(vec))
+        for g in range(p**m):
+            _patch_default(monkeypatch, p, m, code, g)
+            with pytest.raises(AssertionError):
+                Field(p, m)
 
 
 def _kernel_size(a, p):
@@ -302,12 +364,17 @@ def test_size_cap():
 
 
 def test_size_cap_refuses_a_huge_degree_before_any_power(monkeypatch):
-    def boom(*args):
-        raise AssertionError("a modulus search started")
+    class Unread(dict):
+        def __getitem__(self, key):
+            raise AssertionError("the default table was read")
 
-    monkeypatch.setattr("dscodes.field.smallest_irreducible", boom)
+    monkeypatch.setattr(field, "_DEFAULTS", Unread())
+    monkeypatch.setattr(field, "poly_is_irreducible", _refuse)
+    monkeypatch.setattr(Field, "_find_generator", _refuse)
     with pytest.raises(ValueError, match="exceeds"):
         Field(2, 10**12)
+    with pytest.raises(ValueError, match="exceeds"):
+        get_field(2, 10**12)
 
 
 def test_rejects_reducible_modulus():
@@ -523,13 +590,21 @@ def test_pi_is_cached_and_read_only():
 
 
 def test_non_primitive_generator_is_refused(monkeypatch):
-    f = Field(3, 2)
-    short = [x for x in range(1, f.q) if math.gcd(int(f.LOG[x]), f.q - 1) > 1]
-    assert short
-    for g in short:
-        monkeypatch.setattr(Field, "_find_generator", lambda self, g=g: g)
-        with pytest.raises(AssertionError, match="order"):
-            Field(3, 2)
+    # a table entry of short order, and a search that returns one under an override
+    for p, m in [(2, 4), (2, 6), (3, 2), (5, 2), (7, 2)]:
+        f = Field(p, m)
+        code = field._DEFAULTS[p][m - 1][0]
+        short = [x for x in range(1, f.q) if math.gcd(int(f.LOG[x]), f.q - 1) > 1]
+        assert short
+        for g in short:
+            with monkeypatch.context() as patch:
+                _patch_default(patch, p, m, code, g)
+                with pytest.raises(AssertionError, match="order"):
+                    Field(p, m)
+            with monkeypatch.context() as patch:
+                patch.setattr(Field, "_find_generator", lambda self, g=g: g)
+                with pytest.raises(AssertionError, match="order"):
+                    Field(p, m, f.modulus)
 
 
 DEFAULT_FIELDS_TO_2_16 = [
@@ -537,10 +612,12 @@ DEFAULT_FIELDS_TO_2_16 = [
 ]
 
 
-def test_norm_prefilter_keeps_the_generator_of_the_unfiltered_search():
+def test_norm_prefilter_keeps_the_generator_of_the_unfiltered_search(monkeypatch):
     # the unfiltered search returns the first candidate, coordinates in
     # lexicographic order with c_0 compared first, whose discrete log is a
-    # unit mod q - 1: read that candidate off each field's tables
+    # unit mod q - 1: read that candidate off each field's tables, then run
+    # the search, prefilter and all, under the same modulus
+    unfiltered = {}
     for p, m in DEFAULT_FIELDS_TO_2_16:
         f = Field(p, m)
         for g in itertools.product(range(p), repeat=m):
@@ -548,6 +625,10 @@ def test_norm_prefilter_keeps_the_generator_of_the_unfiltered_search():
             if code and math.gcd(int(f.LOG[code]), f.q - 1) == 1:
                 break
         assert f.generator == code, (p, m)
+        unfiltered[p, m] = f.modulus, code
+    _searches_only(monkeypatch)
+    for (p, m), (modulus, code) in unfiltered.items():
+        assert Field(p, m, modulus).generator == code, (p, m)
 
 
 def _leibniz_det(rows, p):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dscodes import sets, spectra
+from dscodes import field, sets, spectra
 from dscodes.code import DefiningSet, build_code_weights
 from dscodes.field import get_field
 from moduli import alternate_field, embedding_root, transport
@@ -374,6 +374,38 @@ def test_quadratic_form_image_matches_scalar_oracle():
     assert sets.quadratic_form_image(f, [np.array([1, 0, 1], dtype=np.int8)]).label == "qf:1,0,1"
     with pytest.raises(ValueError, match="three integers"):
         sets.quadratic_form_image(f, ((1.5, 0, 1),))
+
+
+@pytest.mark.parametrize("block", [3, 1000, field.TABLE_BLOCK])
+def test_is_e_to_1_in_blocks_matches_the_fiber_oracle(monkeypatch, block):
+    # blocks of 3 and 1000 values, which the table's length need not divide
+    monkeypatch.setattr(sets, "TABLE_BLOCK", block)
+    tables = [[0, 1, 1, 2, 2], [0, 1, 1, 2], [0, 3, 1, 2], [0, 0, 1], [1, 1, 2], [0, 2, 2, 2, 2, 1, 1, 1, 1]]
+    rng = random.Random(78)
+    for p, m in RANK_FIELDS + [(11, 2), (5, 4)]:
+        f = get_field(p, m)
+        tables += [_scalar_form_values(f, _random_form(rng, f)) for _ in range(3)]
+        tables.append(_scalar_form_values(f, ((0, 0, 1),)))
+    seen = set()
+    for values in tables:
+        e = sets.is_e_to_1(np.array(values, dtype=np.int32))
+        assert e == _e_oracle(values), values
+        seen.add(e)
+    assert None in seen and {1, 2, 4} <= seen
+
+
+@pytest.mark.parametrize("p,m", [(3, 11), (2, 16), (5, 7)])
+def test_is_e_to_1_holds_one_int32_count_an_element(p, m):
+    f = get_field(p, m)
+    table = sets.evaluate_quadratic_form(f, ((0, 0, 1),))
+    tracemalloc.start()
+    try:
+        e = sets.is_e_to_1(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e == (1 if p == 2 else 2)
+    assert peak <= 4 * f.q + 16 * field.TABLE_BLOCK, (p, m, peak / f.q)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dscodes import spectra
+from dscodes import field, spectra
 from dscodes.field import get_field
 
 
@@ -179,6 +180,29 @@ def test_tr_cubic_table_values():
     assert int(table[0]) == 0
     for x in range(f.q):
         assert int(table[x]) == f.trace(f.pow(x, 3))
+
+
+@pytest.mark.parametrize("block", [3, 64, field.POWER_BLOCK])
+def test_tr_cubic_table_in_blocks_matches_scalar_cubes(monkeypatch, block):
+    # blocks of 3 and 64 exponents, which q - 1 need not divide
+    monkeypatch.setattr(spectra, "POWER_BLOCK", block)
+    for m in range(1, 11):
+        f = get_field(2, m)
+        want = [bool(f.trace(f.pow(x, 3))) for x in range(f.q)]
+        assert spectra.tr_cubic_table(f).tolist() == want, m
+
+
+def test_tr_cubic_table_holds_no_power_table():
+    # the mask and one block of exponents: no q-cell int32 power table
+    f = get_field(2, 20)
+    tracemalloc.start()
+    try:
+        table = spectra.tr_cubic_table(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == bool and table.shape == (f.q,)
+    assert peak <= f.q + 20 * field.POWER_BLOCK, peak / f.q
 
 
 def test_zero_counts_two_routes():
