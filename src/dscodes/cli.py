@@ -18,7 +18,6 @@ import collections
 import csv
 import io
 import json
-import re
 import sys
 import types
 
@@ -411,8 +410,11 @@ def _breaks(s: str) -> tuple[np.ndarray, np.ndarray]:
     before each closer, none inside `[]` or `{}`, and none inside strings.
     With `ensure_ascii` s is ASCII, and once `\\\\` and `\\"` are blanked
     every quote left delimits a string, so the structural characters are
-    those at even quote parity."""
-    b = np.frombuffer(s.replace("\\\\", "..").replace('\\"', "..").encode("ascii"), np.uint8)
+    those at even quote parity.  Only text with a backslash holds either,
+    so text without one skips both passes."""
+    if "\\" in s:
+        s = s.replace("\\\\", "..").replace('\\"', "..")
+    b = np.frombuffer(s.encode("ascii"), np.uint8)
     folded = b & 0xDF  # "[" and "{" differ in bit 5 only, as do "]" and "}"
     mask = b == 34
     mask |= b == 44
@@ -592,6 +594,19 @@ _COMMANDS = {
 }
 
 
+def _names_a_flag(word: str) -> bool:
+    """Whether word is a dash and more, with no space, other than a
+    negative number such as -3, -.5 or -1.5: decimal digits around at
+    most one point, some after it, and at most a final newline."""
+    rest = word[1:]
+    if word[:1] != "-" or not rest or " " in rest:
+        return False
+    whole, dot, frac = rest.removesuffix("\n").partition(".")
+    if dot:
+        return not (frac.isdecimal() and (whole.isdecimal() or not whole))
+    return not whole.isdecimal()
+
+
 def parse_args(argv) -> types.SimpleNamespace | None:
     """The command word, then its flags in any order, as a namespace of the
     command, its function and each flag it reads (at its default when not
@@ -618,9 +633,8 @@ def parse_args(argv) -> types.SimpleNamespace | None:
         flag, eq, value = word.partition("=")
         if flag not in specs:
             raise UsageError(f"{command} does not take {word!r}")
-        # the next word (a missing one reads as "--"), unless it names a flag:
-        # a dash and more, no space, not a negative number
-        if not eq and re.match(r"-(?!\d+$|\d*\.\d+$)[^ ]+$", value := next(words, "--")):
+        # the next word (a missing one reads as "--"), unless it names a flag
+        if not eq and _names_a_flag(value := next(words, "--")):
             raise UsageError(f"{flag} expects a value")
         spec = specs[flag]
         try:

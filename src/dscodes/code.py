@@ -484,23 +484,21 @@ def distributions_from_raw_histograms(f: Field, ns, hist) -> list[WeightDistribu
     # the nonzero counts of set b are at cuts[b]:cuts[b + 1], in ascending weight
     cuts = np.searchsorted(at, starts)
     weights = (at - np.repeat(starts[:-1], np.diff(cuts))).tolist()
-    values = hist[at].tolist()
-    out = []
-    for n, a, z in zip(ns, cuts.tolist(), cuts[1:].tolist()):
-        raw0 = values[a] if a < z and weights[a] == 0 else 0
-        kernel, t = raw0, 0
-        while kernel > 1 and kernel % p == 0:
-            kernel //= p
-            t += 1
-        if kernel != 1 or t > m:
+    pairs = list(zip(weights, hist[at].tolist()))
+    kernels = {p**t: t for t in range(m + 1)}  # the kernel sizes p^t, t <= m
+    out, cuts = [], cuts.tolist()
+    for n, a, z in zip(ns, cuts, cuts[1:]):
+        raw0 = pairs[a][1] if a < z and weights[a] == 0 else 0
+        t = kernels.get(raw0)
+        if t is None:
             raise ArithmeticError(f"zero-weight count {raw0} is not a power of p = {p}")
-        counts = values[a + 1 : z]  # past the zero weight at a
+        counts = tuple(pairs[a + 1 : z])  # past the zero weight at a
         if raw0 > 1:
-            for w, c in zip(weights[a + 1 : z], counts):
+            for w, c in counts:
                 if c % raw0:
                     raise ArithmeticError(f"raw count {c} at weight {w} not divisible by {raw0}")
-            counts = [c // raw0 for c in counts]
-        out.append(WeightDistribution(p, m, n, m - t, tuple(zip(weights[a + 1 : z], counts))))
+            counts = tuple((w, c // raw0) for w, c in counts)
+        out.append(WeightDistribution(p, m, n, m - t, counts))
     return out
 
 

@@ -52,14 +52,16 @@ def product_set(e_digits, ds: DefiningSet) -> tuple[DefiningSet, bool]:
     return prods, prods.n == len(e_digits) * ds.n
 
 
-def complement(ds: DefiningSet) -> DefiningSet:
-    """GF(q) minus the set.  Contains 0 whenever the set does not."""
+def complement(ds: DefiningSet, rest=None) -> DefiningSet:
+    """GF(q) minus the set.  Contains 0 whenever the set does not.  rest,
+    when given, is ~ds.mask already made: a row of a batch's complements."""
     f = ds.field
     if ds.n == f.q:
         raise ValueError("complement is empty")
-    # ~mask is a fresh array of the q - n codes outside the set: held as it is
+    # ~mask, or a row of a fresh ~block, marks the q - n codes outside the set: held as it is
     label = f"complement-of:{ds.label or 'set'}"
-    return DefiningSet.__new__(DefiningSet)._hold(f, ~ds.mask, label, f.q - ds.n)
+    rest = ~ds.mask if rest is None else rest
+    return DefiningSet.__new__(DefiningSet)._hold(f, rest, label, f.q - ds.n)
 
 
 def union_disjoint(a: DefiningSet, b: DefiningSet) -> DefiningSet:

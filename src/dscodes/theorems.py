@@ -346,21 +346,24 @@ def _split_off_rest(first: DefiningSet) -> tuple[DefiningSet, DefiningSet]:
 
 def _complement(field, base: DefiningSet) -> Instance:
     """Cor 3: the complement's weights are the base's reflected."""
-    return _reflections([base])[0]
+    return _reflections([base], base.mask[None])[0]
 
 
-def _reflections(bases) -> list[Instance]:
-    """The cor3 instances on bases of one field, enumerated in one call.
-    The largest complement is checked first, as refusal is monotone in
-    n: a complement no weight route fits is refused before any base is
-    enumerated."""
+def _reflections(bases, block) -> list[Instance]:
+    """The cor3 instances on bases of one field, whose masks are the rows
+    of block, enumerated in one call; the complements' masks are the rows
+    of one ~block.  The largest complement is checked first, as refusal
+    is monotone in n: a complement no weight route fits is refused before
+    any base is enumerated."""
     f = bases[0].field
     _route(f.p, f.m, f.q - min(base.n for base in bases))
-    return [_reflection(base, wd) for base, wd in zip(bases, weight_distributions(bases))]
+    wds = weight_distributions(bases)
+    return [_reflection(base, wd, rest) for base, wd, rest in zip(bases, wds, ~block)]
 
 
-def _reflection(base: DefiningSet, base_wd: WeightDistribution) -> Instance:
-    """The cor3 instance on base, from its enumerated distribution."""
+def _reflection(base: DefiningSet, base_wd: WeightDistribution, rest) -> Instance:
+    """The cor3 instance on base, from its enumerated distribution; rest
+    is the mask of its complement."""
     f = base.field
     full_weight = (f.p - 1) * f.p ** (f.m - 1)
     checks = [
@@ -375,7 +378,7 @@ def _reflection(base: DefiningSet, base_wd: WeightDistribution) -> Instance:
         "cor3",
         {"p": f.p, "m": f.m, "base": base.label or f"n={base.n}", "n": base.n}, checks,
         lambda: mirror_distribution(base_wd, full_weight, f.q - base.n),
-        lambda: sets.complement(base),
+        lambda: sets.complement(base, rest),
     )
 
 
@@ -606,30 +609,45 @@ def _reflectable_sets(build, p, m, rng, trials):
     kept one that meets the hypotheses, or ValueError after
     REFLECTABLE_TRIES misses in a row.
 
-    Drawn in rounds of as many candidates as trials are left, at most
-    max(1, code.BATCH_CELLS // q): a round never draws past the last
+    Drawn in rounds of B candidates, B as many as trials are left and at
+    most max(1, code.BATCH_CELLS // q): a round never draws past the last
     candidate a walk of one candidate at a time would draw, so rng moves
-    exactly as it would.  A round's bases are enumerated in one call
-    (`_reflections`), as the hypotheses read their distributions; the
-    complements of the ones that hold are built by `construct` and
-    batched by `_run_all`."""
+    exactly as it would, rng.randint then rng.sample for each candidate.
+    A round's samples are scattered into one (B, q) bool block of at most
+    BATCH_CELLS bytes, and each row is held as a base; a row that holds
+    fewer members than its sample drew raises AssertionError.  The bases
+    are enumerated in one call (`_reflections`), as the hypotheses read
+    their distributions, and each instance's `holds` is read once here;
+    the complements of the ones that hold, rows of one ~block, are built
+    by `construct` and batched by `_run_all`."""
     f = get_field(p, m)
-    if f.q - 2 < f.m:
+    q = f.q
+    if q - 2 < f.m:
         raise ValueError(f"GF({f.p}^{f.m}) is too small for cor3: D needs m to q - 2 elements")
+    population, top = range(q), min(q - 2, f.m + 6)
     misses = 0
     while trials:
-        bases = []
-        for _ in range(min(trials, max(1, code.BATCH_CELLS // f.q))):
-            size = rng.randint(f.m, min(f.q - 2, f.m + 6))
-            bases.append(DefiningSet(f, rng.sample(range(f.q), size), label="random"))
-        for inst in _reflections(bases):
-            misses = 0 if inst.holds else misses + 1
+        draws = [rng.sample(population, rng.randint(f.m, top))
+                 for _ in range(min(trials, max(1, code.BATCH_CELLS // q)))]
+        sizes = [len(draw) for draw in draws]
+        cells = np.fromiter(itertools.chain.from_iterable(draws), np.intp, sum(sizes))
+        cells += np.repeat(np.arange(0, len(draws) * q, q), sizes)  # row b starts at b*q
+        block = np.zeros((len(draws), q), dtype=bool)
+        block.ravel()[cells] = True
+        if np.count_nonzero(block, axis=1).tolist() != sizes:
+            raise AssertionError("a random sample repeated an element")
+        bases = [DefiningSet.__new__(DefiningSet)._hold(f, row, "random", n)
+                 for row, n in zip(block, sizes)]
+        for inst in _reflections(bases, block):
+            if inst.holds:
+                misses = 0
+                trials -= 1
+                yield inst
+                continue
+            misses += 1
             if misses == REFLECTABLE_TRIES:
                 # a range too small to hold such a set is a usage error, not a falsification
                 raise ValueError("could not sample a set meeting the reflection hypotheses")
-            if inst.holds:
-                trials -= 1
-                yield inst
 
 
 def _diagonal_forms(claim: str):

@@ -419,6 +419,22 @@ def test_flag_parser_agrees_with_argparse_from_the_same_tables():
     assert seen == {"ok", "help", "refused"}
 
 
+_FLAG_WORD = re.compile(r"-(?!\d+$|\d*\.\d+$)[^ ]+$")  # the oracle: a flag, not a value
+
+
+def test_flag_word_predicate_matches_the_regex_oracle():
+    words = ["-3", "-.5", "-1.5", "--m", "-x", "-", "- x", "--", "-1e3", "--field-poly",
+             "-0", "-00.00", "-1.", "-.", "-1.5.2", "-3\n", "-3\n\n", "-\n", "-\u0663",
+             "-1\t", "x", "", "3", "-1 "]
+    rng = random.Random(31)
+    alphabet = "-.0129e \n\t\u0663x"
+    words += ["".join(rng.choice(alphabet) for _ in range(rng.randrange(7))) for _ in range(20000)]
+    for word in words:
+        assert cli._names_a_flag(word) == bool(_FLAG_WORD.match(word)), repr(word)
+    assert [cli._names_a_flag(w) for w in ("-3", "-.5", "-1.5", "--m", "-x", "-", "- x", "--", "-1e3")] == [
+        False, False, False, True, True, False, False, True, True]
+
+
 @pytest.mark.parametrize("command", ["field", "code", "expsum", "walsh", "ssreport"])
 def test_m_is_required_where_every_run_reads_it(capsys, command):
     code, out, err = run(capsys, command, "-h")
@@ -479,6 +495,23 @@ def test_json_render_matches_stdlib_indent_on_random_payloads():
     for _ in range(400):
         payload = _random_payload(rng, rng.randrange(1, 6))
         assert cli.render(payload, "json") == _stdlib_json(payload), payload
+
+
+# whether the compact text holds a backslash picks _breaks' branch: every
+# escape (\\, \", \n, and \uXXXX for non-ASCII text) writes one
+@pytest.mark.parametrize("payload,backslash", [
+    ({"path": "C:\\dir\\"}, True),
+    ({"quote": 'say "[x]", then {y}'}, True),
+    ({"text": "two\nlines, [one]"}, True),
+    ({"name": "\u00e9 \u2603 \U0001d11e", "n": [1, 2]}, True),
+    ({"mixed": ['\\"', '"\\', "\\\\", "\u00e9\n"]}, True),
+    ({"plain": "a, b: [c] {d}", "list": [[], {}, [1, {"k": "]}"}]]}, False),
+    ({"reports": [{"claim": "cor3", "params": {"p": 2, "m": 4}, "weights": []}]}, False),
+    ([0, -1, 2**70, True, None, "plain"], False),
+], ids=repr)
+def test_json_render_matches_stdlib_indent_with_and_without_backslashes(payload, backslash):
+    assert ("\\" in json.dumps(payload)) == backslash
+    assert cli.render(payload, "json") == _stdlib_json(payload)
 
 
 def test_json_render_refuses_numpy_scalars():

@@ -2,6 +2,8 @@ import collections
 import math
 import random
 import tracemalloc
+import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -392,6 +394,27 @@ def test_histogram_division_rejects_inexact():
     f = get_field(2, 2)
     with pytest.raises(ArithmeticError, match="not divisible"):
         distributions_from_raw_histograms(f, [3], np.array([2, 0, 3, 0]))
+
+
+@pytest.mark.parametrize("hist", [[6, 0, 2], [0, 8, 0], [16, 0, 0]], ids=["6", "0", "p^4"])
+def test_histogram_refuses_a_zero_weight_count_that_is_no_kernel_size(hist):
+    # over GF(8), n = 2: the count at weight 0 must be p^t for some t <= m = 3
+    f = get_field(2, 3)
+    with pytest.raises(ArithmeticError, match=rf"zero-weight count {hist[0]} is not a power of p = 2"):
+        distributions_from_raw_histograms(f, [2], np.array(hist))
+
+
+def test_dual_refuses_a_krawtchouk_step_that_is_not_integral():
+    # K_(j+1)(0) = K_j(0) (p-1)(n-j)/(j+1) is an integer for an integer n:
+    # a half-integer length makes the first step fractional
+    half = types.SimpleNamespace(p=2, n=Fraction(7, 2), k=0, pairs=())
+    with pytest.raises(ArithmeticError, match=r"^Krawtchouk value K_1\(0\) is not an integer"):
+        list(_dual_counts(half))
+    # the step of the column of w reads the coefficient (n-j)(p-1) + j - p w:
+    # w = 1/2 at p = 3 leaves the column integral at j = 1, not at j = 2
+    half_weight = types.SimpleNamespace(p=3, n=2, k=1, pairs=((Fraction(1, 2), 2),))
+    with pytest.raises(ArithmeticError, match=r"^Krawtchouk value K_2\(1/2\) is not an integer"):
+        list(_dual_counts(half_weight))
 
 
 def test_macwilliams_involution(catalog_with_weights):

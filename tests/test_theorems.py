@@ -274,7 +274,7 @@ def test_cor3_rounds_draw_the_sets_of_a_one_at_a_time_walk(monkeypatch, cells):
     drawn = []
     reflection = theorems._reflection
     monkeypatch.setattr(
-        theorems, "_reflection", lambda base, wd: drawn.append(base) or reflection(base, wd)
+        theorems, "_reflection", lambda base, *rest: drawn.append(base) or reflection(base, *rest)
     )
     for p, values in ((2, (4, 5, 6)), (3, (3, 4))):
         rng, walk_rng = random.Random(7), random.Random(7)
@@ -289,6 +289,44 @@ def test_cor3_rounds_draw_the_sets_of_a_one_at_a_time_walk(monkeypatch, cells):
             assert len(walk) > len(insts) == 30
             kept = [inst for _, inst in walk if inst.holds]
             assert [theorems._run(i) for i in insts] == [theorems._run(i) for i in kept], (p, m)
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_cor3_block_draws_hold_the_bases_built_one_at_a_time(monkeypatch, seed):
+    drawn = []
+    reflection = theorems._reflection
+    monkeypatch.setattr(
+        theorems, "_reflection", lambda base, *rest: drawn.append(base) or reflection(base, *rest)
+    )
+    for p, values in ((2, range(4, 9)), (3, (3, 4))):
+        rng, walk_rng = random.Random(seed), random.Random(seed)
+        for m in values:
+            f = get_field(p, m)
+            drawn.clear()
+            assert len(list(theorems._reflectable_sets(None, p, m, rng, 100))) == 100
+            for base in drawn:
+                size = walk_rng.randint(f.m, min(f.q - 2, f.m + 6))
+                alone = DefiningSet(f, walk_rng.sample(range(f.q), size), label="random")
+                assert (base, base.n, base.label) == (alone, alone.n, alone.label), (p, m)
+                assert not base.mask.flags.writeable
+            assert rng.getstate() == walk_rng.getstate(), (p, m)
+
+
+def test_cor3_block_draw_refuses_a_sample_that_repeats_an_element(monkeypatch):
+    rng = random.Random(5)
+    sample, calls = rng.sample, []
+
+    def repeating(population, k):
+        out = sample(population, k)
+        calls.append(k)
+        if len(calls) == 3:  # the third base of the first round
+            out[-1] = out[0]
+        return out
+
+    monkeypatch.setattr(rng, "sample", repeating)
+    with pytest.raises(AssertionError, match="repeated an element"):
+        next(theorems._reflectable_sets(None, 2, 5, rng, 10))
+    assert len(calls) == 10  # refused as a round, before any base is enumerated
 
 
 def test_cor3_gives_up_after_a_run_of_misses_only(monkeypatch):
