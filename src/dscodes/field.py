@@ -35,6 +35,7 @@ table is the one-column map of the Tr(alpha^i), each the trace of C^i.
 EXP walks the coordinates of its first b ~ sqrt(q) powers by doubling,
 then reads each block of b through the table of x -> g^b * x, which is
 then refilled as LOG in blocks of `TABLE_BLOCK` cells.
+`Field.power_blocks` is every reader's walk of x -> x^e, `POWER_BLOCK` exponents at a time.
 `Field.PI`, the map x -> (Tr(x alpha^j))_j, is built on first use, by the
 Walsh spectrum and the gather that reads a transform row by log x.
 """
@@ -50,8 +51,8 @@ import numpy as np
 MAX_Q = 1 << 24
 MAX_P = 251
 # cells of one block over a q-cell table: the int64 exponents that
-# `Field.power_table` and `spectra.tr_cubic_table` hold at once (2 MB), or
-# the Walsh values `dscodes walsh` counts at once
+# `Field.power_blocks` holds at once (2 MB), or the Walsh values
+# `dscodes walsh` counts at once
 POWER_BLOCK = 1 << 18
 # cells one step of a table build writes or reads at once: a LOG scatter, an
 # odd-p chunk of `Field.linear_map`, a block of the trace table's balance count
@@ -406,10 +407,12 @@ class Field:
         for lo in range(0, q - 1, TABLE_BLOCK):
             hi = min(lo + TABLE_BLOCK, q - 1)
             log[exp[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
+        # EXP[:q - 1] lists every nonzero code once, and that alone gives g^(q-1) = 1 in
+        # R = GF(p)[X]/(f): if g is a unit, so is each g^t, so |R*| >= q - 1 and R is a field;
+        # if not, no positive power of g is a unit, so |R*| <= 1, which forces p = 2 and
+        # f = X(X + 1), where g^2 = g and the powers are not distinct
         if log[0] != -1 or np.count_nonzero(log < 0) != 1:
             raise AssertionError("generator order is below q - 1")
-        if not np.array_equal(self._matrix(int(exp[q - 2])) @ gen % p, np.eye(m)):
-            raise AssertionError("generator does not return to 1 after q - 1 steps")
         exp[q - 1 :] = exp[: q - 1]
         exp.setflags(write=False)
         log.setflags(write=False)
@@ -506,18 +509,26 @@ class Field:
         prods[xs == 0] = 0
         return prods
 
+    def power_blocks(self, e: int, stop: int | None = None):
+        """(x, x ** e) as two int32 code arrays for x = g^t, t < stop (q - 1 if
+        None), `POWER_BLOCK` exponents t at a time, read off the antilog
+        table: (g^t)^e = g^((e mod (q-1)) t mod (q-1)), the product taken in
+        int64 and freed before the block is yielded.  x is a view of EXP."""
+        n, stop = self.q - 1, self.q - 1 if stop is None else stop
+        for lo in range(0, stop, POWER_BLOCK):
+            y = np.arange(lo, min(lo + POWER_BLOCK, stop), dtype=np.int64)
+            y *= e % n
+            y %= n
+            y = self.EXP[y]  # the int64 exponents are freed here
+            yield self.EXP[lo : lo + len(y)], y
+
     def power_table(self, e: int) -> np.ndarray:
-        """x ** e for every element code x, e >= 1 (so 0 ** e = 0), read off
-        the antilog table: (g^t)^e = g^((e mod (q-1)) t mod (q-1))."""
+        """x ** e for every element code x, e >= 1 (so 0 ** e = 0)."""
         if e < 1:
             raise ValueError("power_table needs e >= 1")
-        n = self.q - 1
         out = np.zeros(self.q, dtype=self.EXP.dtype)
-        for lo in range(0, n, POWER_BLOCK):
-            t = np.arange(lo, min(lo + POWER_BLOCK, n), dtype=np.int64)
-            t *= e % n
-            t %= n
-            out[self.EXP[lo : lo + len(t)]] = self.EXP[t]
+        for x, y in self.power_blocks(e):
+            out[x] = y
         return out
 
     # -- misc ----------------------------------------------------------

@@ -175,11 +175,11 @@ def hkm_set(h: int, f: Field) -> DefiningSet:
         raise ValueError("h must be odd")
     if (f.p, f.m) != (3, 3 * h):
         raise ValueError(f"field must be GF(3^{3 * h})")
-    ts = np.arange((f.q - 1) // 2, dtype=np.int64)
-    xs = f.EXP[ts]
-    ys = f.EXP[ts * hkm_exponent(h) % (f.q - 1)]
-    els = xs[(f.TR[xs] + f.TR[ys]) % 3 == 0]  # Tr(x + x^l) = Tr(x) + Tr(x^l)
-    return DefiningSet(f, els, label=f"hkm h={h}")
+    # the mask is fresh and every x = g^t appears once: held as it is
+    mask = np.zeros(f.q, dtype=bool)
+    for x, y in f.power_blocks(hkm_exponent(h), (f.q - 1) // 2):
+        mask[x] = (f.TR[x] + f.TR[y]) % 3 == 0  # Tr(x + x^l) = Tr(x) + Tr(x^l)
+    return DefiningSet.__new__(DefiningSet)._hold(f, mask, f"hkm h={h}")
 
 
 def tr_cubic_set(f: Field) -> DefiningSet:

@@ -16,7 +16,7 @@ import functools
 import numpy as np
 
 from .code import walsh_hadamard
-from .field import POWER_BLOCK, Field
+from .field import Field
 
 
 def _require_binary(f: Field):
@@ -25,11 +25,12 @@ def _require_binary(f: Field):
 
 
 def weil_sum(f: Field, a: int, b: int) -> int:
-    """S(a, b) by direct summation over the field."""
+    """S(a, b) by direct summation over the field, one block of
+    `Field.power_blocks` at a time; x = 0, outside the walk, has Tr(0) = 0."""
     _require_binary(f)
-    xs = np.arange(f.q, dtype=np.int64)
-    arg = f.scalar_mul_vec(a, f.power_table(3)) ^ f.scalar_mul_vec(b, xs)
-    ones = int(f.TR[arg].sum())
+    ones = 0
+    for x, cubes in f.power_blocks(3):
+        ones += int(np.count_nonzero(f.TR[f.scalar_mul_vec(a, cubes) ^ f.scalar_mul_vec(b, x)]))
     return f.q - 2 * ones
 
 
@@ -194,14 +195,11 @@ def walsh_transform(f: Field, table) -> WalshSpectrum:
 
 
 def tr_cubic_table(f: Field) -> np.ndarray:
-    """Truth table of x -> Tr(x^3) as a bool mask indexed by element code:
-    table[g^t] = Tr(g^(3t mod (q-1))), a block of exponents t at a time, so
-    no q-cell power table is held."""
+    """Truth table of x -> Tr(x^3) as a bool mask indexed by element code,
+    scattered one block of `Field.power_blocks` at a time, so no q-cell
+    power table is held."""
     _require_binary(f)
-    n = f.q - 1
     table = np.zeros(f.q, dtype=bool)  # Tr(0^3) = 0
-    for lo in range(0, n, POWER_BLOCK):
-        t3 = np.arange(3 * lo, 3 * min(lo + POWER_BLOCK, n), 3, dtype=np.int64)
-        t3 %= n
-        table[f.EXP[lo : lo + len(t3)]] = f.TR[f.EXP[t3]].view(bool)
+    for x, cubes in f.power_blocks(3):
+        table[x] = f.TR[cubes].view(bool)
     return table

@@ -414,6 +414,22 @@ def test_power_table_matches_scalar_pow(f, monkeypatch):
             assert f.power_table(e).tolist() == [f.pow(x, e) for x in range(f.q)], (block, e)
 
 
+@pytest.mark.parametrize("block", [3, 64, field.POWER_BLOCK])
+def test_power_blocks_walk_each_nonzero_x_once_with_its_power(f, monkeypatch, block):
+    # blocks of 3 and 64 exponents, which stop need not divide; e mod (q - 1)
+    # for e = 0, -1, q - 1 and 2q, and walks that stop short of q - 1
+    monkeypatch.setattr(field, "POWER_BLOCK", block)
+    for e in (0, 1, 3, -1, f.q - 1, 2 * f.q):
+        for stop in (None, (f.q - 1) // 2, max(f.q - 2, 0)):
+            walk = list(f.power_blocks(e, stop))
+            assert all(x.dtype == y.dtype == np.int32 and 0 < len(x) == len(y) <= block for x, y in walk)
+            xs = [int(v) for x, _ in walk for v in x]
+            assert xs == [f.antilog(t) for t in range(f.q - 1 if stop is None else stop)], (e, stop)
+            assert [int(v) for _, y in walk for v in y] == [f.pow(x, e) for x in xs], (e, stop)
+            if stop is None:
+                assert sorted(xs) == list(f.units())
+
+
 def test_power_table_refuses_nonpositive_exponents():
     with pytest.raises(ValueError):
         get_field(2, 3).power_table(0)

@@ -436,6 +436,29 @@ def test_hkm_set_matches_scalar_oracle(h):
     assert ds.elements.tolist() == _hkm_oracle(h, ds.field)
 
 
+@pytest.mark.parametrize("block", [3, 64])
+def test_hkm_set_in_blocks_matches_scalar_oracle(monkeypatch, block):
+    # blocks of 3 and 64 exponents, which (q - 1)/2 need not divide
+    monkeypatch.setattr(field, "POWER_BLOCK", block)
+    for h in (1, 3):
+        ds = sets.hkm_set(h, get_field(3, 3 * h))
+        assert ds.elements.tolist() == _hkm_oracle(h, ds.field), h
+
+
+def test_hkm_set_holds_its_mask_and_one_block_of_the_walk(monkeypatch):
+    # the mask, held without a copy, and one block of exponents: no array over (q - 1)/2
+    monkeypatch.setattr(field, "POWER_BLOCK", 1024)
+    f = get_field(3, 9)
+    tracemalloc.start()
+    try:
+        ds = sets.hkm_set(3, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n == len(_hkm_oracle(3, f))
+    assert peak <= f.q + 24 * field.POWER_BLOCK, peak
+
+
 @pytest.mark.parametrize("m", range(2, 15))
 def test_tr_cubic_set_matches_scalar_oracle(m):
     ds = sets.tr_cubic_set(get_field(2, m))

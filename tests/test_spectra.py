@@ -185,7 +185,7 @@ def test_tr_cubic_table_values():
 @pytest.mark.parametrize("block", [3, 64, field.POWER_BLOCK])
 def test_tr_cubic_table_in_blocks_matches_scalar_cubes(monkeypatch, block):
     # blocks of 3 and 64 exponents, which q - 1 need not divide
-    monkeypatch.setattr(spectra, "POWER_BLOCK", block)
+    monkeypatch.setattr(field, "POWER_BLOCK", block)
     for m in range(1, 11):
         f = get_field(2, m)
         want = [bool(f.trace(f.pow(x, 3))) for x in range(f.q)]
@@ -203,6 +203,41 @@ def test_tr_cubic_table_holds_no_power_table():
         tracemalloc.stop()
     assert table.dtype == bool and table.shape == (f.q,)
     assert peak <= f.q + 20 * field.POWER_BLOCK, peak / f.q
+
+
+def _weil_oracle(f, a, b):
+    return sum((-1) ** f.trace(f.add(f.mul(a, f.pow(x, 3)), f.mul(b, x))) for x in range(f.q))
+
+
+@pytest.mark.parametrize("block", [3, 64])
+def test_weil_sum_in_blocks_matches_scalar_oracle(monkeypatch, block):
+    # blocks of 3 and 64 exponents, which q - 1 need not divide; every (a, b)
+    # up to GF(2^5), then 64 seeded pairs a field with a = 0 and b = 0 among them
+    monkeypatch.setattr(field, "POWER_BLOCK", block)
+    rng = random.Random(32)
+    for m in range(4, 11):
+        f = get_field(2, m)
+        if f.q <= 32:
+            pairs = [(a, b) for a in range(f.q) for b in range(f.q)]
+        else:
+            pairs = [(0, 0), (0, 1), (1, 0), (1, 1), (f.q - 1, f.q - 1)]
+            pairs += [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(59)]
+        for a, b in pairs:
+            assert spectra.weil_sum(f, a, b) == _weil_oracle(f, a, b), (m, a, b)
+
+
+def test_weil_sum_holds_one_block_of_the_walk(monkeypatch):
+    # no q-cell array: the cubes, the two products and their traces one block at a time
+    monkeypatch.setattr(field, "POWER_BLOCK", 1024)
+    f = get_field(2, 14)
+    tracemalloc.start()
+    try:
+        s = spectra.weil_sum(f, 3, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s == spectra.coulter_s_ab(f, 3, 5)
+    assert peak <= 32 * field.POWER_BLOCK, peak
 
 
 def test_zero_counts_two_routes():
